@@ -1,11 +1,17 @@
 """Block decomposition of modular group algebras and block invariants."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .chartab import _class_elements, character_table, class_fusion, lifting_prime
+from .chartab import (
+    CharacterTable,
+    character_table,
+    class_fusion,
+    class_inner_product,
+    lifting_prime,
+    restrict_row,
+)
 from .cyclotomic import Cyc, cyc_to_field
 from .errors import (
     AmbiguousInduction,
@@ -16,55 +22,14 @@ from .errors import (
     NonIntegralSolution,
     ReductionInconsistent,
 )
-from .ffield import _is_prime, field_create
+from .ffield import field_create
+from .intmath import int_det, is_p_power, is_prime, p_valuation
 from .linalg import Mat, mat_rank, mat_solve_left
-from .modrep import GModule, ReductionContext, brauer_table, module_iso
-from .perm import perm_conj, perm_inv, perm_mul, sectional_rank
+from .modrep import BrauerTable, GModule, ReductionContext, brauer_table, module_iso
+from .perm import PermGroup, perm_conj, perm_inv, sectional_rank
 
 SPOT_CHECK_PAIRS = 4
 SOLVE_PRIME_ATTEMPTS = 5
-
-
-def _nu(p: int, n: int) -> int:
-    """Return the exponent of p in the factorization of n."""
-    count = 0
-    while n % p == 0:
-        n //= p
-        count += 1
-    return count
-
-
-def _is_p_power(p: int, n: int) -> bool:
-    """Return True when n is a power of p, counting 1 as the zeroth power."""
-    if n < 1:
-        return False
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def _int_det(rows) -> int:
-    """Return the exact determinant of a square integer matrix."""
-    a = [[int(x) for x in row] for row in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _central_character(row, degree: int, classes) -> list:
@@ -80,9 +45,10 @@ def _reduced_lambda(row, degree: int, classes, context) -> tuple:
     return tuple(context.reduce(v) for v in _central_character(row, degree, classes))
 
 
-def _spot_check_lambdas(classes, members, lambdas, field, seed: int) -> None:
+def _spot_check_lambdas(group, lambdas, field, seed: int) -> None:
     """Verify sampled multiplicativity of the reduced central characters."""
-    n = len(classes.reps)
+    mats = group.class_matrices()
+    n = len(mats)
     if n < 2:
         return
     rng = random.Random(seed)
@@ -90,16 +56,11 @@ def _spot_check_lambdas(classes, members, lambdas, field, seed: int) -> None:
     for _ in range(SPOT_CHECK_PAIRS):
         i = rng.randrange(1, n)
         j = rng.randrange(1, n)
-        counts = np.zeros((n, n), dtype=np.int64)
-        for x in members[i]:
-            xi = perm_inv(x)
-            for k, rep in enumerate(classes.reps):
-                counts[classes.class_of[perm_mul(xi, rep)], k] += 1
         for lam in distinct:
             lhs = field.mul(lam[i], lam[j])
             rhs = 0
             for k in range(n):
-                coeff = int(counts[j, k]) % field.p
+                coeff = int(mats[i][j, k]) % field.p
                 if coeff:
                     rhs = field.add(rhs, field.mul(coeff, lam[k]))
             if lhs != rhs:
@@ -125,25 +86,14 @@ def _integral_expansion(basis, targets, order: int, exponent: int) -> tuple:
         minimum = r + 1
         cand = field_create(r)
         z = cand.root_of_unity(exponent)
-
-        def embed(value: Cyc) -> int:
-            step = exponent // value.conductor
-            return cyc_to_field(value, cand, lambda i: cand.pow(z, step * i))
-
-        rows = [[embed(v) for v in brow] for brow in basis]
+        rows = [[cyc_to_field(v, cand, z, exponent) for v in brow] for brow in basis]
         if mat_rank(Mat(cand, rows)) == size:
             field = cand
             bmat = Mat(cand, rows)
             break
     if field is None:
         raise RuntimeError("no usable solving prime found for the expansion")
-    z = field.root_of_unity(exponent)
-
-    def embed(value: Cyc) -> int:
-        step = exponent // value.conductor
-        return cyc_to_field(value, field, lambda i: field.pow(z, step * i))
-
-    rmat = Mat(field, [[embed(v) for v in row] for row in targets])
+    rmat = Mat(field, [[cyc_to_field(v, field, z, exponent) for v in row] for row in targets])
     solved = mat_solve_left(bmat, rmat)
     coeffs = tuple(tuple(int(x) for x in row) for row in solved.data)
     for i, target in enumerate(targets):
@@ -166,33 +116,25 @@ def _decomposition_matrix(tab, btab) -> tuple:
     return _integral_expansion(btab.rows, targets, tab.group.order(), tab.exponent)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Block:
     """Invariants of a single block of the modular group algebra."""
 
-    __slots__ = (
-        "index",
-        "p",
-        "chars",
-        "ibrs",
-        "degrees",
-        "ibr_degrees",
-        "lambda_row",
-        "principal",
-        "defect",
-        "defect_class",
-        "defect_group",
-        "sectional",
-        "cartan",
-        "dim",
-        "tau",
-    )
-
-    def __init__(self, **fields):
-        for name in self.__slots__:
-            object.__setattr__(self, name, fields[name])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("block data is immutable")
+    index: int
+    p: int
+    chars: tuple
+    ibrs: tuple
+    degrees: tuple
+    ibr_degrees: tuple
+    lambda_row: tuple
+    principal: bool
+    defect: int
+    defect_class: int
+    defect_group: PermGroup
+    sectional: int
+    cartan: tuple
+    dim: int
+    tau: Fraction
 
     def __repr__(self):
         kind = "principal, " if self.principal else ""
@@ -202,28 +144,20 @@ class Block:
         )
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class BlockSystem:
     """Complete block decomposition of a group algebra at one prime."""
 
-    __slots__ = (
-        "group",
-        "p",
-        "chartab",
-        "brauer",
-        "context",
-        "blocks",
-        "decomposition",
-        "regular",
-        "block_of_char",
-        "block_of_ibr",
-    )
-
-    def __init__(self, **fields):
-        for name in self.__slots__:
-            object.__setattr__(self, name, fields[name])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("block system data is immutable")
+    group: PermGroup
+    p: int
+    chartab: CharacterTable
+    brauer: BrauerTable
+    context: ReductionContext
+    blocks: tuple
+    decomposition: tuple
+    regular: tuple
+    block_of_char: tuple
+    block_of_ibr: tuple
 
     def __len__(self):
         return len(self.blocks)
@@ -235,7 +169,7 @@ class BlockSystem:
 
 def block_system(group, p: int, seed: int = 0, context=None) -> BlockSystem:
     """Compute the block decomposition of the group algebra in characteristic p."""
-    if p < 2 or not _is_prime(p):
+    if not is_prime(p):
         raise CompositeCharacteristic(f"characteristic {p} is not prime")
     tab = character_table(group, seed=seed)
     classes = tab.classes
@@ -243,14 +177,12 @@ def block_system(group, p: int, seed: int = 0, context=None) -> BlockSystem:
         context = ReductionContext(group, p)
     btab = brauer_table(group, p, seed=seed, classes=classes, context=context)
     order = group.order()
-    nclasses = len(classes.reps)
 
     lambdas = [
         _reduced_lambda(row, deg, classes, context)
         for deg, row in zip(tab.degrees, tab.rows)
     ]
-    members = _class_elements(classes)
-    _spot_check_lambdas(classes, members, lambdas, context.field, seed)
+    _spot_check_lambdas(group, lambdas, context.field, seed)
 
     buckets = {}
     for i, lam in enumerate(lambdas):
@@ -280,7 +212,7 @@ def block_system(group, p: int, seed: int = 0, context=None) -> BlockSystem:
             )
         block_of_ibr[j] = touched.pop()
 
-    nu_order = _nu(p, order)
+    nu_order = p_valuation(order, p)
     regular = btab.regular
     blocks = []
     for bindex, (lam, chars) in enumerate(ordered):
@@ -288,7 +220,7 @@ def block_system(group, p: int, seed: int = 0, context=None) -> BlockSystem:
         ibrs = tuple(j for j in range(len(btab.rows)) if block_of_ibr[j] == bindex)
         degrees = tuple(tab.degrees[i] for i in chars)
         ibr_degrees = tuple(btab.dims[j] for j in ibrs)
-        defect = nu_order - min(_nu(p, d) for d in degrees)
+        defect = nu_order - min(p_valuation(d, p) for d in degrees)
         dim = sum(d * d for d in degrees)
 
         cartan = tuple(
@@ -305,8 +237,8 @@ def block_system(group, p: int, seed: int = 0, context=None) -> BlockSystem:
                 f"block {bindex}: Cartan form gives dimension {route}, "
                 f"character degrees give {dim}"
             )
-        det = _int_det(cartan)
-        if not _is_p_power(p, det):
+        det = int_det(cartan)
+        if not is_p_power(det, p):
             raise RuntimeError(
                 f"block {bindex}: Cartan determinant {det} is not a power of {p}"
             )
@@ -316,13 +248,13 @@ def block_system(group, p: int, seed: int = 0, context=None) -> BlockSystem:
         ]
         if not candidates:
             raise RuntimeError(f"block {bindex} has no nonvanishing regular class")
-        best = min(_nu(p, order // classes.sizes[k]) for k in candidates)
+        best = min(p_valuation(order // classes.sizes[k], p) for k in candidates)
         if best != defect:
             raise DefectMismatch(
                 f"block {bindex}: defect {defect} from degrees, {best} from classes"
             )
         defect_class = min(
-            k for k in candidates if _nu(p, order // classes.sizes[k]) == best
+            k for k in candidates if p_valuation(order // classes.sizes[k], p) == best
         )
         centralizer = group.centralizer(classes.reps[defect_class])
         dgroup = centralizer.sylow(p)
@@ -426,72 +358,71 @@ def induced_block(system: BlockSystem, sub: BlockSystem, block: Block):
     return (matches[0] if matches else None), induced
 
 
-def _conjugation_class_map(classes, g) -> tuple:
-    """Return the permutation of class indices induced by conjugation with g."""
-    ginv = perm_inv(g)
-    return tuple(
-        classes.class_of[perm_conj(rep, ginv)] for rep in classes.reps
-    )
-
-
-def _char_conjugation_perms(system: BlockSystem, sub: BlockSystem) -> list:
-    """Permutations of subgroup character indices induced by ambient generators."""
-    classes = sub.chartab.classes
-    nsub = len(classes.reps)
-    maps = []
-    for g in system.group.generators:
-        cmap = _conjugation_class_map(classes, g)
-        char_perm = []
-        for trow in sub.chartab.rows:
-            moved = tuple(trow[cmap[c]] for c in range(nsub))
-            char_perm.append(
-                next(
-                    t
-                    for t, other in enumerate(sub.chartab.rows)
-                    if tuple(other) == moved
-                )
-            )
-        maps.append(char_perm)
-    return maps
-
-
-def block_orbit(system: BlockSystem, sub: BlockSystem, index: int) -> tuple:
-    """Return the orbit of a subgroup block under ambient conjugation."""
-    maps = _char_conjugation_perms(system, sub)
-    orbit = {index}
-    frontier = [index]
+def _orbit(start: int, perms) -> tuple:
+    """Return the sorted orbit of an index under a list of index permutations."""
+    orbit = {start}
+    frontier = [start]
     while frontier:
         current = frontier.pop()
-        pick = sub.blocks[current].chars[0]
-        for char_perm in maps:
-            image = sub.block_of_char[char_perm[pick]]
+        for perm in perms:
+            image = perm[current]
             if image not in orbit:
                 orbit.add(image)
                 frontier.append(image)
     return tuple(sorted(orbit))
 
 
+def _conjugation_row_perms(system: BlockSystem, sub: BlockSystem, rows, columns) -> list:
+    """Permutations of subgroup table rows induced by each ambient generator.
+
+    Row values sit on the subgroup classes listed in columns; conjugation by
+    an ambient generator permutes those classes and so permutes the rows.
+    """
+    classes = sub.chartab.classes
+    perms = []
+    for g in system.group.generators:
+        ginv = perm_inv(g)
+        moved_cols = [
+            columns.index(classes.class_of[perm_conj(classes.reps[c], ginv)])
+            for c in columns
+        ]
+        perm = []
+        for row in rows:
+            moved = tuple(row[pos] for pos in moved_cols)
+            perm.append(next(s for s, other in enumerate(rows) if tuple(other) == moved))
+        perms.append(perm)
+    return perms
+
+
+def _char_conjugation_perms(system: BlockSystem, sub: BlockSystem) -> list:
+    """Permutations of subgroup character indices induced by ambient generators."""
+    columns = tuple(range(len(sub.chartab.classes)))
+    return _conjugation_row_perms(system, sub, sub.chartab.rows, columns)
+
+
+def block_orbit(system: BlockSystem, sub: BlockSystem, index: int) -> tuple:
+    """Return the orbit of a subgroup block under ambient conjugation."""
+    block_perms = [
+        [sub.block_of_char[char_perm[block.chars[0]]] for block in sub.blocks]
+        for char_perm in _char_conjugation_perms(system, sub)
+    ]
+    return _orbit(index, block_perms)
+
+
 def covered_blocks(system: BlockSystem, sub: BlockSystem) -> dict:
     """Map each ambient block index to the normal subgroup blocks it covers."""
     fusion = class_fusion(system.chartab.classes, sub.chartab.classes)
     classes = sub.chartab.classes
-    nsub = len(classes.reps)
-    suborder = sub.group.order()
 
     covered = {}
     for block in system.blocks:
         hit = set()
         for ci in block.chars:
-            row = system.chartab.rows[ci]
-            restricted = [row[fusion[c]] for c in range(nsub)]
+            restricted = restrict_row(system.chartab.rows[ci], fusion)
             for t, trow in enumerate(sub.chartab.rows):
-                acc = Cyc.zero(1)
-                for c in range(nsub):
-                    acc = acc + restricted[c] * trow[c].conj() * classes.sizes[c]
-                total = acc.as_rational()
-                if total is None:
+                mult = class_inner_product(restricted, trow, classes)
+                if mult is None:
                     raise RuntimeError("restriction inner product is irrational")
-                mult = Fraction(total, suborder)
                 if mult.denominator != 1 or mult < 0:
                     raise RuntimeError(
                         f"restriction multiplicity {mult} is not a natural number"
@@ -581,29 +512,5 @@ def brauer_restriction_multiplicities(system: BlockSystem, sub: BlockSystem) -> 
 
 def brauer_orbit(system: BlockSystem, sub: BlockSystem, j: int) -> tuple:
     """Return the orbit of a subgroup Brauer character under ambient conjugation."""
-    sclasses = sub.chartab.classes
-    perms = []
-    for g in system.group.generators:
-        cmap = _conjugation_class_map(sclasses, g)
-        pos_map = [sub.regular.index(cmap[c]) for c in sub.regular]
-        perm = []
-        for row in sub.brauer.rows:
-            moved = tuple(row[pos_map[t]] for t in range(len(sub.regular)))
-            perm.append(
-                next(
-                    s
-                    for s, other in enumerate(sub.brauer.rows)
-                    if tuple(other) == moved
-                )
-            )
-        perms.append(perm)
-    orbit = {j}
-    frontier = [j]
-    while frontier:
-        current = frontier.pop()
-        for perm in perms:
-            image = perm[current]
-            if image not in orbit:
-                orbit.add(image)
-                frontier.append(image)
-    return tuple(sorted(orbit))
+    perms = _conjugation_row_perms(system, sub, sub.brauer.rows, sub.regular)
+    return _orbit(j, perms)

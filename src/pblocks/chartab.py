@@ -12,13 +12,16 @@ verified exactly before a table is returned.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
 from .cyclotomic import Cyc
 from .errors import EigensplitBudgetExceeded, FusionInconsistent, LiftingPrimeNotFound
-from .ffield import _is_prime, field_create, poly_roots
+from .ffield import field_create, poly_roots
+from .intmath import is_prime
 from .linalg import (
     Mat,
     mat_charpoly,
@@ -40,7 +43,7 @@ def lifting_prime(order: int, exponent: int, minimum: int = 0) -> int:
     bound = max(2 * isqrt(order) + 1, minimum)
     r = exponent + 1
     while r <= LIFTING_PRIME_CAP:
-        if r > bound and _is_prime(r) and order % r:
+        if r > bound and is_prime(r) and order % r:
             return r
         r += exponent
     raise LiftingPrimeNotFound(
@@ -48,27 +51,17 @@ def lifting_prime(order: int, exponent: int, minimum: int = 0) -> int:
     )
 
 
-def _class_elements(classes: ClassData) -> list:
-    """Group the enumerated elements by conjugacy class index."""
-    out = [[] for _ in range(len(classes))]
-    for g, c in classes.class_of.items():
-        out[c].append(g)
-    return out
+def class_inner_product(chi, psi, classes: ClassData) -> Fraction | None:
+    """Return the inner product <chi, psi> of two class functions given by class values.
 
-
-def _class_matrices(classes: ClassData, members: list) -> list:
-    """Return the class algebra structure constant matrices as integer arrays."""
-    n = len(classes)
-    mats = []
-    for i in range(n):
-        M = np.zeros((n, n), dtype=np.int64)
-        for x in members[i]:
-            xi = perm_inv(x)
-            for k, rep in enumerate(classes.reps):
-                j = classes.class_of[perm_mul(xi, rep)]
-                M[j, k] += 1
-        mats.append(M)
-    return mats
+    The result is a Fraction, or None when it is irrational, which cannot
+    happen when both functions are characters.
+    """
+    acc = Cyc.zero(1)
+    for k, size in enumerate(classes.sizes):
+        acc = acc + chi[k] * psi[k].conj() * size
+    total = acc.as_rational()
+    return None if total is None else total / sum(classes.sizes)
 
 
 def _split_eigenspaces(F, raw_mats: list, n: int, seed: int) -> list:
@@ -109,18 +102,16 @@ def _split_eigenspaces(F, raw_mats: list, n: int, seed: int) -> list:
     return spaces
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class CharacterTable:
     """Ordinary character table with exact cyclotomic values."""
 
-    __slots__ = ("group", "classes", "exponent", "prime", "degrees", "rows")
-
-    def __init__(self, group, classes, exponent, prime, degrees, rows):
-        self.group = group
-        self.classes = classes
-        self.exponent = exponent
-        self.prime = prime
-        self.degrees = degrees
-        self.rows = rows
+    group: PermGroup
+    classes: ClassData
+    exponent: int
+    prime: int
+    degrees: tuple
+    rows: tuple
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -136,13 +127,11 @@ def character_table(group: PermGroup, seed: int = 0, prime: int | None = None) -
         r = lifting_prime(order, e)
     else:
         r = prime
-        if (r - 1) % e or r <= 2 * isqrt(order) + 1 or not _is_prime(r) or order % r == 0:
+        if (r - 1) % e or r <= 2 * isqrt(order) + 1 or not is_prime(r) or order % r == 0:
             raise ValueError("supplied lifting prime violates the required conditions")
     F = field_create(r)
 
-    members = _class_elements(classes)
-    raw_mats = _class_matrices(classes, members)
-    spaces = _split_eigenspaces(F, raw_mats, n, seed)
+    spaces = _split_eigenspaces(F, group.class_matrices(), n, seed)
 
     sizes = classes.sizes
     inv_sizes = [F.inv(s % r) for s in sizes]
@@ -218,10 +207,7 @@ def character_table(group: PermGroup, seed: int = 0, prime: int | None = None) -
         raise RuntimeError("degree squares do not sum to the group order")
     for i in range(len(rows)):
         for j in range(i, len(rows)):
-            acc = Cyc.zero(1)
-            for k in range(n):
-                acc = acc + rows[i][k] * rows[j][k].conj() * sizes[k]
-            if acc != (order if i == j else 0):
+            if class_inner_product(rows[i], rows[j], classes) != (1 if i == j else 0):
                 raise RuntimeError("character rows violate orthogonality")
 
     return CharacterTable(group, classes, e, r, degrees, rows)
@@ -229,16 +215,15 @@ def character_table(group: PermGroup, seed: int = 0, prime: int | None = None) -
 
 def class_fusion(ambient: ClassData, sub: ClassData) -> tuple:
     """Map each class of a subgroup to the ambient class containing it."""
-    members = _class_elements(sub)
-    fusion = []
-    for c, elems in enumerate(members):
-        images = {ambient.class_of[g] for g in elems}
-        if len(images) != 1:
+    images = [set() for _ in range(len(sub))]
+    for g, c in sub.class_of.items():
+        images[c].add(ambient.class_of[g])
+    for c, targets in enumerate(images):
+        if len(targets) != 1:
             raise FusionInconsistent(
-                f"subgroup class {c} meets {len(images)} ambient classes"
+                f"subgroup class {c} meets {len(targets)} ambient classes"
             )
-        fusion.append(images.pop())
-    return tuple(fusion)
+    return tuple(targets.pop() for targets in images)
 
 
 def restrict_row(row, fusion: tuple) -> tuple:

@@ -8,14 +8,13 @@ from .corpus import (
     DEFAULT_CORPUS,
     DEFAULT_SCENARIOS,
     FIXTURES,
-    SCENARIO_KINDS,
     CartanFixture,
     CorpusEntry,
     PairedScenario,
-    verify_normal,
 )
 from .errors import BlockEngineError
 from .harness import (
+    SCENARIO_KINDS,
     analyze_group,
     fixture_checks,
     format_fraction,
@@ -25,7 +24,7 @@ from .harness import (
     tau_rayleigh,
 )
 from . import __version__
-from .perm import PermGroup
+from .perm import PermGroup, verify_normal
 
 
 def _load_json(path: str):

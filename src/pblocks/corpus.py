@@ -1,27 +1,17 @@
 """Built-in group corpus, paired-subgroup scenarios, and Cartan matrix fixtures."""
 
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import NotNormal, ShapeMismatch
+from .errors import ShapeMismatch
 from .ffield import field_create
-from .perm import PermGroup, perm_conj, perm_from_cycles, perm_mul
+from .intmath import factorint
+from .perm import PermGroup, perm_from_cycles, perm_mul, verify_normal
 
 
 def prime_factors(n: int) -> tuple:
     """List the distinct prime divisors of a positive integer in increasing order."""
-    if n < 1:
-        raise ValueError(f"positive integer required, got {n}")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+    return tuple(factorint(n))
 
 
 def symmetric_group(n: int) -> PermGroup:
@@ -49,22 +39,10 @@ def cyclic_group(order: int) -> PermGroup:
     """Build a cyclic group as one permutation with a cycle per prime power factor."""
     if order < 2:
         raise ValueError("cyclic group builder needs order at least two")
-    parts = []
-    n = order
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            q = 1
-            while n % d == 0:
-                q *= d
-                n //= d
-            parts.append(q)
-        d += 1
-    if n > 1:
-        parts.append(n)
     cycles = []
     start = 1
-    for q in parts:
+    for ell, k in factorint(order).items():
+        q = ell ** k
         cycles.append(tuple(range(start, start + q)))
         start += q
     degree = start - 1
@@ -158,17 +136,19 @@ def mathieu_group_11() -> PermGroup:
     return PermGroup(11, [a, b])
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CorpusEntry:
     """Named corpus member with a deterministic group builder and target primes."""
 
-    __slots__ = ("name", "builder", "large", "primes")
+    name: str
+    builder: Callable[[], PermGroup]
+    large: bool = False
+    primes: Optional[tuple] = None
 
-    def __init__(self, name: str, builder: Callable[[], PermGroup],
-                 large: bool = False, primes: Optional[tuple] = None):
-        self.name = name
-        self.builder = builder
-        self.large = bool(large)
-        self.primes = tuple(primes) if primes is not None else None
+    def __post_init__(self):
+        object.__setattr__(self, "large", bool(self.large))
+        if self.primes is not None:
+            object.__setattr__(self, "primes", tuple(self.primes))
 
     def __repr__(self) -> str:
         return f"CorpusEntry({self.name!r})"
@@ -220,31 +200,14 @@ def _center_elements(group: PermGroup) -> list:
     ]
 
 
-def verify_normal(group: PermGroup, sub: PermGroup) -> None:
-    """Check that a subgroup is normal in an ambient group of the same degree."""
-    if sub.degree != group.degree:
-        raise ShapeMismatch(
-            f"subgroup degree {sub.degree} does not match ambient degree {group.degree}"
-        )
-    for x in sub.generators:
-        if not group.contains(x):
-            raise NotNormal("subgroup generator lies outside the ambient group")
-        for g in group.generators:
-            if not sub.contains(perm_conj(x, g)):
-                raise NotNormal("subgroup is not closed under ambient conjugation")
-
-
+@dataclass(frozen=True, slots=True, eq=False)
 class PairedScenario:
     """Ambient group with a distinguished normal subgroup, a prime, and a check kind."""
 
-    __slots__ = ("name", "kind", "prime", "builder")
-
-    def __init__(self, name: str, kind: str, prime: int,
-                 builder: Callable[[], tuple]):
-        self.name = name
-        self.kind = kind
-        self.prime = prime
-        self.builder = builder
+    name: str
+    kind: str
+    prime: int
+    builder: Callable[[], tuple]
 
     def __repr__(self) -> str:
         return f"PairedScenario({self.name!r}, kind={self.kind!r}, prime={self.prime})"
@@ -274,14 +237,6 @@ def _s4_with_a4() -> tuple:
     return symmetric_group(4), alternating_group(4)
 
 
-SCENARIO_KINDS = (
-    "stabilizer_induction_tau",
-    "central_quotient_scaling",
-    "restriction_degree_sum",
-    "coprime_quotient_tau",
-    "sylow_product_ratio",
-)
-
 DEFAULT_SCENARIOS = (
     PairedScenario("induced-tau-S3", "stabilizer_induction_tau", 2, _s3_with_c3),
     PairedScenario("central-scaling-SL23", "central_quotient_scaling", 2, _sl23_with_center),
@@ -291,25 +246,27 @@ DEFAULT_SCENARIOS = (
 )
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CartanFixture:
     """Reference Cartan matrix with its defect group order and sectional rank."""
 
-    __slots__ = ("name", "note", "prime", "rows", "defect_order", "sectional",
-                 "trace_expected")
+    name: str
+    note: str
+    prime: int
+    rows: tuple
+    defect_order: int
+    sectional: int
+    trace_expected: Optional[int] = None
 
-    def __init__(self, name: str, note: str, prime: int, rows,
-                 defect_order: int, sectional: int,
-                 trace_expected: Optional[int] = None):
-        self.name = name
-        self.note = note
-        self.prime = int(prime)
-        self.rows = tuple(tuple(int(v) for v in row) for row in rows)
-        size = len(self.rows)
-        if size == 0 or any(len(row) != size for row in self.rows):
+    def __post_init__(self):
+        object.__setattr__(self, "prime", int(self.prime))
+        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        size = len(rows)
+        if size == 0 or any(len(row) != size for row in rows):
             raise ShapeMismatch("fixture matrix must be square and nonempty")
-        self.defect_order = int(defect_order)
-        self.sectional = int(sectional)
-        self.trace_expected = trace_expected
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "defect_order", int(self.defect_order))
+        object.__setattr__(self, "sectional", int(self.sectional))
 
     def __repr__(self) -> str:
         return f"CartanFixture({self.name!r})"

@@ -280,11 +280,20 @@ def rational_to_field(q, F) -> int:
     return F.mul(num, F.inv(den))
 
 
-def cyc_to_field(value: Cyc, F, root_for_power) -> int:
-    """Map a cyclotomic value into F, sending basis power i to root_for_power(i)."""
+def cyc_to_field(value: Cyc, F, zeta: int, exponent: int) -> int:
+    """Map a cyclotomic value into F by the ring map sending z_exponent to zeta.
+
+    zeta must satisfy zeta^exponent = 1 in F, and the value's conductor must
+    divide exponent; basis power i of the value then maps to
+    zeta^(i * exponent / conductor).
+    """
+    if exponent % value.conductor:
+        raise ValueError("value conductor does not divide the exponent")
+    step = exponent // value.conductor
     acc = 0
     for i, a in enumerate(value.coords):
         if a == 0:
             continue
-        acc = F.add(acc, F.mul(rational_to_field(a, F), root_for_power(i)))
+        root = F.pow(zeta, (i * step) % exponent)
+        acc = F.add(acc, F.mul(rational_to_field(a, F), root))
     return acc

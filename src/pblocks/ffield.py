@@ -27,41 +27,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import BudgetExceeded, CompositeCharacteristic
+from .intmath import factorint, is_prime
 
 FIELD_SIZE_CAP = 1 << 24
 TABLE_SIZE_CAP = 1 << 16
 ROOT_SCAN_CAP = 4096
 EDF_DRAW_BUDGET = 200
-
-
-# -- integer helpers ----------------------------------------------------------
-
-def _is_prime(n: int) -> bool:
-    """Test primality by trial division."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def _factorint(n: int) -> dict:
-    """Return the prime factorization of n as a prime -> exponent dict."""
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 # -- low level code arithmetic -------------------------------------------------
@@ -236,7 +207,7 @@ class Field:
     @cached_property
     def primitive(self) -> int:
         """The least element code that generates the multiplicative group."""
-        fac = _factorint(self.q - 1)
+        fac = factorint(self.q - 1)
         for cand in range(1, self.q):
             if all(self.pow(cand, (self.q - 1) // ell) != 1 for ell in fac):
                 return cand
@@ -253,7 +224,7 @@ class Field:
         if int(a) == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
         order = self.q - 1
-        for ell in _factorint(order):
+        for ell in factorint(order):
             while order % ell == 0 and self.pow(a, order // ell) == 1:
                 order //= ell
         return order
@@ -417,7 +388,7 @@ class _TableField(Field):
             return r
 
         q = self.q
-        fac = _factorint(q - 1)
+        fac = factorint(q - 1)
         g = None
         for cand in range(1, q):
             if all(raw_pow(cand, (q - 1) // ell) != 1 for ell in fac):
@@ -551,7 +522,7 @@ def field_create(p: int, m: int = 1) -> Field:
     """Create (and cache) the finite field with p^m elements."""
     if not isinstance(p, int) or not isinstance(m, int) or m < 1:
         raise ValueError("field parameters must be a prime and a positive degree")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise CompositeCharacteristic(f"characteristic {p} is not prime")
     q = p ** m
     if q > FIELD_SIZE_CAP:
@@ -581,12 +552,9 @@ def poly_deg(f) -> int:
 def poly_add(F: Field, f, g) -> list:
     """Add two polynomials."""
     n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out.append(F.add(a, b))
-    return poly_trim(out)
+    return poly_trim([
+        F.add(f[i] if i < len(f) else 0, g[i] if i < len(g) else 0) for i in range(n)
+    ])
 
 
 def poly_neg(F: Field, f) -> list:
@@ -701,7 +669,7 @@ def poly_is_irreducible(F: Field, f) -> bool:
         h = poly_pow_mod(F, h, F.q, f)
     if h != x:
         return False
-    for ell in _factorint(n):
+    for ell in factorint(n):
         g = x
         for _ in range(n // ell):
             g = poly_pow_mod(F, g, F.q, f)

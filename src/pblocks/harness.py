@@ -11,8 +11,6 @@ from typing import Optional
 from . import __version__
 from .blocks import (
     BlockSystem,
-    _int_det,
-    _is_p_power,
     block_orbit,
     block_system,
     brauer_orbit,
@@ -30,8 +28,9 @@ from .corpus import (
     CorpusEntry,
     PairedScenario,
 )
-from .cyclotomic import Cyc
+from .chartab import class_inner_product
 from .errors import BindingUnsatisfiable, ShapeMismatch
+from .intmath import int_det, is_p_power, p_valuation
 from .modrep import ReductionContext
 from .perm import PermGroup, abelian_p_invariants, perm_mul
 
@@ -76,12 +75,12 @@ def _minor_det(rows, skip_row: int, skip_col: int) -> int:
     ]
     if not sub:
         return 1
-    return _int_det(sub)
+    return int_det(sub)
 
 
 def _top_elementary_divisor(rows) -> int:
     """Compute the largest elementary divisor of a nonsingular integer matrix."""
-    det = _int_det(rows)
+    det = int_det(rows)
     if det == 0:
         return 0
     size = len(rows)
@@ -96,7 +95,7 @@ def _positive_definite(rows) -> bool:
     """Check that every leading principal minor of a symmetric integer matrix is positive."""
     for size in range(1, len(rows) + 1):
         lead = [row[:size] for row in rows[:size]]
-        if _int_det(lead) <= 0:
+        if int_det(lead) <= 0:
             return False
     return True
 
@@ -111,8 +110,8 @@ def fixture_checks(fix: CartanFixture, seed: int = 0, samples: int = 1000) -> di
     symmetric = all(rows[i][j] == rows[j][i] for i in range(size) for j in range(size))
     diagonal_ok = fix.max_diagonal() <= fix.defect_order
     trace_ok = fix.trace_expected is None or trace == fix.trace_expected
-    det = _int_det(rows)
-    det_p_power = _is_p_power(p, det)
+    det = int_det(rows)
+    det_p_power = is_p_power(det, p)
     top = _top_elementary_divisor(rows)
     top_divisor_ok = top == fix.defect_order
     definite = _positive_definite(rows)
@@ -198,7 +197,7 @@ def _check_central_scaling(gsys: BlockSystem, sub: PermGroup, seed: int) -> dict
     group = gsys.group
     p = gsys.p
     n_order = sub.order()
-    if not _is_p_power(p, n_order) or n_order == 1:
+    if not is_p_power(n_order, p) or n_order == 1:
         raise BindingUnsatisfiable("subgroup must be a nontrivial p-group")
     for x in sub.generators:
         if any(perm_mul(x, g) != perm_mul(g, x) for g in group.generators):
@@ -345,27 +344,32 @@ def _check_sylow_product(gsys: BlockSystem, nsys: BlockSystem) -> dict:
     }
 
 
+def _on_subsystem(check):
+    """Adapt a check of two block systems to take the subgroup and its seed."""
+    return lambda gsys, sub, seed: check(gsys, block_system(sub, gsys.p, seed=seed))
+
+
+# scenario kind -> check(ambient system, normal subgroup, subgroup seed)
+_SCENARIO_CHECKS = {
+    "stabilizer_induction_tau": _on_subsystem(_check_stabilizer_induction),
+    "central_quotient_scaling": _check_central_scaling,
+    "restriction_degree_sum": _on_subsystem(_check_degree_sum),
+    "coprime_quotient_tau": _on_subsystem(_check_coprime_quotient),
+    "sylow_product_ratio": _on_subsystem(_check_sylow_product),
+}
+SCENARIO_KINDS = tuple(_SCENARIO_CHECKS)
+
+
 def run_scenario(scenario: PairedScenario, seed: int = 0) -> dict:
     """Run one paired-subgroup scenario and report its measured identities."""
     group, sub = scenario.build()
     p = scenario.prime
     gseed = _derive_seed(seed, "scenario", scenario.name, "ambient")
     nseed = _derive_seed(seed, "scenario", scenario.name, "subgroup")
-    gsys = block_system(group, p, seed=gseed)
-    if scenario.kind == "central_quotient_scaling":
-        body = _check_central_scaling(gsys, sub, nseed)
-    else:
-        nsys = block_system(sub, p, seed=nseed)
-        if scenario.kind == "stabilizer_induction_tau":
-            body = _check_stabilizer_induction(gsys, nsys)
-        elif scenario.kind == "restriction_degree_sum":
-            body = _check_degree_sum(gsys, nsys)
-        elif scenario.kind == "coprime_quotient_tau":
-            body = _check_coprime_quotient(gsys, nsys)
-        elif scenario.kind == "sylow_product_ratio":
-            body = _check_sylow_product(gsys, nsys)
-        else:
-            raise ValueError(f"unknown scenario kind {scenario.kind!r}")
+    check = _SCENARIO_CHECKS.get(scenario.kind)
+    if check is None:
+        raise ValueError(f"unknown scenario kind {scenario.kind!r}")
+    body = check(block_system(group, p, seed=gseed), sub, nseed)
     result = {
         "name": scenario.name,
         "kind": scenario.kind,
@@ -419,22 +423,6 @@ def block_record(system: BlockSystem, block) -> dict:
     }
 
 
-def _orthogonality_exact(tab) -> bool:
-    """Recheck the first orthogonality relations of a character table exactly."""
-    sizes = tab.classes.sizes
-    order = sum(sizes)
-    count = len(tab.rows)
-    for i in range(count):
-        for j in range(i, count):
-            total = Cyc.zero()
-            for c in range(count):
-                total = total + tab.rows[i][c] * tab.rows[j][c].conj() * sizes[c]
-            expected = order if i == j else 0
-            if total != Cyc.rational(expected):
-                return False
-    return True
-
-
 def verify_system(system: BlockSystem) -> dict:
     """Re-assert the structural invariants of a computed block system independently."""
     order = system.group.order()
@@ -452,7 +440,11 @@ def verify_system(system: BlockSystem) -> dict:
     ) == list(range(simple_total))
     checks["simple_count_total"] = simple_total == len(system.regular)
     checks["dimension_total"] = sum(block.dim for block in blocks) == order
-    checks["orthogonality"] = _orthogonality_exact(tab)
+    checks["orthogonality"] = all(
+        class_inner_product(tab.rows[i], tab.rows[j], tab.classes) == (1 if i == j else 0)
+        for i in range(count)
+        for j in range(i, count)
+    )
     checks["decomposition_nonnegative"] = all(
         value >= 0 for row in system.decomposition for value in row
     )
@@ -476,7 +468,7 @@ def verify_system(system: BlockSystem) -> dict:
         ]
         if [list(row) for row in block.cartan] != gram:
             product = False
-        if _int_det(gram) == 0:
+        if int_det(gram) == 0:
             full_rank = False
         if any(
             block.cartan[a][b] != block.cartan[b][a]
@@ -484,7 +476,7 @@ def verify_system(system: BlockSystem) -> dict:
             for b in range(size)
         ):
             symmetric = False
-        if not _is_p_power(p, _int_det(block.cartan)):
+        if not is_p_power(int_det(block.cartan), p):
             det_power = False
         by_chars = sum(d * d for d in block.degrees)
         by_cartan = sum(
@@ -500,7 +492,7 @@ def verify_system(system: BlockSystem) -> dict:
             tau_trace = False
         if block.defect_group.order() != p ** block.defect:
             defect_ok = False
-        if block.principal and block.defect != _nu_p(p, order):
+        if block.principal and block.defect != p_valuation(order, p):
             defect_ok = False
         if p == 2 and block.defect_group.is_abelian():
             if any(block.cartan[a][a] > block.defect_group.order() for a in range(size)):
@@ -515,15 +507,6 @@ def verify_system(system: BlockSystem) -> dict:
     checks["defect_consistency"] = defect_ok
     checks["abelian_diagonal_bound"] = diagonal_ok
     return checks
-
-
-def _nu_p(p: int, n: int) -> int:
-    """Return the exponent of a prime inside an integer."""
-    out = 0
-    while n % p == 0:
-        n //= p
-        out += 1
-    return out
 
 
 def system_violations(name: str, system: BlockSystem, records: list) -> list:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatch
-from .ffield import Field, poly_factor, poly_trim
+from .ffield import Field, poly_add, poly_factor, poly_mul, poly_scale
 
 # -- matrix type -------------------------------------------------------------
 
@@ -369,7 +369,7 @@ def mat_charpoly(A: Mat) -> list:
     for k in range(1, n + 1):
         a = int(H[k - 1, k - 1])
         term = [F.neg(a), 1]
-        cur = _poly_mul_small(F, term, polys[k - 1])
+        cur = poly_mul(F, term, polys[k - 1])
         prod = 1
         for i in range(1, k):
             prod = F.mul(prod, int(H[k - i, k - i - 1]))
@@ -378,34 +378,11 @@ def mat_charpoly(A: Mat) -> list:
             c = F.mul(int(H[k - 1 - i, k - 1]), prod)
             if c == 0:
                 continue
-            lower = polys[k - 1 - i]
-            scaled = [F.mul(F.neg(c), v) for v in lower]
-            cur = _poly_add_small(F, cur, scaled)
+            cur = poly_add(F, cur, poly_scale(F, polys[k - 1 - i], F.neg(c)))
         polys.append(cur)
     return polys[n]
 
 
-def _poly_mul_small(F: Field, f, g):
-    """Multiply two coefficient lists without trimming concerns."""
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            if b:
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-    return out
-
-
-def _poly_add_small(F: Field, f, g):
-    """Add two coefficient lists."""
-    n = max(len(f), len(g))
-    return [
-        F.add(f[i] if i < len(f) else 0, g[i] if i < len(g) else 0)
-        for i in range(n)
-    ]
-
-
 def char_poly_factors(A: Mat, seed: int = 0) -> list:
     """Return the sorted irreducible factors of the characteristic polynomial."""
-    return poly_factor(A.field, poly_trim(mat_charpoly(A)), seed=seed)
+    return poly_factor(A.field, mat_charpoly(A), seed=seed)

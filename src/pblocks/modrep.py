@@ -11,12 +11,14 @@ eigenvalue multiplicities.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cyclotomic import Cyc, cyc_to_field
 from .errors import ClosureStalled, NotSemisimpleElement, RandomBudgetExceeded
 from .ffield import field_create, poly_deg
+from .intmath import multiplicative_order, p_valuation
 from .linalg import (
     Mat,
     char_poly_factors,
@@ -40,18 +42,6 @@ BURNSIDE_DIM_CAP = 64
 TENSOR_DIM_CAP = 4096
 
 
-def _multiplicative_order(a: int, n: int) -> int:
-    """Return the multiplicative order of a modulo n."""
-    if n == 1:
-        return 1
-    cur = a % n
-    order = 1
-    while cur != 1:
-        cur = (cur * a) % n
-        order += 1
-    return order
-
-
 def p_regular_indices(classes: ClassData, p: int) -> list:
     """Return the indices of the classes of order prime to p."""
     return [k for k, o in enumerate(classes.orders) if o % p != 0]
@@ -63,16 +53,11 @@ class ReductionContext:
     __slots__ = ("p", "exponent", "p_part", "eprime", "m", "field", "w", "inv_p_part")
 
     def __init__(self, group: PermGroup, p: int, field=None):
-        e = group.exponent()
-        a = 0
-        while e % p == 0:
-            e //= p
-            a += 1
         self.p = p
         self.exponent = group.exponent()
-        self.p_part = p ** a
-        self.eprime = e
-        self.m = _multiplicative_order(p, e)
+        self.p_part = p ** p_valuation(self.exponent, p)
+        self.eprime = e = self.exponent // self.p_part
+        self.m = multiplicative_order(p, e)
         if field is None:
             field = field_create(p, self.m)
         elif (field.q - 1) % e or field.p != p:
@@ -83,11 +68,8 @@ class ReductionContext:
 
     def reduce(self, value: Cyc) -> int:
         """Reduce an exact cyclotomic value into the splitting field."""
-        if self.exponent % value.conductor:
-            raise ValueError("value conductor does not divide the group exponent")
-        step = (self.exponent // value.conductor) * self.inv_p_part
-        F = self.field
-        return cyc_to_field(value, F, lambda i: F.pow(self.w, (i * step) % self.eprime))
+        zeta = self.field.pow(self.w, self.inv_p_part)
+        return cyc_to_field(value, self.field, zeta, self.exponent)
 
 
 # -- modules -------------------------------------------------------------------
@@ -463,20 +445,18 @@ def simple_modules(group: PermGroup, context: ReductionContext, seed: int = 0,
 
 # -- Brauer characters -------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class BrauerTable:
     """Brauer character values of the simple modules on p-regular classes."""
 
-    __slots__ = ("group", "p", "context", "classes", "regular", "simples", "dims", "rows")
-
-    def __init__(self, group, p, context, classes, regular, simples, dims, rows):
-        self.group = group
-        self.p = p
-        self.context = context
-        self.classes = classes
-        self.regular = regular
-        self.simples = simples
-        self.dims = dims
-        self.rows = rows
+    group: PermGroup
+    p: int
+    context: ReductionContext
+    classes: ClassData
+    regular: tuple
+    simples: tuple
+    dims: tuple
+    rows: tuple
 
     def __len__(self) -> int:
         return len(self.rows)

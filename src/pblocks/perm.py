@@ -15,13 +15,18 @@ order queries while refusing elementwise work.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     CapExceeded,
     EnumerationRequired,
     NotAPermutation,
     NotNormal,
+    ShapeMismatch,
 )
+from .intmath import int_log, is_p_power, p_valuation
 
 ENUMERATION_CAP = 20000
 SECTIONAL_RANK_CAP = 512
@@ -239,18 +244,30 @@ def _closure(degree: int, gens) -> set:
     return seen
 
 
+def verify_normal(group: PermGroup, sub: PermGroup) -> None:
+    """Check that a subgroup is normal in an ambient group of the same degree."""
+    if sub.degree != group.degree:
+        raise ShapeMismatch(
+            f"subgroup degree {sub.degree} does not match ambient degree {group.degree}"
+        )
+    for x in sub.generators:
+        if not group.contains(x):
+            raise NotNormal("subgroup generator lies outside the ambient group")
+        for g in group.generators:
+            if not sub.contains(perm_conj(x, g)):
+                raise NotNormal("subgroup is not closed under ambient conjugation")
+
+
 # -- group class -------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ClassData:
     """Conjugacy class bundle: representatives, sizes, orders, and lookup."""
 
-    __slots__ = ("reps", "sizes", "orders", "class_of")
-
-    def __init__(self, reps, sizes, orders, class_of):
-        self.reps = reps
-        self.sizes = sizes
-        self.orders = orders
-        self.class_of = class_of
+    reps: list
+    sizes: list
+    orders: list
+    class_of: dict
 
     def __len__(self):
         return len(self.reps)
@@ -272,6 +289,7 @@ class PermGroup:
         self._parents = None
         self._elements = None
         self._classes = None
+        self._class_matrices = None
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
@@ -376,6 +394,27 @@ class PermGroup:
             self._classes = ClassData(reps, sizes, orders, class_of)
         return self._classes
 
+    def class_matrices(self) -> list:
+        """Return the class algebra structure constants as read-only integer arrays.
+
+        Matrix i has entry [j, k] equal to the number of x in class i with
+        x^-1 * rep_k in class j, so it is the action of class sum i on the
+        class sums.  Computed once per group.
+        """
+        if self._class_matrices is None:
+            data = self.conjugacy_classes()
+            n = len(data)
+            mats = [np.zeros((n, n), dtype=np.int64) for _ in range(n)]
+            for x, i in data.class_of.items():
+                xi = perm_inv(x)
+                M = mats[i]
+                for k, rep in enumerate(data.reps):
+                    M[data.class_of[perm_mul(xi, rep)], k] += 1
+            for M in mats:
+                M.flags.writeable = False
+            self._class_matrices = mats
+        return self._class_matrices
+
     def exponent(self) -> int:
         """Return the least common multiple of all element orders."""
         data = self.conjugacy_classes()
@@ -414,12 +453,10 @@ class PermGroup:
 
     def is_normal(self, H: "PermGroup") -> bool:
         """Test whether a subgroup H is normal in this group."""
-        if not self.is_subgroup(H):
+        try:
+            verify_normal(self, H)
+        except NotNormal:
             return False
-        for s in self.generators:
-            for t in H.generators:
-                if not H.contains(perm_conj(t, s)):
-                    return False
         return True
 
     def intersection(self, other: "PermGroup") -> "PermGroup":
@@ -432,16 +469,12 @@ class PermGroup:
 
     def sylow(self, p: int) -> "PermGroup":
         """Return a Sylow p-subgroup via deterministic normalizer growth."""
-        target = 1
-        rest = self.order()
-        while rest % p == 0:
-            target *= p
-            rest //= p
+        target = p ** p_valuation(self.order(), p)
         if target == 1:
             return PermGroup(self.degree, [])
         p_els = [
             g for g in self.elements()
-            if g != self.identity and _is_p_power(perm_order(g), p)
+            if g != self.identity and is_p_power(perm_order(g), p)
         ]
         p_set = {self.identity}
         p_gens = []
@@ -463,14 +496,7 @@ class PermGroup:
 
     def coset_action(self, N: "PermGroup") -> "QuotientAction":
         """Return the action on right cosets of a normal subgroup."""
-        if N.degree != self.degree:
-            raise ValueError("subgroup must act on the same points")
-        if not self.is_subgroup(N):
-            raise ValueError("not a subgroup")
-        for s in self.generators:
-            for t in N.generators:
-                if not N.contains(perm_conj(t, s)):
-                    raise NotNormal("subgroup is not normal, so cosets do not form a group")
+        verify_normal(self, N)
         n_els = N.elements()
         to_coset = {}
         reps = []
@@ -490,17 +516,15 @@ class PermGroup:
         return QuotientAction(self, N, quotient, reps, to_coset)
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class QuotientAction:
     """Bundle for a right-coset action: quotient group, section, index maps."""
 
-    __slots__ = ("group", "normal", "quotient", "reps", "to_coset")
-
-    def __init__(self, group, normal, quotient, reps, to_coset):
-        self.group = group
-        self.normal = normal
-        self.quotient = quotient
-        self.reps = reps
-        self.to_coset = to_coset
+    group: PermGroup
+    normal: PermGroup
+    quotient: PermGroup
+    reps: list
+    to_coset: dict
 
     def image(self, g) -> tuple:
         """Map a group element to its coset permutation."""
@@ -515,28 +539,10 @@ class QuotientAction:
 
 # -- p-subgroup invariants ---------------------------------------------------------
 
-def _is_p_power(n: int, p: int) -> bool:
-    """Test whether n is a power of p (1 included)."""
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def _int_log(n: int, p: int) -> int:
-    """Return log base p of an exact power of p."""
-    k = 0
-    while n > 1:
-        if n % p:
-            raise ValueError(f"{n} is not a power of {p}")
-        n //= p
-        k += 1
-    return k
-
-
 def abelian_p_invariants(P: PermGroup, p: int) -> list:
     """Return the descending exponent type of an abelian p-group."""
     size = P.order()
-    if not _is_p_power(size, p):
+    if not is_p_power(size, p):
         raise ValueError("group order is not a power of p")
     if not P.is_abelian():
         raise ValueError("invariants need an abelian group")
@@ -546,7 +552,7 @@ def abelian_p_invariants(P: PermGroup, p: int) -> list:
     while p ** logs[-1] != size:
         k += 1
         cnt = sum(1 for x in els if perm_pow(x, p ** k) == P.identity)
-        logs.append(_int_log(cnt, p))
+        logs.append(int_log(cnt, p))
     parts_ge = [logs[i] - logs[i - 1] for i in range(1, len(logs))]
     out = []
     for i in range(1, (parts_ge[0] if parts_ge else 0) + 1):
@@ -588,7 +594,7 @@ def _all_p_subgroups(P: PermGroup, p: int) -> list:
 def sectional_rank(P: PermGroup, p: int) -> int:
     """Return the largest minimal generator count over all subgroups."""
     size = P.order()
-    if not _is_p_power(size, p):
+    if not is_p_power(size, p):
         raise ValueError("sectional rank needs a p-group")
     if size == 1:
         return 0
@@ -607,5 +613,5 @@ def sectional_rank(P: PermGroup, p: int) -> int:
                 frat_gens.add(perm_mul(perm_inv(perm_mul(y, x)), perm_mul(x, y)))
         frat_gens.discard(P.identity)
         frat = _closure(P.degree, sorted(frat_gens)) if frat_gens else {P.identity}
-        best = max(best, _int_log(len(H) // len(frat), p))
+        best = max(best, int_log(len(H) // len(frat), p))
     return best

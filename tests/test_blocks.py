@@ -7,7 +7,6 @@ import pytest
 from pblocks.blocks import (
     Block,
     BlockSystem,
-    _int_det,
     block_orbit,
     block_system,
     brauer_orbit,
@@ -20,6 +19,7 @@ from pblocks.blocks import (
 )
 from pblocks.errors import CompositeCharacteristic
 from pblocks.ffield import field_create
+from pblocks.intmath import int_det as _int_det
 from pblocks.modrep import ReductionContext
 from pblocks.perm import (
     PermGroup,

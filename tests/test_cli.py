@@ -172,6 +172,17 @@ class TestVerifyCorpus:
         capsys.readouterr()
         assert code == 1
 
+    def test_fixture_prime_below_two_rejected(self, tmp_path, capsys):
+        doc = {
+            "groups": [],
+            "fixtures": [
+                {"name": "p1", "prime": 1, "defect_order": 1, "sectional": 0, "rows": [[1]]}
+            ],
+        }
+        corpus_file = write_json(tmp_path / "bad.json", doc)
+        assert main(["verify-corpus", "--corpus", corpus_file]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unknown_binding_kind(self, tmp_path, capsys):
         doc = dict(S4_CORPUS)
         doc["lemma_bindings"] = [

@@ -6,7 +6,6 @@ from pblocks.corpus import (
     DEFAULT_CORPUS,
     DEFAULT_SCENARIOS,
     FIXTURES,
-    SCENARIO_KINDS,
     CartanFixture,
     CorpusEntry,
     alternating_group,
@@ -25,6 +24,7 @@ from pblocks.corpus import (
     verify_normal,
 )
 from pblocks.errors import NotNormal, ShapeMismatch
+from pblocks.harness import SCENARIO_KINDS
 from pblocks.perm import PermGroup, abelian_p_invariants, perm_from_cycles, perm_order
 
 EXPECTED_ORDERS = {

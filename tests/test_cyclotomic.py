@@ -13,7 +13,10 @@ from pblocks.cyclotomic import (
     euler_phi,
     rational_to_field,
 )
+from pblocks.chartab import lifting_prime
+from pblocks.corpus import alternating_group, cyclic_group
 from pblocks.ffield import field_create
+from pblocks.modrep import ReductionContext
 
 
 def numeric(v: Cyc) -> complex:
@@ -227,17 +230,54 @@ class TestFieldImage:
     def test_cube_root_into_gf4(self):
         F = field_create(2, 2)
         w = F.root_of_unity(3)
-        image = lambda i: F.pow(w, i)
         total = Cyc.root(3) + Cyc.root(3, 2) + 1
-        assert cyc_to_field(total, F, image) == 0
-        assert cyc_to_field(Cyc.root(3), F, image) == w
+        assert cyc_to_field(total, F, w, 3) == 0
+        assert cyc_to_field(Cyc.root(3), F, w, 3) == w
 
     def test_eighth_root_into_gf9(self):
         F = field_create(3, 2)
         z = F.root_of_unity(8)
-        image = lambda i: F.pow(z, i)
         minus_one = Cyc.root(8, 4)
-        assert cyc_to_field(minus_one, F, image) == F.neg(1)
+        assert cyc_to_field(minus_one, F, z, 8) == F.neg(1)
         val = Cyc.root(8) * 2 + Fraction(1, 2)
         expected = F.add(F.mul(2, z), rational_to_field(Fraction(1, 2), F))
-        assert cyc_to_field(val, F, image) == expected
+        assert cyc_to_field(val, F, z, 8) == expected
+
+
+def _sample_values(exponent: int) -> list:
+    """A few cyclotomic values of mixed conductors dividing the exponent."""
+    rng = random.Random(exponent)
+    divisors = [d for d in range(1, exponent + 1) if exponent % d == 0]
+    out = [Cyc.zero(), Cyc.rational(1), Cyc.rational(Fraction(-2, 7))]
+    for _ in range(6):
+        n = rng.choice(divisors)
+        val = Cyc.zero(n)
+        for k in range(n):
+            if rng.random() < 0.5:
+                val = val + Cyc.root(n, k) * Fraction(rng.randint(-3, 3), rng.choice([1, 7]))
+        out.append(val)
+    return out
+
+
+_GROUPS = {"A5": lambda: alternating_group(5), "C12": lambda: cyclic_group(12)}
+
+
+@pytest.mark.parametrize(
+    "name, p", [("A5", 2), ("A5", 5), ("A5", None), ("C12", 3), ("C12", None)]
+)
+def test_field_image_is_ring_homomorphism(name, p):
+    # p=None embeds at the lifting prime instead of a prime dividing the order
+    group = _GROUPS[name]()
+    e = group.exponent()
+    if p is None:
+        F = field_create(lifting_prime(group.order(), e))
+        image = lambda v: cyc_to_field(v, F, F.root_of_unity(e), e)
+    else:
+        ctx = ReductionContext(group, p)
+        F = ctx.field
+        image = ctx.reduce
+    values = _sample_values(e)
+    for a in values:
+        for b in values:
+            assert image(a * b) == F.mul(image(a), image(b))
+            assert image(a + b) == F.add(image(a), image(b))

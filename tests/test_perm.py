@@ -165,6 +165,19 @@ def test_class_lookup_is_conjugation_invariant():
         assert data.class_of[perm_conj(g, h)] == data.class_of[g]
 
 
+def test_class_matrices_computed_once():
+    G = _sym(4)
+    mats = G.class_matrices()
+    assert G.class_matrices() is mats
+    data = G.conjugacy_classes()
+    n = len(data)
+    assert [M.shape for M in mats] == [(n, n)] * n
+    assert (mats[0] == [[int(j == k) for k in range(n)] for j in range(n)]).all()
+    for i, M in enumerate(mats):
+        assert list(M.sum(axis=0)) == [data.sizes[i]] * n
+        assert not M.flags.writeable
+
+
 def test_exponent():
     assert _sym(4).exponent() == 12
     assert _alt5().exponent() == 30
