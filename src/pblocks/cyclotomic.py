@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 # -- cyclotomic polynomials -------------------------------------------------------
@@ -128,17 +129,18 @@ class Cyc:
             return self
         if conductor % self.conductor:
             raise ValueError("can only lift to a multiple of the conductor")
-        step = conductor // self.conductor
+        return self._substitute(conductor, conductor // self.conductor)
+
+    def _substitute(self, conductor: int, s: int) -> "Cyc":
+        """Send basis power z^i to the (i s)-th power of the conductor-th root."""
         table = _power_table(conductor)
-        phi = euler_phi(conductor)
-        out = [Fraction(0)] * phi
+        out = [Fraction(0)] * euler_phi(conductor)
         for i, a in enumerate(self.coords):
             if a == 0:
                 continue
-            row = table[(i * step) % conductor]
-            for j in range(phi):
-                if row[j]:
-                    out[j] += a * row[j]
+            for j, c in enumerate(table[(i * s) % conductor]):
+                if c:
+                    out[j] += a * c
         return Cyc(conductor, out)
 
     def is_zero(self) -> bool:
@@ -160,21 +162,9 @@ class Cyc:
 
     def galois(self, k: int) -> "Cyc":
         """Apply the Galois automorphism sending the conductor root to its k-th power."""
-        n = self.conductor
-        from math import gcd
-        if gcd(k, n) != 1:
+        if gcd(k, self.conductor) != 1:
             raise ValueError("Galois exponent must be invertible mod the conductor")
-        table = _power_table(n)
-        phi = euler_phi(n)
-        out = [Fraction(0)] * phi
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            row = table[(i * k) % n]
-            for j in range(phi):
-                if row[j]:
-                    out[j] += a * row[j]
-        return Cyc(n, out)
+        return self._substitute(self.conductor, k)
 
     def conj(self) -> "Cyc":
         """Return the complex conjugate."""
@@ -194,7 +184,6 @@ class Cyc:
             other = Cyc.rational(other)
         if self.conductor == other.conductor:
             return self, other
-        from math import lcm
         n = lcm(self.conductor, other.conductor)
         return self.lift(n), other.lift(n)
 

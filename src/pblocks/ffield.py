@@ -6,14 +6,14 @@ significant.  The degree-m modulus is chosen deterministically: it is the
 first irreducible monic polynomial found when the non-leading coefficients
 are enumerated as ascending base-p integers.
 
-Three backends cover the supported size range, and each owns its additive
-arithmetic.  Prime fields use native modular arithmetic.  Extension fields
-with at most 2^16 elements multiply through exp/log tables and add by XOR
-in characteristic 2 or through Zech logarithms, log(1 + g^k), in odd
-characteristic.  Beyond that, up to the hard cap of 2^24 elements, the
-generic backend uses carry-less arithmetic in characteristic 2 and base-p
-digit arithmetic otherwise; it is the only one that splits codes into
-digits to add them.
+Three backends cover the supported size range.  Prime fields use native
+modular arithmetic.  Extension fields up to the hard cap of 2^24 elements
+have a generic backend: carry-less arithmetic in characteristic 2 and
+base-p digit arithmetic otherwise; it is the only one that splits codes
+into digits.  Extension fields with at most 2^16 elements are table fields
+built from it: its arithmetic finds the primitive element and fills, once,
+exp/log tables to multiply by and, in odd characteristic, the Zech
+logarithms log(1 + g^k) to add by; in characteristic 2 they add by XOR.
 
 Scalar operations take and return plain ints.  Vectorized operations
 (vadd, vsub, vneg, vmul, vsum) take and return numpy int64 arrays of
@@ -327,8 +327,9 @@ class _TableField(Field):
     only at k = (q - 1) / 2, where Z holds the sentinel 2 (q - 1).  The exp
     table holds two periods, so a sum of two logarithms needs no reduction,
     followed by q - 1 zeros that the sentinel indexes.  Negation is one more
-    table, and vsum adds digits read from a q x m digit table, so once the
-    tables are built no operation splits codes into base-p digits.
+    table, and vsum adds digits read from a q x m digit table.  All tables
+    are computed once by a generic field on the same modulus, so no
+    operation of this backend splits codes into base-p digits itself.
     """
 
     kind = "table"
@@ -338,68 +339,42 @@ class _TableField(Field):
         self.m = m
         self.q = p ** m
         self.modulus = modulus
-        if p == 2:
-            mod_int = 0
-            for i, c in enumerate(modulus):
-                mod_int |= (c & 1) << i
-            raw = lambda a, b: _clmul_code(m, mod_int, a, b)
-        else:
-            rows = _reduction_rows(p, m, modulus)
-            raw = lambda a, b: _digit_mul_code(p, m, rows, a, b)
-
-        def raw_pow(a, e):
-            r = 1
-            b = a
-            while e:
-                if e & 1:
-                    r = raw(r, b)
-                b = raw(b, b)
-                e >>= 1
-            return r
-
-        q = self.q
-        fac = factorint(q - 1)
-        g = None
-        for cand in range(1, q):
-            if all(raw_pow(cand, (q - 1) // ell) != 1 for ell in fac):
-                g = cand
-                break
-        if g is None:
-            raise RuntimeError("multiplicative group has no generator")
-        self.primitive = g
-        exp_l = [0] * (q - 1)
-        cur = 1
-        for i in range(q - 1):
-            exp_l[i] = cur
-            cur = raw(cur, g)
-        if cur != 1 or len(set(exp_l)) != q - 1:
+        raw = self._raw = _GenericField(p, m, modulus)
+        q1 = self.q - 1
+        g = self.primitive = raw.primitive
+        # g^0..g^(2k-1) is g^0..g^(k-1) followed by its product with g^k
+        exp = np.ones(1, dtype=np.int64)
+        step = g
+        while len(exp) < q1:
+            exp = np.concatenate([exp, raw.vmul(exp[:q1 - len(exp)], np.int64(step))])
+            step = raw.mul(step, step)
+        exp_l = exp.tolist()
+        if raw.mul(exp_l[-1], g) != 1 or len(set(exp_l)) != q1:
             raise RuntimeError("generator does not enumerate the unit group")
-        log_l = [0] * q
-        for i, v in enumerate(exp_l):
-            log_l[v] = i
-        self._log_l = log_l
-        self._exp_l = exp_l + exp_l + [0] * (q - 1)
-        self._log_np = np.array(log_l, dtype=np.int64)
+        log = np.zeros(self.q, dtype=np.int64)
+        log[exp] = np.arange(q1, dtype=np.int64)
+        self._log_l = log.tolist()
+        self._exp_l = exp_l * 2 + [0] * q1
+        self._log_np = log
         self._exp_np = np.array(self._exp_l, dtype=np.int64)
         self._log_np.setflags(write=False)
         self._exp_np.setflags(write=False)
         if p != 2:
-            self._build_additive_tables(self._exp_np[:q - 1])
+            self._build_additive_tables(exp)
 
     def _build_additive_tables(self, exp_np):
         """Build the digit, negation and Zech tables of an odd characteristic."""
-        p = self.p
+        raw = self._raw
         q1 = self.q - 1
         codes = np.arange(self.q, dtype=np.int64)
-        self._pw = p ** np.arange(self.m, dtype=np.int64)
-        self._digits = (codes[:, None] // self._pw) % p
-        neg = ((p - self._digits) % p) @ self._pw
+        self._pw = raw._pw
+        self._digits = raw._to_digits(codes)
+        neg = raw.vneg(codes)
         if not np.array_equal(neg[neg], codes):
             raise RuntimeError("negation table is not an involution")
         if np.flatnonzero(neg == codes).tolist() != [0]:
             raise RuntimeError("negation table fixes a nonzero element")
-        # adding 1 raises the constant digit, which wraps from p - 1 to 0
-        one_plus = exp_np + np.where(exp_np % p == p - 1, 1 - p, 1)
+        one_plus = raw.vadd(exp_np, np.int64(1))
         zech = np.where(one_plus == 0, 2 * q1, self._log_np[one_plus])
         if np.flatnonzero(zech == 2 * q1).tolist() != [q1 // 2]:
             raise RuntimeError("Zech table needs exactly one sentinel, at (q - 1) / 2")
@@ -482,9 +457,11 @@ class _TableField(Field):
 
 
 class _GenericField(Field):
-    """Extension field on digit or carry-less arithmetic, beyond 2^16.
+    """Extension field on digit or carry-less arithmetic.
 
-    The only backend that splits codes into base-p digits to add them.
+    It serves fields beyond 2^16 elements and builds the tables of the
+    smaller ones; it is the only backend that splits codes into base-p
+    digits to add them.
     """
 
     kind = "generic"

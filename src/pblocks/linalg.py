@@ -4,9 +4,7 @@ Matrices are immutable wrappers around numpy int64 arrays of element
 codes.  Vectors are rows and matrices act on the right: the left kernel
 of M is the space of rows v with v M = 0, and eigenvectors of M are rows
 v with v M = c v.  Elimination routines use one vectorized full-matrix
-update per pivot, with the pivot chosen as the first nonzero entry; over
-GF(2) a bit-packed fast path (rows held as Python ints) follows the same
-pivot rule, so both paths produce identical echelon forms.
+update per pivot, with the pivot chosen as the first nonzero entry.
 """
 
 from __future__ import annotations
@@ -58,16 +56,6 @@ class Mat:
         arr[idx, idx] = 1
         return cls(field, arr)
 
-    @classmethod
-    def from_rows(cls, field: Field, rows, ncols: int | None = None) -> "Mat":
-        """Build a matrix from an iterable of rows (ncols disambiguates [])."""
-        rows = [list(r) for r in rows]
-        if not rows:
-            if ncols is None:
-                raise ShapeMismatch("empty row list needs an explicit width")
-            return cls(field, np.zeros((0, ncols), dtype=np.int64))
-        return cls(field, np.array(rows, dtype=np.int64))
-
     def writable(self):
         """Return a writable int64 copy of the entries."""
         return self.data.copy()
@@ -102,27 +90,6 @@ def _same_field(A: Mat, B: Mat):
         raise ShapeMismatch("matrices over different fields")
 
 
-# -- bit packing for GF(2) ------------------------------------------------------
-
-def _pack_bit_rows(arr) -> list:
-    """Pack the rows of a 0/1 array into Python ints, column j at bit j."""
-    out = []
-    for i in range(arr.shape[0]):
-        packed = np.packbits(arr[i].astype(np.uint8), bitorder="little").tobytes()
-        out.append(int.from_bytes(packed, "little"))
-    return out
-
-
-def _unpack_bit_rows(rows, ncols: int):
-    """Unpack Python-int rows back into a 0/1 int64 array."""
-    nbytes = max((ncols + 7) // 8, 1)
-    out = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, r in enumerate(rows):
-        raw = np.frombuffer(r.to_bytes(nbytes, "little"), dtype=np.uint8)
-        out[i] = np.unpackbits(raw, bitorder="little")[:ncols]
-    return out
-
-
 # -- products --------------------------------------------------------------------
 
 def _mat_mul_schoolbook(A: Mat, B: Mat) -> Mat:
@@ -138,30 +105,12 @@ def _mat_mul_schoolbook(A: Mat, B: Mat) -> Mat:
     return Mat(F, out)
 
 
-def _mat_mul_packed(A: Mat, B: Mat) -> Mat:
-    """Multiply two GF(2) matrices on bit-packed rows."""
-    brows = _pack_bit_rows(B.data)
-    crows = []
-    for a in _pack_bit_rows(A.data):
-        acc = 0
-        k = 0
-        while a:
-            if a & 1:
-                acc ^= brows[k]
-            a >>= 1
-            k += 1
-        crows.append(acc)
-    return Mat(A.field, _unpack_bit_rows(crows, B.ncols))
-
-
 def mat_mul(A: Mat, B: Mat) -> Mat:
     """Multiply two matrices."""
     _same_field(A, B)
     if A.ncols != B.nrows:
         raise ShapeMismatch(f"cannot multiply {A.shape} by {B.shape}")
     F = A.field
-    if F.q == 2:
-        return _mat_mul_packed(A, B)
     if F.kind == "prime" and A.ncols * (F.p - 1) ** 2 < 2 ** 62:
         return Mat(F, (A.data @ B.data) % F.p)
     out = np.zeros((A.nrows, B.ncols), dtype=np.int64)
@@ -237,38 +186,9 @@ def _rref_generic(arr, F: Field, limit: int):
     return arr, tuple(pivots)
 
 
-def _rref_packed(arr, limit: int):
-    """Reduce a 0/1 array on bit-packed rows with the same pivot rule."""
-    rows = _pack_bit_rows(arr)
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for j in range(limit):
-        if r == nrows:
-            break
-        bit = 1 << j
-        piv = -1
-        for i in range(r, nrows):
-            if rows[i] & bit:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(nrows):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
-        pivots.append(j)
-        r += 1
-    return _unpack_bit_rows(rows, arr.shape[1]), tuple(pivots)
-
-
 def mat_rref(A: Mat):
     """Return the reduced row echelon form and the pivot column tuple."""
-    if A.field.q == 2:
-        arr, pivots = _rref_packed(A.data, A.ncols)
-    else:
-        arr, pivots = _rref_generic(A.writable(), A.field, A.ncols)
+    arr, pivots = _rref_generic(A.writable(), A.field, A.ncols)
     return Mat(A.field, arr), pivots
 
 
@@ -281,10 +201,7 @@ def _rref_with_transform(A: Mat):
     """Return (R, T, pivots) with T A = R and R in reduced echelon form."""
     F = A.field
     aug = np.hstack([A.data, Mat.identity(F, A.nrows).data])
-    if F.q == 2:
-        arr, pivots = _rref_packed(aug, A.ncols)
-    else:
-        arr, pivots = _rref_generic(aug.copy(), F, A.ncols)
+    arr, pivots = _rref_generic(aug, F, A.ncols)
     R = Mat(F, arr[:, :A.ncols])
     T = Mat(F, arr[:, A.ncols:])
     return R, T, pivots

@@ -447,10 +447,6 @@ class PermGroup:
             raise ValueError("element set is not closed under composition")
         return PermGroup(self.degree, gens)
 
-    def is_subgroup(self, H: "PermGroup") -> bool:
-        """Test whether H is contained in this group."""
-        return all(self.contains(s) for s in H.generators)
-
     def is_normal(self, H: "PermGroup") -> bool:
         """Test whether a subgroup H is normal in this group."""
         try:

@@ -69,6 +69,8 @@ def test_primitive_elements():
     assert field_create(7).primitive == 3
     assert field_create(2, 2).primitive == 2
     assert field_create(3, 2).primitive == 4
+    assert field_create(3, 10).primitive == 34
+    assert field_create(2, 16).primitive == 3
 
 
 def test_coeff_roundtrip():
@@ -346,7 +348,7 @@ def _long_division_mul(F, a, b):
 
 
 def test_extension_product_against_long_division():
-    for p, m in [(2, 6), (3, 6), (5, 2), (2, 17), (3, 11), (2, 20)]:
+    for p, m in [(2, 6), (3, 6), (5, 2), (3, 10), (2, 16), (2, 17), (3, 11), (2, 20)]:
         F = field_create(p, m)
         rng = random.Random(23)
         for _ in range(200):

@@ -9,10 +9,7 @@ from pblocks.errors import ShapeMismatch
 from pblocks.ffield import field_create, poly_eval, poly_mul, poly_sub, poly_trim
 from pblocks.linalg import (
     Mat,
-    _mat_mul_packed,
     _mat_mul_schoolbook,
-    _rref_generic,
-    _rref_packed,
     char_poly_factors,
     mat_add,
     mat_charpoly,
@@ -91,16 +88,6 @@ def test_product_matches_schoolbook():
             assert mat_mul(A, B) == _mat_mul_schoolbook(A, B)
 
 
-def test_packed_product_matches_modular():
-    F = field_create(2)
-    rng = random.Random(19)
-    for _ in range(10):
-        A = _random_mat(F, rng.randrange(1, 40), rng.randrange(1, 40), rng)
-        B = _random_mat(F, A.ncols, rng.randrange(1, 40), rng)
-        packed = _mat_mul_packed(A, B)
-        assert np.array_equal(packed.data, (A.data @ B.data) % 2)
-
-
 def test_product_associativity_and_identity():
     for p, m in [(3, 1), (2, 3), (5, 2)]:
         F = field_create(p, m)
@@ -175,25 +162,11 @@ def test_rref_shape_properties():
                 col[i] = 1
                 assert np.array_equal(R.data[:, j], col)
             assert not R.data[len(pivots):, :].any()
+            # A adds nothing to the row space of R
+            assert mat_rank(Mat(F, np.vstack([A.data, R.data]))) == len(pivots)
             # reducing again changes nothing
             R2, pivots2 = mat_rref(R)
             assert R2 == R and pivots2 == pivots
-
-
-def test_rref_packed_matches_generic():
-    F = field_create(2)
-    rng = random.Random(43)
-    for _ in range(25):
-        nrows = rng.randrange(1, 12)
-        ncols = rng.randrange(1, 12)
-        arr = np.array(
-            [[rng.randrange(2) for _ in range(ncols)] for _ in range(nrows)],
-            dtype=np.int64,
-        )
-        packed, piv_a = _rref_packed(arr, ncols)
-        generic, piv_b = _rref_generic(arr.copy(), F, ncols)
-        assert piv_a == piv_b
-        assert np.array_equal(packed, generic)
 
 
 def test_rank_of_products():
