@@ -1,8 +1,11 @@
 """Exact arithmetic in cyclotomic fields.
 
-A value is stored as exact rational coordinates over the power basis
-1, z, ..., z^(phi(n)-1) of the n-th cyclotomic field, where z is a fixed
-primitive n-th root of unity and n is the value's conductor.  Products
+A value is stored over the power basis 1, z, ..., z^(phi(n)-1) of the n-th
+cyclotomic field, where z is a fixed primitive n-th root of unity and n is
+the value's conductor, as integer numerators over one positive common
+denominator in lowest terms.  The power basis is an integral basis, so an
+algebraic integer (every ordinary or Brauer character value) has
+denominator 1 and its arithmetic runs on plain Python ints.  Products
 reduce through precomputed integer tables of the basis relation given by
 the n-th cyclotomic polynomial; values with different conductors lift to
 the least common multiple before combining.
@@ -13,22 +16,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from numbers import Rational
+
+from .intmath import factorint
 
 
 # -- cyclotomic polynomials -------------------------------------------------------
-
-def _divisors(n: int) -> list:
-    """Return the sorted divisors of n."""
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
 
 def _z_div_exact(num: list, den: tuple) -> list:
     """Divide integer polynomials exactly (den monic), constant term first."""
@@ -49,15 +42,23 @@ def _z_div_exact(num: list, den: tuple) -> list:
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple:
-    """Return the integer coefficients of the n-th cyclotomic polynomial."""
+    """Return the integer coefficients of the n-th cyclotomic polynomial.
+
+    With q the largest prime factor of n and m = n / q, Phi_n(x) is
+    Phi_m(x^q) when q divides m and Phi_m(x^q) / Phi_m(x) otherwise.
+    """
     if n < 1:
         raise ValueError("conductor must be positive")
-    num = [0] * (n + 1)
-    num[0] = -1
-    num[n] = 1
-    for d in _divisors(n)[:-1]:
-        num = _z_div_exact(num, cyclotomic_poly(d))
-    return tuple(num)
+    if n == 1:
+        return (-1, 1)
+    q = max(factorint(n))
+    m = n // q
+    base = cyclotomic_poly(m)
+    spread = [0] * ((len(base) - 1) * q + 1)
+    spread[::q] = base
+    if m % q == 0:
+        return tuple(spread)
+    return tuple(_z_div_exact(spread, base))
 
 
 def euler_phi(n: int) -> int:
@@ -86,40 +87,78 @@ def _power_table(n: int) -> tuple:
 
 # -- values -----------------------------------------------------------------------
 
-class Cyc:
-    """Exact cyclotomic value over the power basis of its conductor."""
+def _make(conductor: int, num, den: int) -> "Cyc":
+    """Build a value from integer numerators over a positive denominator, in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [x // g for x in num]
+    value = object.__new__(Cyc)
+    object.__setattr__(value, "conductor", conductor)
+    object.__setattr__(value, "_num", tuple(num))
+    object.__setattr__(value, "_den", den)
+    return value
 
-    __slots__ = ("conductor", "coords")
+
+class Cyc:
+    """Exact cyclotomic value over the power basis of its conductor.
+
+    ``Cyc(conductor, coords)`` takes one rational coordinate per basis power
+    (ints, Fractions or any other ``numbers.Rational``); anything inexact,
+    such as a float or a string, raises TypeError.  The value is kept as
+    integer numerators over one positive denominator in lowest terms, so a
+    value has one representation per conductor.  ``coords`` reads the
+    coordinates back: ints when the denominator is 1, Fractions otherwise.
+    """
+
+    __slots__ = ("conductor", "_num", "_den")
 
     def __init__(self, conductor: int, coords):
         phi = euler_phi(conductor)
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(coords)
         if len(coords) != phi:
             raise ValueError(f"expected {phi} coordinates for conductor {conductor}")
+        if all(type(c) is int for c in coords):
+            num, den = coords, 1
+        else:
+            for c in coords:
+                if not isinstance(c, Rational):
+                    raise TypeError(f"coordinate {c!r} is not a rational number")
+            # each coordinate is in lowest terms, so over the lcm of the
+            # denominators the numerators share no factor with it
+            den = lcm(*(int(c.denominator) for c in coords))
+            num = tuple(int(c.numerator) * (den // int(c.denominator)) for c in coords)
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("cyclotomic values are immutable")
+
+    @property
+    def coords(self) -> tuple:
+        """The power-basis coordinates: ints when the denominator is 1, else Fractions."""
+        if self._den == 1:
+            return self._num
+        return tuple(Fraction(x, self._den) for x in self._num)
 
     # -- construction helpers
 
     @staticmethod
     def zero(conductor: int = 1) -> "Cyc":
         """Return zero at the given conductor."""
-        return Cyc(conductor, [0] * euler_phi(conductor))
+        return _make(conductor, (0,) * euler_phi(conductor), 1)
 
     @staticmethod
     def rational(q, conductor: int = 1) -> "Cyc":
         """Return a rational number as a cyclotomic value."""
-        coords = [Fraction(q)] + [Fraction(0)] * (euler_phi(conductor) - 1)
-        return Cyc(conductor, coords)
+        return Cyc(conductor, (q,) + (0,) * (euler_phi(conductor) - 1))
 
     @staticmethod
     def root(conductor: int, k: int = 1) -> "Cyc":
         """Return the k-th power of the fixed primitive conductor-th root."""
-        row = _power_table(conductor)[k % conductor]
-        return Cyc(conductor, row)
+        return _make(conductor, _power_table(conductor)[k % conductor], 1)
 
     # -- structure
 
@@ -134,31 +173,29 @@ class Cyc:
     def _substitute(self, conductor: int, s: int) -> "Cyc":
         """Send basis power z^i to the (i s)-th power of the conductor-th root."""
         table = _power_table(conductor)
-        out = [Fraction(0)] * euler_phi(conductor)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, c in enumerate(table[(i * s) % conductor]):
-                if c:
-                    out[j] += a * c
-        return Cyc(conductor, out)
+        out = [0] * euler_phi(conductor)
+        for i, a in enumerate(self._num):
+            if a:
+                for j, c in enumerate(table[(i * s) % conductor]):
+                    if c:
+                        out[j] += a * c
+        return _make(conductor, out, self._den)
 
     def is_zero(self) -> bool:
         """Test whether the value is zero."""
-        return all(c == 0 for c in self.coords)
+        return not any(self._num)
 
     def as_rational(self):
         """Return the value as a Fraction when it is rational, else None."""
-        if any(self.coords[1:]):
+        if any(self._num[1:]):
             return None
-        return self.coords[0]
+        return Fraction(self._num[0], self._den)
 
     def as_int(self):
         """Return the value as an int when it is a rational integer, else None."""
-        q = self.as_rational()
-        if q is None or q.denominator != 1:
+        if self._den != 1 or any(self._num[1:]):
             return None
-        return int(q)
+        return self._num[0]
 
     def galois(self, k: int) -> "Cyc":
         """Apply the Galois automorphism sending the conductor root to its k-th power."""
@@ -180,62 +217,74 @@ class Cyc:
     # -- arithmetic
 
     def _pair(self, other):
+        """Return both operands at a common conductor, or None for a non-rational scalar."""
         if not isinstance(other, Cyc):
-            other = Cyc.rational(other)
+            if not isinstance(other, Rational):
+                return None
+            return self, Cyc.rational(other, self.conductor)
         if self.conductor == other.conductor:
             return self, other
         n = lcm(self.conductor, other.conductor)
         return self.lift(n), other.lift(n)
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        return Cyc(a.conductor, [x + y for x, y in zip(a.coords, b.coords)])
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
+        ad, bd = a._den, b._den
+        if ad == bd:
+            return _make(a.conductor, [x + y for x, y in zip(a._num, b._num)], ad)
+        return _make(a.conductor, [x * bd + y * ad for x, y in zip(a._num, b._num)], ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.conductor, [-x for x in self.coords])
+        return _make(self.conductor, [-x for x in self._num], self._den)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        return Cyc(a.conductor, [x - y for x, y in zip(a.coords, b.coords)])
+        if not isinstance(other, (Cyc, Rational)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyc(self.conductor, [c * Fraction(other) for c in self.coords])
+        if not isinstance(other, Cyc):
+            if not isinstance(other, Rational):
+                return NotImplemented
+            k, d = int(other.numerator), int(other.denominator)
+            return _make(self.conductor, [x * k for x in self._num], self._den * d)
         a, b = self._pair(other)
         n = a.conductor
         phi = euler_phi(n)
-        conv = [Fraction(0)] * (2 * phi - 1)
-        for i, x in enumerate(a.coords):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coords):
-                if y:
-                    conv[i + j] += x * y
+        conv = [0] * (2 * phi - 1)
+        bnum = b._num
+        for i, x in enumerate(a._num):
+            if x:
+                for j, y in enumerate(bnum):
+                    if y:
+                        conv[i + j] += x * y
+        # basis powers below phi are their own coordinates; only the rest reduce
+        out = conv[:phi]
         table = _power_table(n)
-        out = [Fraction(0)] * phi
-        for k, c in enumerate(conv):
-            if c == 0:
-                continue
-            row = table[k]
-            for j in range(phi):
-                if row[j]:
-                    out[j] += c * row[j]
-        return Cyc(n, out)
+        for k in range(phi, 2 * phi - 1):
+            c = conv[k]
+            if c:
+                for j, t in enumerate(table[k]):
+                    if t:
+                        out[j] += c * t
+        return _make(n, out, a._den * b._den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyc.rational(other)
-        if not isinstance(other, Cyc):
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        a, b = self._pair(other)
-        return a.coords == b.coords
+        a, b = pair
+        return a._den == b._den and a._num == b._num
 
     def __repr__(self):
         return f"Cyc({self.conductor}, {list(self.coords)!r})"
@@ -274,15 +323,18 @@ def cyc_to_field(value: Cyc, F, zeta: int, exponent: int) -> int:
 
     zeta must satisfy zeta^exponent = 1 in F, and the value's conductor must
     divide exponent; basis power i of the value then maps to
-    zeta^(i * exponent / conductor).
+    zeta^(i * exponent / conductor).  The numerators map first and the sum
+    is scaled once by the inverse of the denominator, which raises
+    ZeroDivisionError when char(F) divides it.
     """
     if exponent % value.conductor:
         raise ValueError("value conductor does not divide the exponent")
     step = exponent // value.conductor
     acc = 0
-    for i, a in enumerate(value.coords):
-        if a == 0:
-            continue
-        root = F.pow(zeta, (i * step) % exponent)
-        acc = F.add(acc, F.mul(rational_to_field(a, F), root))
+    for i, a in enumerate(value._num):
+        a %= F.p
+        if a:
+            acc = F.add(acc, F.mul(a, F.pow(zeta, (i * step) % exponent)))
+    if value._den != 1:
+        acc = F.mul(acc, rational_to_field(Fraction(1, value._den), F))
     return acc

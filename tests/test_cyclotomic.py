@@ -3,7 +3,9 @@
 import cmath
 import random
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 
 from pblocks.cyclotomic import (
@@ -13,10 +15,15 @@ from pblocks.cyclotomic import (
     euler_phi,
     rational_to_field,
 )
-from pblocks.chartab import lifting_prime
-from pblocks.corpus import alternating_group, cyclic_group
+from pblocks.chartab import character_table, lifting_prime
+from pblocks.corpus import (
+    alternating_group,
+    cyclic_group,
+    mathieu_group_11,
+    projective_special_linear_2_7,
+)
 from pblocks.ffield import field_create
-from pblocks.modrep import ReductionContext
+from pblocks.modrep import ReductionContext, brauer_table
 
 
 def numeric(v: Cyc) -> complex:
@@ -54,16 +61,17 @@ class TestCyclotomicPoly:
 
     def test_product_over_divisors(self):
         # multiplying Phi_d over all divisors d of n gives x^n - 1
-        for n in (6, 12, 18, 20):
+        for n in range(1, 400):
             prod = [1]
             for d in range(1, n + 1):
                 if n % d:
                     continue
                 f = cyclotomic_poly(d)
                 out = [0] * (len(prod) + len(f) - 1)
-                for i, a in enumerate(prod):
-                    for j, b in enumerate(f):
-                        out[i + j] += a * b
+                for j, b in enumerate(f):
+                    if b:
+                        for i, a in enumerate(prod):
+                            out[i + j] += a * b
                 prod = out
             expected = [0] * (n + 1)
             expected[0] = -1
@@ -219,6 +227,142 @@ class TestInterface:
         assert "z8" in str(Cyc.root(8) + 1)
 
 
+def _oracle_reduce(coeffs: list, n: int) -> list:
+    """Reduce a Fraction polynomial modulo Phi_n by long division; return phi(n) coordinates."""
+    modulus = cyclotomic_poly(n)
+    deg = len(modulus) - 1
+    rem = list(coeffs) + [Fraction(0)] * max(0, deg - len(coeffs))
+    for top in range(len(rem) - 1, deg - 1, -1):
+        c = rem[top]
+        if c:
+            for j, m in enumerate(modulus):
+                rem[top - deg + j] -= c * m
+    return rem[:deg]
+
+
+def _oracle_power(n: int, k: int) -> list:
+    """Coordinates of z_n^k, as x^k modulo Phi_n."""
+    return _oracle_reduce([Fraction(0)] * k + [Fraction(1)], n)
+
+
+def _oracle_mul(a: list, b: list, n: int) -> list:
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _oracle_reduce(prod, n)
+
+
+def _oracle_substitute(a: list, n: int, m: int, s: int) -> list:
+    """Send x^i at conductor n to the (i s)-th power of z_m."""
+    out = [Fraction(0)] * (len(cyclotomic_poly(m)) - 1)
+    for i, x in enumerate(a):
+        for j, c in enumerate(_oracle_power(m, (i * s) % m)):
+            out[j] += x * c
+    return out
+
+
+def _oracle_value(rng: random.Random, n: int) -> list:
+    """Random Fraction coordinates with mixed denominators, some zero."""
+    return [
+        Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6, 9])) if rng.random() < 0.8
+        else Fraction(0)
+        for _ in range(len(cyclotomic_poly(n)) - 1)
+    ]
+
+
+def _assert_matches(value: Cyc, n: int, expected: list):
+    assert value.conductor == n
+    assert list(value.coords) == expected
+    assert value == Cyc(n, expected)
+
+
+class TestFractionOracle:
+    """Compare Cyc with Fraction polynomials reduced modulo Phi_n, sharing no code with Cyc."""
+
+    def test_ring_operations_at_each_conductor(self):
+        rng = random.Random(21)
+        for n in range(1, 25):
+            for _ in range(3):
+                a, b = _oracle_value(rng, n), _oracle_value(rng, n)
+                x, y = Cyc(n, a), Cyc(n, b)
+                _assert_matches(x + y, n, [u + v for u, v in zip(a, b)])
+                _assert_matches(x - y, n, [u - v for u, v in zip(a, b)])
+                _assert_matches(-x, n, [-u for u in a])
+                _assert_matches(x * y, n, _oracle_mul(a, b, n))
+                q = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                _assert_matches(x * q, n, [u * q for u in a])
+                _assert_matches(x * 3, n, [u * 3 for u in a])
+
+    def test_galois_and_lift(self):
+        rng = random.Random(22)
+        for n in range(1, 25):
+            a = _oracle_value(rng, n)
+            x = Cyc(n, a)
+            for k in range(1, n + 1):
+                if gcd(k, n) == 1:
+                    _assert_matches(x.galois(k), n, _oracle_substitute(a, n, n, k))
+            for m in (2 * n, 3 * n):
+                _assert_matches(x.lift(m), m, _oracle_substitute(a, n, m, m // n))
+
+    def test_mixed_conductors(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            n, m = rng.randint(1, 24), rng.randint(1, 24)
+            a, b = _oracle_value(rng, n), _oracle_value(rng, m)
+            top = n * m // gcd(n, m)
+            la = _oracle_substitute(a, n, top, top // n)
+            lb = _oracle_substitute(b, m, top, top // m)
+            x, y = Cyc(n, a), Cyc(m, b)
+            _assert_matches(x + y, top, [u + v for u, v in zip(la, lb)])
+            _assert_matches(x - y, top, [u - v for u, v in zip(la, lb)])
+            _assert_matches(x * y, top, _oracle_mul(la, lb, top))
+
+
+class TestRepresentation:
+    def test_lowest_terms(self):
+        assert Cyc(4, [Fraction(2, 4), 1]) == Cyc(4, [Fraction(1, 2), 1])
+        half = Cyc.rational(Fraction(1, 2)) * 2
+        assert half.coords == (1,) and type(half.coords[0]) is int
+        # (1 + i)/2 * (1 - i)/2 = 1/2
+        i = Cyc.root(4)
+        prod = ((1 + i) * Fraction(1, 2)) * ((1 - i) * Fraction(1, 2))
+        assert prod.coords == (Fraction(1, 2), 0)
+        assert prod.as_rational() == Fraction(1, 2)
+        cancel = (i * Fraction(1, 3) + Fraction(2, 3)) - (i * Fraction(1, 3) + Fraction(-1, 3))
+        assert cancel.coords == (1, 0)
+        assert all(type(c) is int for c in cancel.coords)
+
+    def test_rejects_inexact_coordinates(self):
+        with pytest.raises(TypeError):
+            Cyc(4, [0.1, 0])
+        with pytest.raises(TypeError):
+            Cyc(4, ["1/2", 0])
+        with pytest.raises(TypeError):
+            Cyc.rational(0.5)
+        with pytest.raises(TypeError):
+            Cyc.root(4) * 0.5
+
+    def test_accepts_numpy_integers(self):
+        v = Cyc(4, [np.int64(3), np.int32(-2)])
+        assert v.coords == (3, -2)
+        assert all(type(c) is int for c in v.coords)
+        big = Cyc.root(4) * np.int64(2 ** 40) * np.int64(2 ** 40)
+        assert big.coords == (0, 2 ** 80)
+
+    def test_table_values_are_int_coordinates(self):
+        a5 = alternating_group(5)
+        tables = [
+            character_table(group, seed=0).rows
+            for group in (a5, projective_special_linear_2_7(), mathieu_group_11())
+        ]
+        tables.append(brauer_table(a5, 2, seed=0).rows)
+        for rows in tables:
+            for row in rows:
+                for value in row:
+                    assert all(type(c) is int for c in value.coords), value
+
+
 class TestFieldImage:
     def test_rational_to_field(self):
         F = field_create(7)
@@ -242,6 +386,16 @@ class TestFieldImage:
         val = Cyc.root(8) * 2 + Fraction(1, 2)
         expected = F.add(F.mul(2, z), rational_to_field(Fraction(1, 2), F))
         assert cyc_to_field(val, F, z, 8) == expected
+
+    def test_denominator_divisible_by_p(self):
+        F = field_create(2, 2)
+        w = F.root_of_unity(3)
+        with pytest.raises(ZeroDivisionError):
+            cyc_to_field((Cyc.root(3) + 1) * Fraction(1, 2), F, w, 3)
+        G = field_create(7)
+        u = G.root_of_unity(3)
+        value = (Cyc.root(3) + 1) * Fraction(1, 6)
+        assert cyc_to_field(value, G, u, 3) == G.mul(G.add(u, 1), G.inv(6))
 
 
 def _sample_values(exponent: int) -> list:
