@@ -1,8 +1,9 @@
 """Block decomposition of modular group algebras and block invariants."""
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .chartab import (
     CharacterTable,
@@ -24,11 +25,10 @@ from .errors import (
 )
 from .ffield import field_create
 from .intmath import int_det, is_p_power, is_prime, p_valuation
-from .linalg import Mat, mat_rank, mat_solve_left
-from .modrep import BrauerTable, GModule, ReductionContext, brauer_table, module_iso
+from .linalg import Mat, mat_mul, mat_rank, mat_solve_left
+from .modrep import BrauerTable, ReductionContext, brauer_table
 from .perm import PermGroup, perm_conj, perm_inv, sectional_rank
 
-SPOT_CHECK_PAIRS = 4
 SOLVE_PRIME_ATTEMPTS = 5
 
 
@@ -45,29 +45,25 @@ def _reduced_lambda(row, degree: int, classes, context) -> tuple:
     return tuple(context.reduce(v) for v in _central_character(row, degree, classes))
 
 
-def _spot_check_lambdas(group, lambdas, field, seed: int) -> None:
-    """Verify sampled multiplicativity of the reduced central characters."""
-    mats = group.class_matrices()
-    n = len(mats)
-    if n < 2:
-        return
-    rng = random.Random(seed)
-    distinct = sorted(set(lambdas))
-    for _ in range(SPOT_CHECK_PAIRS):
-        i = rng.randrange(1, n)
-        j = rng.randrange(1, n)
-        for lam in distinct:
-            lhs = field.mul(lam[i], lam[j])
-            rhs = 0
-            for k in range(n):
-                coeff = int(mats[i][j, k]) % field.p
-                if coeff:
-                    rhs = field.add(rhs, field.mul(coeff, lam[k]))
-            if lhs != rhs:
-                raise ReductionInconsistent(
-                    "reduced central character fails multiplicativity at classes "
-                    f"{i}, {j}"
-                )
+def _check_central_characters(group, lambdas, field) -> None:
+    """Check that every reduced central character is an algebra map on the class sums.
+
+    With K_i K_j = sum_k a_ijk K_k, each distinct lambda must satisfy
+    lambda_i * lambda_j = sum_k a_ijk * lambda_k for every pair (i, j).  One
+    product of the lambda rows against the stacked transposed class
+    matrices gives every right-hand side at once, at column i * n + j.
+    """
+    rows = Mat(field, sorted(set(lambdas)))
+    n = rows.ncols
+    consts = Mat(field, np.hstack([M.T % field.p for M in group.class_matrices()]))
+    rhs = mat_mul(rows, consts).data
+    lhs = field.vmul(rows.data[:, :, None], rows.data[:, None, :]).reshape(rhs.shape)
+    bad = np.flatnonzero((lhs != rhs).any(axis=0))
+    if bad.size:
+        i, j = divmod(int(bad[0]), n)
+        raise ReductionInconsistent(
+            f"reduced central character fails multiplicativity at classes {i}, {j}"
+        )
 
 
 def _integral_expansion(basis, targets, order: int, exponent: int) -> tuple:
@@ -171,18 +167,18 @@ def block_system(group, p: int, seed: int = 0, context=None) -> BlockSystem:
     """Compute the block decomposition of the group algebra in characteristic p."""
     if not is_prime(p):
         raise CompositeCharacteristic(f"characteristic {p} is not prime")
-    tab = character_table(group, seed=seed)
+    tab = character_table(group)
     classes = tab.classes
     if context is None:
         context = ReductionContext(group, p)
-    btab = brauer_table(group, p, seed=seed, classes=classes, context=context)
+    btab = brauer_table(group, p, seed=seed, context=context)
     order = group.order()
 
     lambdas = [
         _reduced_lambda(row, deg, classes, context)
         for deg, row in zip(tab.degrees, tab.rows)
     ]
-    _spot_check_lambdas(group, lambdas, context.field, seed)
+    _check_central_characters(group, lambdas, context.field)
 
     buckets = {}
     for i, lam in enumerate(lambdas):
@@ -445,38 +441,34 @@ def covered_blocks(system: BlockSystem, sub: BlockSystem) -> dict:
     return covered
 
 
-def inflation_correspondence(system: BlockSystem, action, qsystem: BlockSystem,
-                             seed: int = 0) -> tuple:
-    """Match quotient characters and simples with their inflations to the group."""
+def _inflated_match(qrow, positions, rows) -> int:
+    """Return the index of the one row equal to a quotient row read at the given positions."""
+    inflated = tuple(qrow[pos] for pos in positions)
+    matches = [i for i, row in enumerate(rows) if tuple(row) == inflated]
+    if len(matches) != 1:
+        raise RuntimeError("inflated character does not match a unique row")
+    return matches[0]
+
+
+def inflation_correspondence(system: BlockSystem, action, qsystem: BlockSystem) -> tuple:
+    """Match quotient characters and simples with their inflations to the group.
+
+    Simple modules are matched by their Brauer rows, which determine a
+    simple module up to isomorphism.
+    """
+    # Brauer rows agree only when both systems lift roots of unity from one field
     if qsystem.context.field is not system.context.field:
         raise ValueError("quotient system must be built over the ambient field")
-    group = system.group
-    qclasses = qsystem.chartab.classes
-    reps = system.chartab.classes.reps
-
-    char_map = []
-    for qrow in qsystem.chartab.rows:
-        inflated = tuple(
-            qrow[qclasses.class_of[action.image(rep)]] for rep in reps
-        )
-        matches = [
-            i for i, row in enumerate(system.chartab.rows) if tuple(row) == inflated
-        ]
-        if len(matches) != 1:
-            raise RuntimeError("inflated character does not match a unique row")
-        char_map.append(matches[0])
-
-    ibr_map = []
-    for qmodule in qsystem.brauer.simples:
-        mats = [qmodule.image(action.image(g)) for g in group.generators]
-        lifted = GModule(group, system.context.field, mats)
-        for j, simple in enumerate(system.brauer.simples):
-            if simple.dim == lifted.dim and module_iso(simple, lifted, seed=seed):
-                ibr_map.append(j)
-                break
-        else:
-            raise RuntimeError("inflated simple module does not match any simple")
-    return tuple(char_map), tuple(ibr_map)
+    qclass_of = qsystem.chartab.classes.class_of
+    images = [qclass_of[action.image(rep)] for rep in system.chartab.classes.reps]
+    char_map = tuple(
+        _inflated_match(qrow, images, system.chartab.rows) for qrow in qsystem.chartab.rows
+    )
+    regular = [qsystem.regular.index(images[k]) for k in system.regular]
+    ibr_map = tuple(
+        _inflated_match(qrow, regular, system.brauer.rows) for qrow in qsystem.brauer.rows
+    )
+    return char_map, ibr_map
 
 
 def induced_brauer_values(system: BlockSystem, sub: BlockSystem, j: int) -> tuple:

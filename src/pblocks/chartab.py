@@ -1,25 +1,27 @@
 """Exact ordinary character tables of small permutation groups.
 
-The table is computed by the classical modular method: the structure
-constants of the class algebra are reduced modulo a well-chosen prime
-r, the simultaneous eigenvectors of the class-sum matrices over GF(r)
-yield the central characters, and the character values are lifted back
-to exact cyclotomic numbers through discrete Fourier sums of root-of-
-unity eigenvalue multiplicities.  Orthogonality and the degree sum are
-verified exactly before a table is returned.
+The table is computed by the classical modular method (Dixon 1967,
+Schneider 1990).  The structure constants of the class algebra are
+reduced modulo a prime r with r = 1 mod exp(G), r not dividing |G| and
+r > 2 sqrt(|G|) + 1.  Over GF(r) the class-sum matrices then generate a
+split semisimple commutative algebra, so refining the whole space by the
+eigenspaces of one class matrix at a time, smallest classes first, always
+ends in lines: the common eigenvectors, which are the central characters.
+Every step is deterministic.  A degree d is read from its residue d^2 mod r
+as the only d <= sqrt(|G|) with that square, and the character values
+are lifted back to exact cyclotomic numbers through discrete Fourier sums
+of root-of-unity eigenvalue multiplicities.  Orthogonality and the degree
+sum are verified exactly before a table is returned.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-import numpy as np
-
 from .cyclotomic import Cyc
-from .errors import EigensplitBudgetExceeded, FusionInconsistent, LiftingPrimeNotFound
+from .errors import FusionInconsistent, LiftingPrimeNotFound
 from .ffield import field_create, poly_roots
 from .intmath import is_prime
 from .linalg import (
@@ -34,7 +36,6 @@ from .linalg import (
 )
 from .perm import ClassData, PermGroup, perm_inv, perm_mul
 
-EIGENSPLIT_BUDGET = 200
 LIFTING_PRIME_CAP = 1_000_000
 
 
@@ -64,21 +65,18 @@ def class_inner_product(chi, psi, classes: ClassData) -> Fraction | None:
     return None if total is None else total / sum(classes.sizes)
 
 
-def _split_eigenspaces(F, raw_mats: list, n: int, seed: int) -> list:
-    """Split the class algebra into its one dimensional common eigenspaces."""
-    rng = random.Random(seed)
+def _split_eigenspaces(F, class_mats: list, order: list) -> list:
+    """Split GF(r)^n into the common eigenlines of the class matrices.
+
+    The matrices are taken one at a time in the given order, and the
+    refinement stops once every space is a line.
+    """
+    n = len(class_mats)
     spaces = [Mat.identity(F, n)]
-    draws = 0
-    while any(space.nrows > 1 for space in spaces):
-        if draws >= EIGENSPLIT_BUDGET:
-            raise EigensplitBudgetExceeded(
-                f"class algebra not split after {EIGENSPLIT_BUDGET} random elements"
-            )
-        draws += 1
-        combo = np.zeros((n, n), dtype=np.int64)
-        for M in raw_mats:
-            combo = (combo + rng.randrange(F.q) * (M % F.q)) % F.q
-        N = Mat(F, combo.T)
+    for i in order:
+        if all(space.nrows == 1 for space in spaces):
+            break
+        N = Mat(F, class_mats[i].T % F.q)
         refined = []
         for space in spaces:
             if space.nrows == 1:
@@ -99,6 +97,8 @@ def _split_eigenspaces(F, raw_mats: list, n: int, seed: int) -> list:
                 raise RuntimeError("eigenspaces do not fill an invariant subspace")
             refined.extend(pieces)
         spaces = refined
+    if any(space.nrows > 1 for space in spaces):
+        raise RuntimeError("class matrices leave a common eigenspace above dimension 1")
     return spaces
 
 
@@ -118,7 +118,11 @@ class CharacterTable:
 
 
 def character_table(group: PermGroup, seed: int = 0, prime: int | None = None) -> CharacterTable:
-    """Compute the exact ordinary character table of a small group."""
+    """Compute the exact ordinary character table of a small group.
+
+    The computation is deterministic; ``seed`` is accepted for symmetry
+    with the modular entry points and has no effect.
+    """
     classes = group.conjugacy_classes()
     order = group.order()
     e = group.exponent()
@@ -131,9 +135,10 @@ def character_table(group: PermGroup, seed: int = 0, prime: int | None = None) -
             raise ValueError("supplied lifting prime violates the required conditions")
     F = field_create(r)
 
-    spaces = _split_eigenspaces(F, group.class_matrices(), n, seed)
-
     sizes = classes.sizes
+    by_size = sorted((k for k in range(n) if classes.orders[k] != 1), key=sizes.__getitem__)
+    spaces = _split_eigenspaces(F, group.class_matrices(), by_size)
+
     inv_sizes = [F.inv(s % r) for s in sizes]
     kstar = [classes.class_of[perm_inv(rep)] for rep in classes.reps]
     root_cap = isqrt(order)
@@ -164,11 +169,9 @@ def character_table(group: PermGroup, seed: int = 0, prime: int | None = None) -
         if s == 0:
             raise RuntimeError("degree denominator vanished modulo the lifting prime")
         d2 = F.mul(order % r, F.inv(s))
-        droot = F.sqrt(d2)
-        if droot is None:
-            raise RuntimeError("degree square has no root modulo the lifting prime")
-        degree = droot if droot <= root_cap else r - droot
-        if not 1 <= degree <= root_cap or F.mul(degree % r, degree % r) != d2:
+        # unique: d1^2 = d2^2 mod r puts r in (d1 - d2)(d1 + d2), both below r
+        degree = next((d for d in range(1, root_cap + 1) if d * d % r == d2), None)
+        if degree is None:
             raise RuntimeError("could not identify the character degree")
 
         chi_mod = [F.mul(F.mul(degree % r, omega[k]), inv_sizes[k]) for k in range(n)]

@@ -136,6 +136,9 @@ class Cyc:
     def __setattr__(self, name, value):
         raise AttributeError("cyclotomic values are immutable")
 
+    def __reduce__(self):
+        return (_make, (self.conductor, self._num, self._den))
+
     @property
     def coords(self) -> tuple:
         """The power-basis coordinates: ints when the denominator is 1, else Fractions."""

@@ -51,10 +51,6 @@ class LiftingPrimeNotFound(BlockEngineError):
     """No suitable congruence prime exists below the search bound."""
 
 
-class EigensplitBudgetExceeded(BlockEngineError):
-    """Random one-dimensional splitting failed within its draw budget."""
-
-
 class FusionInconsistent(BlockEngineError):
     """A subgroup class maps to a parent class of a different element order."""
 

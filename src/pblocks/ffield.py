@@ -156,37 +156,6 @@ class Field:
             e >>= 1
         return int(r)
 
-    def sqrt(self, a: int):
-        """Return a square root of a, or None when a is not a square."""
-        a = int(a)
-        if a == 0:
-            return 0
-        if self.p == 2:
-            return self.pow(a, self.q // 2)
-        q1 = self.q - 1
-        if self.pow(a, q1 // 2) != 1:
-            return None
-        s = (q1 & -q1).bit_length() - 1
-        t = q1 >> s
-        r = self.pow(a, (t + 1) // 2)
-        c = self.pow(self.primitive, t)
-        u = self.pow(a, t)
-        width = s
-        while u != 1:
-            i = 0
-            tmp = u
-            while tmp != 1:
-                tmp = self.mul(tmp, tmp)
-                i += 1
-            b = c
-            for _ in range(width - i - 1):
-                b = self.mul(b, b)
-            r = self.mul(r, b)
-            c = self.mul(b, b)
-            u = self.mul(u, c)
-            width = i
-        return r
-
     @cached_property
     def primitive(self) -> int:
         """The least element code that generates the multiplicative group."""

@@ -210,7 +210,7 @@ def _check_central_scaling(gsys: BlockSystem, sub: PermGroup, seed: int) -> dict
         seed=seed,
         context=ReductionContext(quotient, p, field=gsys.context.field),
     )
-    char_map, ibr_map = inflation_correspondence(gsys, action, qsys, seed=seed)
+    char_map, ibr_map = inflation_correspondence(gsys, action, qsys)
     comparisons = []
     scaled = True
     for qb in qsys.blocks:

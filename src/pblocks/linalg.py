@@ -301,6 +301,6 @@ def mat_charpoly(A: Mat) -> list:
     return polys[n]
 
 
-def char_poly_factors(A: Mat, seed: int = 0) -> list:
+def char_poly_factors(A: Mat) -> list:
     """Return the sorted irreducible factors of the characteristic polynomial."""
-    return poly_factor(A.field, mat_charpoly(A), seed=seed)
+    return poly_factor(A.field, mat_charpoly(A))

@@ -398,12 +398,9 @@ def module_iso(a: GModule, b: GModule, seed: int = 0):
     )
 
 
-def simple_modules(group: PermGroup, context: ReductionContext, seed: int = 0,
-                   classes: ClassData | None = None) -> list:
+def simple_modules(group: PermGroup, context: ReductionContext, seed: int = 0) -> list:
     """Return all simple modules in characteristic p by tensor closure."""
-    if classes is None:
-        classes = group.conjugacy_classes()
-    target = len(p_regular_indices(classes, context.p))
+    target = len(p_regular_indices(group.conjugacy_classes(), context.p))
     rng = random.Random(seed)
     found = []
 
@@ -488,15 +485,13 @@ def brauer_value(module: GModule, g, order: int, context: ReductionContext) -> C
 
 
 def brauer_table(group: PermGroup, p: int, seed: int = 0,
-                 classes: ClassData | None = None,
                  context: ReductionContext | None = None) -> BrauerTable:
     """Compute the sorted Brauer character table at the prime p."""
-    if classes is None:
-        classes = group.conjugacy_classes()
+    classes = group.conjugacy_classes()
     if context is None:
         context = ReductionContext(group, p)
     regular = tuple(p_regular_indices(classes, p))
-    simples = simple_modules(group, context, seed=seed, classes=classes)
+    simples = simple_modules(group, context, seed=seed)
 
     entries = []
     for module in simples:

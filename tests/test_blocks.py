@@ -1,5 +1,8 @@
 """Tests for block decomposition and block invariants."""
 
+import copy
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from pblocks.blocks import (
     Block,
     BlockSystem,
+    _check_central_characters,
     block_orbit,
     block_system,
     brauer_orbit,
@@ -17,10 +21,12 @@ from pblocks.blocks import (
     induced_brauer_values,
     inflation_correspondence,
 )
-from pblocks.errors import CompositeCharacteristic
+from pblocks.chartab import character_table
+from pblocks.cyclotomic import Cyc
+from pblocks.errors import CompositeCharacteristic, ReductionInconsistent
 from pblocks.ffield import field_create
 from pblocks.intmath import int_det as _int_det
-from pblocks.modrep import ReductionContext
+from pblocks.modrep import GModule, ReductionContext, module_iso
 from pblocks.perm import (
     PermGroup,
     abelian_p_invariants,
@@ -276,6 +282,30 @@ class TestBlockPartition:
         assert len(block_system(group, 5)) == 3
 
 
+class TestCentralCharacterCheck:
+    def test_check_makes_no_random_draw(self, monkeypatch):
+        system = block_system(sym(5), 3)
+        lambdas = [block.lambda_row for block in system.blocks]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the central character check created a random generator")
+
+        monkeypatch.setattr(random, "Random", refuse)
+        _check_central_characters(system.group, lambdas, system.context.field)
+
+    def test_every_altered_entry_is_caught(self):
+        system = block_system(sym(5), 3)
+        field = system.context.field
+        lambdas = [block.lambda_row for block in system.blocks]
+        for b, lam in enumerate(lambdas):
+            for k in range(len(lam)):
+                altered = list(lam)
+                altered[k] = field.add(altered[k], 1)
+                bad = lambdas[:b] + [tuple(altered)] + lambdas[b + 1:]
+                with pytest.raises(ReductionInconsistent):
+                    _check_central_characters(system.group, bad, field)
+
+
 class TestConjectureChecks:
     def test_defect_zero_report(self):
         system = block_system(sym(3), 2)
@@ -410,6 +440,30 @@ class TestInflation:
         qratio = qblock.tau / (2**qblock.sectional * 2**qblock.defect)
         assert gratio == qratio == Fraction(1, 4)
 
+    def test_ibr_map_agrees_with_module_isomorphism(self):
+        group = sl23()
+        gsys = block_system(group, 2)
+        center = [
+            g
+            for g in group.elements()
+            if all(perm_mul(g, h) == perm_mul(h, g) for h in group.generators)
+        ]
+        action = group.coset_action(group.subgroup(center))
+        qsys = block_system(
+            action.quotient, 2,
+            context=ReductionContext(action.quotient, 2, field=gsys.context.field),
+        )
+        _, ibr_map = inflation_correspondence(gsys, action, qsys)
+        assert sorted(ibr_map) == list(range(len(gsys.brauer.simples)))
+        for qj, j in enumerate(ibr_map):
+            qmodule = qsys.brauer.simples[qj]
+            lifted = GModule(
+                group, gsys.context.field,
+                [qmodule.image(action.image(g)) for g in group.generators],
+            )
+            for other, simple in enumerate(gsys.brauer.simples):
+                assert (module_iso(simple, lifted) is not None) == (other == j)
+
     def test_field_mismatch_rejected(self):
         group = sl23()
         gsys = block_system(group, 2)
@@ -501,6 +555,20 @@ class TestBlockOrbits:
         asys = block_system(sym(4), 2)
         ssys = block_system(alt4(), 2)
         assert block_orbit(asys, ssys, 0) == (0,)
+
+
+class TestPickling:
+    @pytest.mark.parametrize(
+        "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_round_trips(self, clone):
+        value = Cyc(4, [Fraction(1, 2), Fraction(3, 2)])
+        assert clone(value) == value
+        assert clone(value).coords == (Fraction(1, 2), Fraction(3, 2))
+        tab = character_table(alt5())
+        assert clone(tab).rows == tab.rows
+        system = block_system(alt5(), 2)
+        assert [b.cartan for b in clone(system).blocks] == [b.cartan for b in system.blocks]
 
 
 class TestDeterminism:

@@ -1,5 +1,7 @@
 """Tests for exact character table computation."""
 
+import random
+
 import pytest
 
 from pblocks.chartab import (
@@ -9,6 +11,7 @@ from pblocks.chartab import (
     lifting_prime,
     restrict_row,
 )
+from pblocks.corpus import projective_special_linear_2_7
 from pblocks.cyclotomic import Cyc
 from pblocks.errors import FusionInconsistent, LiftingPrimeNotFound
 from pblocks.perm import ClassData, PermGroup, perm_from_cycles
@@ -220,6 +223,14 @@ class TestConsistency:
         t2 = character_table(g, seed=99)
         for r1, r2 in zip(t1.rows, t2.rows):
             assert all(a == b for a, b in zip(r1, r2))
+
+    def test_table_makes_no_random_draw(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("character_table created a random generator")
+
+        monkeypatch.setattr(random, "Random", refuse)
+        assert character_table(sym(5), seed=3).degrees == (1, 1, 4, 4, 5, 5, 6)
+        assert character_table(projective_special_linear_2_7()).degrees == (1, 3, 3, 6, 7, 8)
 
     def test_bad_supplied_prime_rejected(self):
         with pytest.raises(ValueError):

@@ -185,19 +185,6 @@ def test_negative_powers():
         F.pow(0, -1)
 
 
-def test_square_roots():
-    for p, m in [(13, 1), (3, 4), (2, 5), (7, 2)]:
-        F = field_create(p, m)
-        squares = 0
-        for a in range(F.q):
-            b = F.sqrt(a)
-            if b is not None:
-                squares += 1
-                assert F.mul(b, b) == a
-        expected = F.q if p == 2 else (F.q + 1) // 2
-        assert squares == expected
-
-
 # -- vectorized operations ---------------------------------------------------------
 
 VEC_FIELDS = [
