@@ -27,7 +27,7 @@ from .ffield import field_create
 from .intmath import int_det, is_p_power, is_prime, p_valuation
 from .linalg import Mat, mat_mul, mat_rank, mat_solve_left
 from .modrep import BrauerTable, ReductionContext, brauer_table
-from .perm import PermGroup, perm_conj, perm_inv, sectional_rank
+from .perm import PermGroup, orbit, perm_conj, perm_inv, sectional_rank
 
 SOLVE_PRIME_ATTEMPTS = 5
 
@@ -356,16 +356,7 @@ def induced_block(system: BlockSystem, sub: BlockSystem, block: Block):
 
 def _orbit(start: int, perms) -> tuple:
     """Return the sorted orbit of an index under a list of index permutations."""
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        for perm in perms:
-            image = perm[current]
-            if image not in orbit:
-                orbit.add(image)
-                frontier.append(image)
-    return tuple(sorted(orbit))
+    return tuple(sorted(orbit(start, perms, lambda i, perm: perm[i])))
 
 
 def _conjugation_row_perms(system: BlockSystem, sub: BlockSystem, rows, columns) -> list:

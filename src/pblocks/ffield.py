@@ -710,27 +710,18 @@ def poly_deriv(F: Field, f) -> list:
 
 
 def poly_is_irreducible(F: Field, f) -> bool:
-    """Test irreducibility over F via the Frobenius fixed-point criterion."""
+    """Test irreducibility over F: f must be squarefree with no factor of degree <= deg(f)/2."""
     f = poly_trim(list(f))
     n = poly_deg(f)
     if n < 1:
         return False
-    if n == 1:
-        return True
     f = poly_scale(F, f, F.inv(f[-1]))
-    x = [0, 1]
-    h = x
-    for _ in range(n):
-        h = poly_pow_mod(F, h, F.q, f)
-    if h != x:
-        return False
-    for ell in factorint(n):
-        g = x
-        for _ in range(n // ell):
-            g = poly_pow_mod(F, g, F.q, f)
-        if poly_deg(poly_gcd(F, poly_sub(F, g, x), f)) != 0:
-            return False
-    return True
+    df = poly_deriv(F, f)
+    return (
+        bool(df)
+        and poly_deg(poly_gcd(F, f, df)) == 0
+        and _distinct_degree_parts(F, f) == [(f, n)]
+    )
 
 
 # -- polynomial factorization ----------------------------------------------------

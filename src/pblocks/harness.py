@@ -159,6 +159,19 @@ def fixture_checks(fix: CartanFixture, seed: int = 0, samples: int = 1000) -> di
     return result
 
 
+def _verdict(key: str, items: list, left: str, relation: str, right: str) -> dict:
+    """Bundle the measured items of a scenario check with its verdict and summary.
+
+    The check holds when there is at least one item and every item holds;
+    the summary lists each item as "left relation right".
+    """
+    return {
+        key: items,
+        "holds": bool(items) and all(item["holds"] for item in items),
+        "summary": ", ".join(f"{item[left]} {relation} {item[right]}" for item in items),
+    }
+
+
 def _check_stabilizer_induction(gsys: BlockSystem, nsys: BlockSystem) -> dict:
     """Compare the dim ratio of fully mobile subgroup blocks with their induced blocks."""
     index = gsys.group.order() // nsys.group.order()
@@ -183,13 +196,7 @@ def _check_stabilizer_induction(gsys: BlockSystem, nsys: BlockSystem) -> dict:
         raise BindingUnsatisfiable(
             "no subgroup block has a full conjugation orbit and a defined induced block"
         )
-    return {
-        "comparisons": pairs,
-        "holds": all(pair["holds"] for pair in pairs),
-        "summary": ", ".join(
-            f"{p['ambient_tau']} = {p['sub_tau']}" for p in pairs
-        ),
-    }
+    return _verdict("comparisons", pairs, "ambient_tau", "=", "sub_tau")
 
 
 def _check_central_scaling(gsys: BlockSystem, sub: PermGroup, seed: int) -> dict:
@@ -239,11 +246,10 @@ def _check_central_scaling(gsys: BlockSystem, sub: PermGroup, seed: int) -> dict
                 "holds": left <= right,
             }
         )
-    holds = scaled and bool(comparisons) and all(c["holds"] for c in comparisons)
-    summary = "cartan scale ok, " if scaled else "cartan scale broken, "
-    summary += ", ".join(f"{c['left']} <= {c['right']}" for c in comparisons)
-    return {"comparisons": comparisons, "cartan_scaled": scaled, "holds": holds,
-            "summary": summary}
+    verdict = _verdict("comparisons", comparisons, "left", "<=", "right")
+    prefix = "cartan scale ok, " if scaled else "cartan scale broken, "
+    return {**verdict, "cartan_scaled": scaled, "holds": scaled and verdict["holds"],
+            "summary": prefix + verdict["summary"]}
 
 
 def _check_degree_sum(gsys: BlockSystem, nsys: BlockSystem) -> dict:
@@ -272,11 +278,7 @@ def _check_degree_sum(gsys: BlockSystem, nsys: BlockSystem) -> dict:
                 "holds": left == right,
             }
         )
-    return {
-        "identities": identities,
-        "holds": all(item["holds"] for item in identities),
-        "summary": ", ".join(f"{item['left']} = {item['right']}" for item in identities),
-    }
+    return _verdict("identities", identities, "left", "=", "right")
 
 
 def _check_coprime_quotient(gsys: BlockSystem, nsys: BlockSystem) -> dict:
@@ -299,11 +301,7 @@ def _check_coprime_quotient(gsys: BlockSystem, nsys: BlockSystem) -> dict:
                     "holds": block.tau == sub_block.tau,
                 }
             )
-    return {
-        "comparisons": pairs,
-        "holds": bool(pairs) and all(pair["holds"] for pair in pairs),
-        "summary": ", ".join(f"{p['ambient_tau']} = {p['sub_tau']}" for p in pairs),
-    }
+    return _verdict("comparisons", pairs, "ambient_tau", "=", "sub_tau")
 
 
 def _check_sylow_product(gsys: BlockSystem, nsys: BlockSystem) -> dict:
@@ -337,11 +335,7 @@ def _check_sylow_product(gsys: BlockSystem, nsys: BlockSystem) -> dict:
         raise BindingUnsatisfiable(
             "no block has a defect group filling the ambient group over the subgroup"
         )
-    return {
-        "comparisons": comparisons,
-        "holds": all(c["holds"] for c in comparisons),
-        "summary": ", ".join(f"{c['left']} <= {c['right']}" for c in comparisons),
-    }
+    return _verdict("comparisons", comparisons, "left", "<=", "right")
 
 
 def _on_subsystem(check):

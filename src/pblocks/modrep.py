@@ -6,6 +6,11 @@ The chop routine finds composition factors with Norton-certified
 irreducibility tests, a tensor closure collects all simple modules, and
 Brauer character values are read off as exact cyclotomic sums of
 eigenvalue multiplicities.
+
+One spin closes a vector under the generators.  It records the recipe
+of each accepted image (which earlier row, times which generator), so the
+rows it finds on a simple module are a standard basis that module_iso
+replays on a second module.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .cyclotomic import Cyc, cyc_to_field
 from .errors import ClosureStalled, NotSemisimpleElement, RandomBudgetExceeded
-from .ffield import field_create, poly_deg
+from .ffield import field_create, poly_deg, poly_factor
 from .intmath import multiplicative_order, p_valuation
 from .linalg import (
     Mat,
@@ -150,9 +155,8 @@ def quotient_module(module: GModule, basis: Mat) -> GModule:
 class _Span:
     """Incremental echelonized row space."""
 
-    def __init__(self, field, width: int):
+    def __init__(self, field):
         self.field = field
-        self.width = width
         self.rows = []
         self.pivots = []
 
@@ -160,28 +164,21 @@ class _Span:
     def dim(self) -> int:
         return len(self.rows)
 
-    def residue(self, row):
-        """Reduce a row against the stored pivots."""
+    def add(self, row) -> bool:
+        """Insert a row unless it lies in the span; return whether it was new."""
         F = self.field
-        row = np.array(row, dtype=np.int64)
+        res = np.array(row, dtype=np.int64)
         for piv, stored in zip(self.pivots, self.rows):
-            c = int(row[piv])
+            c = int(res[piv])
             if c:
-                row = F.vsub(row, F.vmul(np.int64(c), stored))
-        return row
-
-    def add(self, row):
-        """Insert a row; return its normalized residue, or None if dependent."""
-        F = self.field
-        res = self.residue(row)
+                res = F.vsub(res, F.vmul(np.int64(c), stored))
         support = np.nonzero(res)[0]
         if support.size == 0:
-            return None
+            return False
         piv = int(support[0])
-        res = F.vmul(np.int64(F.inv(int(res[piv]))), res)
-        self.rows.append(res)
+        self.rows.append(F.vmul(np.int64(F.inv(int(res[piv]))), res))
         self.pivots.append(piv)
-        return res
+        return True
 
     def basis(self) -> Mat:
         """Return the canonical reduced basis of the span."""
@@ -190,53 +187,36 @@ class _Span:
 
 
 def _vec_mat(F, v, M):
-    """Multiply a row vector by a matrix over F."""
-    return F.vsum(F.vmul(v[:, None], M), axis=0)
+    """Multiply each len(M) block of a row vector by a matrix over F."""
+    blocks = v.reshape(-1, len(M))
+    return F.vsum(F.vmul(blocks[:, :, None], M), axis=1).reshape(-1)
 
 
-def _spin(field, mats_data: list, seeds: list) -> _Span:
-    """Close seed rows under right multiplication by the given matrices."""
-    width = len(seeds[0])
-    span = _Span(field, width)
-    queue = []
-    for row in seeds:
-        added = span.add(row)
-        if added is not None:
-            queue.append(added)
-    idx = 0
-    while idx < len(queue) and span.dim < width:
-        v = queue[idx]
-        idx += 1
-        for M in mats_data:
-            if span.dim == width:
-                break
-            added = span.add(_vec_mat(field, v, M))
-            if added is not None:
-                queue.append(added)
-    return span
+def _spin(field, mats_data: list, seed_row):
+    """Close a seed row under right multiplication by the given matrices.
 
-
-def _standard_basis(field, mats_data: list, seed_row):
-    """Spin one vector to a full basis, recording the multiplication recipe."""
+    Returns the echelonized span together with its recipe: the accepted
+    images in the order found, starting with the seed, and for each image
+    after the seed the (row index, matrix index) pair it was made from.
+    On a simple module the rows are Parker's standard basis, which
+    _replay_basis rebuilds on a second module.
+    """
     width = len(seed_row)
-    span = _Span(field, width)
-    if span.add(seed_row) is None:
-        raise ValueError("cannot spin the zero vector")
+    span = _Span(field)
+    span.add(seed_row)
     rows = [np.array(seed_row, dtype=np.int64)]
     ops = []
-    idx = 0
-    while idx < len(rows) and span.dim < width:
+    for idx, v in enumerate(rows):
+        if span.dim == width:
+            break
         for gi, M in enumerate(mats_data):
             if span.dim == width:
                 break
-            w = _vec_mat(field, rows[idx], M)
-            if span.add(w) is not None:
+            w = _vec_mat(field, v, M)
+            if span.add(w):
                 rows.append(w)
                 ops.append((idx, gi))
-        idx += 1
-    if span.dim < width:
-        raise RuntimeError("standard basis spin stalled on a reducible module")
-    return rows, ops
+    return span, rows, ops
 
 
 def _replay_basis(field, mats_data: list, seed_row, ops: list):
@@ -249,26 +229,30 @@ def _replay_basis(field, mats_data: list, seed_row, ops: list):
 
 # -- random algebra elements ----------------------------------------------------
 
-def _random_recipe(rng: random.Random, num_gens: int):
-    """Draw a symbolic random element of the generated matrix algebra."""
+def _random_element(rng: random.Random, modules) -> list:
+    """Draw one random element of the generated matrix algebra.
+
+    The element is evaluated on each of the modules, which share their field
+    and generator count; one matrix per module is returned.
+    """
+    F = modules[0].field
+    num_gens = len(modules[0].mats)
     terms = []
     if num_gens:
         for _ in range(rng.randint(2, 4)):
-            word = tuple(rng.randrange(num_gens) for _ in range(rng.randint(1, 3)))
-            terms.append(word)
-    return terms
-
-
-def _instantiate(module: GModule, terms: list, coeffs: list, constant: int) -> Mat:
-    """Evaluate a symbolic algebra element on a module."""
-    F = module.field
-    total = mat_scale(Mat.identity(F, module.dim), constant)
-    for word, c in zip(terms, coeffs):
-        prod = module.mats[word[0]]
-        for gi in word[1:]:
-            prod = mat_mul(prod, module.mats[gi])
-        total = mat_add(total, mat_scale(prod, c))
-    return total
+            terms.append(tuple(rng.randrange(num_gens) for _ in range(rng.randint(1, 3))))
+    coeffs = [rng.randrange(1, F.q) for _ in terms]
+    constant = rng.randrange(F.q)
+    out = []
+    for module in modules:
+        total = mat_scale(Mat.identity(F, module.dim), constant)
+        for word, c in zip(terms, coeffs):
+            prod = module.mats[word[0]]
+            for gi in word[1:]:
+                prod = mat_mul(prod, module.mats[gi])
+            total = mat_add(total, mat_scale(prod, c))
+        out.append(total)
+    return out
 
 
 def _poly_at(module_field, theta: Mat, coeffs) -> Mat:
@@ -286,21 +270,8 @@ def _poly_at(module_field, theta: Mat, coeffs) -> Mat:
 def _algebra_is_full(module: GModule) -> bool:
     """Decide irreducibility by closing the generated algebra (splitting field)."""
     n = module.dim
-    F = module.field
-    span = _Span(F, n * n)
-    eye = Mat.identity(F, n)
-    span.add(eye.data.reshape(-1))
-    queue = [eye]
-    idx = 0
-    while idx < len(queue) and span.dim < n * n:
-        cur = queue[idx]
-        idx += 1
-        for M in module.mats:
-            if span.dim == n * n:
-                break
-            nxt = mat_mul(cur, M)
-            if span.add(nxt.data.reshape(-1)) is not None:
-                queue.append(nxt)
+    eye = Mat.identity(module.field, n).data.reshape(-1)
+    span, _, _ = _spin(module.field, [M.data for M in module.mats], eye)
     return span.dim == n * n
 
 
@@ -312,10 +283,7 @@ def _chop_step(module: GModule, rng: random.Random):
     F = module.field
     mats_data = [M.data for M in module.mats]
     for _ in range(RANDOM_ELEMENT_BUDGET):
-        terms = _random_recipe(rng, len(module.mats))
-        coeffs = [rng.randrange(1, F.q) for _ in terms]
-        constant = rng.randrange(F.q)
-        theta = _instantiate(module, terms, coeffs, constant)
+        [theta] = _random_element(rng, [module])
         for coeffs_f, _mult in char_poly_factors(theta):
             nucleus = _poly_at(F, theta, coeffs_f)
             kernel = mat_left_kernel(nucleus)
@@ -323,12 +291,12 @@ def _chop_step(module: GModule, rng: random.Random):
             if nullity == 0:
                 continue
             for row in kernel.data[: min(nullity, 4)]:
-                span = _spin(F, mats_data, [row])
+                span, _, _ = _spin(F, mats_data, row)
                 if span.dim < n:
                     return span.basis()
             if nullity == poly_deg(list(coeffs_f)):
                 co_kernel = mat_left_kernel(mat_transpose(nucleus))
-                span = _spin(F, [d.T.copy() for d in mats_data], [co_kernel.data[0]])
+                span, _, _ = _spin(F, [d.T.copy() for d in mats_data], co_kernel.data[0])
                 if span.dim == n:
                     return None
                 ortho = mat_right_kernel(span.basis())
@@ -363,14 +331,11 @@ def module_iso(a: GModule, b: GModule, seed: int = 0):
     F = a.field
     rng = random.Random(seed)
     for _ in range(RANDOM_ELEMENT_BUDGET):
-        terms = _random_recipe(rng, len(a.mats))
-        coeffs = [rng.randrange(1, F.q) for _ in terms]
-        constant = rng.randrange(F.q)
-        theta_a = _instantiate(a, terms, coeffs, constant)
-        theta_b = _instantiate(b, terms, coeffs, constant)
-        if mat_charpoly(theta_a) != mat_charpoly(theta_b):
+        theta_a, theta_b = _random_element(rng, [a, b])
+        charpoly = mat_charpoly(theta_a)
+        if charpoly != mat_charpoly(theta_b):
             return None
-        for coeffs_f, mult in char_poly_factors(theta_a):
+        for coeffs_f, mult in poly_factor(F, charpoly):
             if mult != 1 or len(coeffs_f) != 2:
                 continue
             lam = F.neg(int(coeffs_f[0]))
@@ -380,10 +345,10 @@ def module_iso(a: GModule, b: GModule, seed: int = 0):
             ker_b = mat_left_kernel(shift_b)
             if ker_a.nrows != 1 or ker_b.nrows != 1:
                 return None
-            mats_a = [M.data for M in a.mats]
-            mats_b = [M.data for M in b.mats]
-            rows_a, ops = _standard_basis(F, mats_a, ker_a.data[0])
-            rows_b = _replay_basis(F, mats_b, ker_b.data[0], ops)
+            span, rows_a, ops = _spin(F, [M.data for M in a.mats], ker_a.data[0])
+            if span.dim < a.dim:
+                raise RuntimeError("standard basis spin stalled on a reducible module")
+            rows_b = _replay_basis(F, [M.data for M in b.mats], ker_b.data[0], ops)
             Sa = Mat(F, np.array(rows_a, dtype=np.int64))
             Sb = Mat(F, np.array(rows_b, dtype=np.int64))
             if mat_rank(Sb) < b.dim:

@@ -10,6 +10,10 @@ stabilizer chain.  Anything that needs the full element list (classes,
 centralizers, coset actions, words in the generators) goes through a
 breadth-first enumeration that is capped, so large groups still answer
 order queries while refusing elementwise work.
+
+orbit is the one breadth-first search: the chain's transversals, the
+element enumeration and its words, subgroup closures, conjugacy classes
+and the block orbits in pblocks.blocks all read its Schreier tree.
 """
 
 from __future__ import annotations
@@ -119,6 +123,24 @@ def perm_to_cycles(a: tuple) -> list:
     return out
 
 
+def orbit(start, gens, act) -> dict:
+    """Return the breadth-first orbit of start under gens as a Schreier tree.
+
+    The dict maps each point y, in the order it was reached, to
+    (x, i) with y == act(x, gens[i]); start maps to (None, -1).
+    """
+    tree = {start: (None, -1)}
+    queue = [start]
+    indexed = tuple(enumerate(gens))
+    for x in queue:
+        for i, s in indexed:
+            y = act(x, s)
+            if y not in tree:
+                tree[y] = (x, i)
+                queue.append(y)
+    return tree
+
+
 def _validate_perm(g, degree: int) -> tuple:
     """Check that g is a permutation tuple of the given degree."""
     t = tuple(int(v) for v in g)
@@ -151,28 +173,10 @@ def _schreier_sims(degree: int, generators) -> dict:
 
     def rebuild(i):
         gs = level_gens(i)
-        t = {base[i]: identity}
-        queue = [base[i]]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for s in gs:
-                y = s[x]
-                if y not in t:
-                    t[y] = perm_mul(t[x], s)
-                    queue.append(y)
+        t = {}
+        for y, (x, gi) in orbit(base[i], gs, lambda x, s: s[x]).items():
+            t[y] = identity if x is None else perm_mul(t[x], gs[gi])
         trans[i] = t
-        return gs
-
-    def strip(g, start):
-        for i in range(start, len(base)):
-            x = g[base[i]]
-            t = trans[i]
-            if x not in t:
-                return g, i
-            g = perm_mul(g, perm_inv(t[x]))
-        return g, len(base)
 
     i = len(base) - 1
     while i >= 0:
@@ -187,7 +191,7 @@ def _schreier_sims(degree: int, generators) -> dict:
                 h = perm_mul(perm_mul(ux, s), perm_inv(t[s[x]]))
                 if h == identity:
                     continue
-                res, j = strip(h, i + 1)
+                res, j = _sift(base, trans, h, i + 1)
                 if res != identity:
                     strong.append(res)
                     if j == len(base):
@@ -214,34 +218,29 @@ def _schreier_sims(degree: int, generators) -> dict:
     }
 
 
-def _chain_contains(chain: dict, g: tuple) -> bool:
-    """Test membership against a stabilizer chain."""
-    base = chain["base"]
-    trans = chain["trans"]
-    for i in range(len(base)):
+def _sift(base: list, trans: list, g: tuple, start: int) -> tuple:
+    """Strip g through the chain levels from start on.
+
+    Returns the residue and the level where it left the transversals, or
+    len(base) if it passed them all.
+    """
+    for i in range(start, len(base)):
         x = g[base[i]]
         t = trans[i]
         if x not in t:
-            return False
+            return g, i
         g = perm_mul(g, perm_inv(t[x]))
-    return g == chain["identity"]
+    return g, len(base)
+
+
+def _chain_contains(chain: dict, g: tuple) -> bool:
+    """Test membership against a stabilizer chain."""
+    return _sift(chain["base"], chain["trans"], g, 0)[0] == chain["identity"]
 
 
 def _closure(degree: int, gens) -> set:
     """Return the set of all products of the generators."""
-    identity = tuple(range(degree))
-    seen = {identity}
-    queue = [identity]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for s in gens:
-            y = perm_mul(x, s)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
+    return set(orbit(tuple(range(degree)), gens, perm_mul))
 
 
 def verify_normal(group: PermGroup, sub: PermGroup) -> None:
@@ -318,17 +317,7 @@ class PermGroup:
                 raise EnumerationRequired(
                     f"order {self.order()} exceeds the enumeration cap {ENUMERATION_CAP}"
                 )
-            parents = {self.identity: (None, -1)}
-            queue = [self.identity]
-            qi = 0
-            while qi < len(queue):
-                x = queue[qi]
-                qi += 1
-                for gi, s in enumerate(self.generators):
-                    y = perm_mul(x, s)
-                    if y not in parents:
-                        parents[y] = (x, gi)
-                        queue.append(y)
+            parents = orbit(self.identity, self.generators, perm_mul)
             if len(parents) != self.order():
                 raise RuntimeError("enumeration disagrees with the stabilizer chain")
             self._parents = parents
@@ -378,18 +367,9 @@ class PermGroup:
                     continue
                 idx = len(reps)
                 reps.append(x)
-                class_of[x] = idx
-                orbit = [x]
-                qi = 0
-                while qi < len(orbit):
-                    y = orbit[qi]
-                    qi += 1
-                    for s in self.generators:
-                        z = perm_conj(y, s)
-                        if z not in class_of:
-                            class_of[z] = idx
-                            orbit.append(z)
-                sizes.append(len(orbit))
+                members = orbit(x, self.generators, perm_conj)
+                class_of.update(dict.fromkeys(members, idx))
+                sizes.append(len(members))
             orders = [perm_order(r) for r in reps]
             self._classes = ClassData(reps, sizes, orders, class_of)
         return self._classes

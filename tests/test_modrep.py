@@ -2,15 +2,18 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from pblocks.cyclotomic import Cyc
-from pblocks.linalg import Mat, mat_mul, mat_rank
+from pblocks.linalg import Mat, mat_inv, mat_mul, mat_rank
 from pblocks.modrep import (
     BrauerTable,
     GModule,
     ReductionContext,
     _algebra_is_full,
+    _replay_basis,
+    _spin,
     brauer_table,
     composition_factors,
     module_iso,
@@ -206,6 +209,36 @@ class TestChop:
         nontrivial = [m for m in factors if module_iso(m, triv, seed=1) is None]
         assert len(nontrivial) == 2
         assert module_iso(nontrivial[0], nontrivial[1], seed=2) is None
+
+
+class TestSpinRecipe:
+    def _spun(self):
+        g = alt5()
+        F = ReductionContext(g, 2).field
+        mats = [M.data for M in perm_module(g, F).mats]
+        seed = np.array([1, 0, 0, 0, 0], dtype=np.int64)
+        span, rows, ops = _spin(F, mats, seed)
+        return F, mats, seed, span, rows, ops
+
+    def test_replay_reproduces_the_recorded_rows(self):
+        F, mats, seed, span, rows, ops = self._spun()
+        assert span.dim == len(rows) == len(ops) + 1 == 5
+        replayed = _replay_basis(F, mats, seed, ops)
+        assert [list(r) for r in replayed] == [list(r) for r in rows]
+
+    def test_replay_on_a_conjugated_copy_moves_the_rows(self):
+        F, mats, seed, span, rows, ops = self._spun()
+        rng = random.Random(11)
+        while True:
+            X = Mat(F, np.array([[rng.randrange(F.q) for _ in range(5)] for _ in range(5)]))
+            if mat_rank(X) == 5:
+                break
+        Xinv = mat_inv(X)
+        conjugated = [mat_mul(mat_mul(Xinv, Mat(F, M)), X).data for M in mats]
+        moved_seed = mat_mul(Mat(F, seed[None, :]), X).data[0]
+        replayed = _replay_basis(F, conjugated, moved_seed, ops)
+        expected = mat_mul(Mat(F, np.array(rows)), X)
+        assert Mat(F, np.array(replayed)) == expected
 
 
 class TestSimpleModules:

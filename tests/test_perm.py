@@ -9,6 +9,7 @@ from pblocks.perm import (
     PermGroup,
     _closure,
     abelian_p_invariants,
+    orbit,
     perm_conj,
     perm_from_cycles,
     perm_inv,
@@ -127,6 +128,37 @@ def test_words_reconstruct_elements():
         for gi in G.word(g):
             acc = perm_mul(acc, G.generators[gi])
         assert acc == g
+
+
+@pytest.mark.parametrize(
+    "start, act, size",
+    [
+        (0, lambda i, g: g[i], 4),
+        (_cycles(4, (1, 2)), perm_conj, 6),
+        (tuple(range(4)), perm_mul, 24),
+    ],
+    ids=["points", "conjugation", "regular"],
+)
+def test_orbit_is_a_breadth_first_schreier_tree(start, act, size):
+    gens = _sym(4).generators
+    tree = orbit(start, gens, act)
+    assert len(tree) == size
+    assert tree[start] == (None, -1)
+    depth = {}
+    for y in tree:
+        word = []
+        x = y
+        while tree[x][0] is not None:
+            x, i = tree[x]
+            word.append(i)
+        point = start
+        for i in reversed(word):
+            point = act(point, gens[i])
+        assert point == y
+        depth[y] = len(word)
+    # breadth first: points come in order of depth, and depth is distance
+    assert list(depth.values()) == sorted(depth.values())
+    assert all(depth[act(y, s)] <= depth[y] + 1 for y in tree for s in gens)
 
 
 # -- conjugacy classes -----------------------------------------------------------------
