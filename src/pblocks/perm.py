@@ -11,6 +11,11 @@ centralizers, coset actions, words in the generators) goes through a
 breadth-first enumeration that is capped, so large groups still answer
 order queries while refusing elementwise work.
 
+The enumerated elements are also kept, in lexicographic order, as one
+(|G|, degree) integer array.  Conjugacy classes, class matrices and
+centralizers compose whole columns of it by fancy indexing and map the
+products back to element indices by binary search on byte-row keys.
+
 orbit is the one breadth-first search: the chain's transversals, the
 element enumeration and its words, subgroup closures, conjugacy classes
 and the block orbits in pblocks.blocks all read its Schreier tree.
@@ -67,8 +72,11 @@ def perm_pow(a: tuple, n: int) -> tuple:
 
 
 def perm_conj(a: tuple, g: tuple) -> tuple:
-    """Conjugate a by g, returning g^-1 a g."""
-    return perm_mul(perm_mul(perm_inv(g), a), g)
+    """Conjugate a by g, returning g^-1 a g (it maps g[i] to g[a[i]])."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        out[g[i]] = g[x]
+    return tuple(out)
 
 
 def perm_order(a: tuple) -> int:
@@ -257,6 +265,35 @@ def verify_normal(group: PermGroup, sub: PermGroup) -> None:
                 raise NotNormal("subgroup is not closed under ambient conjugation")
 
 
+# -- element table -----------------------------------------------------------------
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Return one key per row that sorts bytewise like the row's tuple.
+
+    Each row becomes a contiguous big-endian uint32 block viewed as one
+    np.void, so the keys are exact at every degree.
+    """
+    rows = np.ascontiguousarray(rows, dtype=">u4")
+    return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class _ElementTable:
+    """The group elements as one (|G|, degree) array in lexicographic order."""
+
+    rows: np.ndarray
+    keys: np.ndarray
+
+    def index(self, rows: np.ndarray) -> np.ndarray:
+        """Map an array of permutation rows to their element indices."""
+        idx = np.searchsorted(self.keys, _row_keys(rows))
+        # A key past the last element is not in the table; any index fails the check.
+        idx[idx == len(self.keys)] = 0
+        if not (self.rows[idx] == rows).all():
+            raise RuntimeError("a composed permutation is not in the element table")
+        return idx
+
+
 # -- group class -------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -287,6 +324,7 @@ class PermGroup:
         self._chain = None
         self._parents = None
         self._elements = None
+        self._table = None
         self._classes = None
         self._class_matrices = None
 
@@ -329,6 +367,12 @@ class PermGroup:
         self._enumerate()
         return self._elements
 
+    def _element_table(self) -> _ElementTable:
+        if self._table is None:
+            rows = np.array(self.elements(), dtype=np.intp)
+            self._table = _ElementTable(rows, _row_keys(rows))
+        return self._table
+
     def word(self, g) -> tuple:
         """Express an element as a tuple of generator indices, applied left to right."""
         t = _validate_perm(g, self.degree)
@@ -359,16 +403,22 @@ class PermGroup:
         """Return conjugacy classes with lexicographically least representatives."""
         if self._classes is None:
             els = self.elements()
+            table = self._element_table()
+            X = table.rows
+            conj = []
+            for g in self.generators:
+                ga = np.array(g)
+                conj.append(tuple(table.index(ga[X[:, np.argsort(ga)]]).tolist()))
             class_of = {}
             reps = []
             sizes = []
-            for x in els:
+            for i, x in enumerate(els):
                 if x in class_of:
                     continue
                 idx = len(reps)
                 reps.append(x)
-                members = orbit(x, self.generators, perm_conj)
-                class_of.update(dict.fromkeys(members, idx))
+                members = orbit(i, conj, lambda j, s: s[j])
+                class_of.update((els[j], idx) for j in members)
                 sizes.append(len(members))
             orders = [perm_order(r) for r in reps]
             self._classes = ClassData(reps, sizes, orders, class_of)
@@ -383,16 +433,16 @@ class PermGroup:
         """
         if self._class_matrices is None:
             data = self.conjugacy_classes()
+            table = self._element_table()
             n = len(data)
-            mats = [np.zeros((n, n), dtype=np.int64) for _ in range(n)]
-            for x, i in data.class_of.items():
-                xi = perm_inv(x)
-                M = mats[i]
-                for k, rep in enumerate(data.reps):
-                    M[data.class_of[perm_mul(xi, rep)], k] += 1
-            for M in mats:
-                M.flags.writeable = False
-            self._class_matrices = mats
+            label = np.array([data.class_of[x] for x in self._elements])
+            Xinv = np.argsort(table.rows, axis=1)
+            consts = np.zeros((n, n, n), dtype=np.int64)
+            for k, rep in enumerate(data.reps):
+                prod = label[table.index(np.array(rep)[Xinv])]
+                consts[:, :, k] = np.bincount(label * n + prod, minlength=n * n).reshape(n, n)
+            consts.flags.writeable = False
+            self._class_matrices = list(consts)
         return self._class_matrices
 
     def exponent(self) -> int:
@@ -406,7 +456,10 @@ class PermGroup:
     def centralizer(self, x) -> "PermGroup":
         """Return the centralizer subgroup of an element."""
         t = _validate_perm(x, self.degree)
-        cent = [g for g in self.elements() if perm_mul(g, t) == perm_mul(t, g)]
+        X = self._element_table().rows
+        ta = np.array(t)
+        els = self.elements()
+        cent = [els[i] for i in np.flatnonzero((ta[X] == X[:, ta]).all(axis=1))]
         H = self.subgroup(cent)
         data = self.conjugacy_classes()
         if H.order() * data.sizes[data.class_of[t]] != self.order():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from pblocks.errors import CapExceeded, EnumerationRequired, NotAPermutation, NotNormal
@@ -35,6 +36,18 @@ def _alt5():
     return PermGroup(5, [_cycles(5, (1, 2, 3, 4, 5)), _cycles(5, (3, 4, 5))])
 
 
+def _psl27():
+    """PSL(2,7) acting on the seven points of the Fano plane."""
+    return PermGroup(7, [_cycles(7, (1, 2, 3, 4, 5, 6, 7)), _cycles(7, (1, 2), (3, 6))])
+
+
+def _s3_x_c5_on_20():
+    """S3 x C5 on 20 points: S3 on points 1..3, C5 on points 14..18, twelve fixed."""
+    return PermGroup(20, [
+        _cycles(20, (1, 2)), _cycles(20, (1, 2, 3)), _cycles(20, (14, 15, 16, 17, 18)),
+    ])
+
+
 # -- primitives -----------------------------------------------------------------
 
 def test_composition_applies_left_to_right():
@@ -51,6 +64,14 @@ def test_inverse_and_power():
     assert perm_pow(g, 6) == tuple(range(6))
     assert perm_pow(g, 3) == _cycles(6, (4, 5))
     assert perm_pow(g, -2) == perm_inv(perm_pow(g, 2))
+
+
+def test_conjugation_matches_two_compositions():
+    rng = random.Random(5)
+    for _ in range(300):
+        a = tuple(rng.sample(range(7), 7))
+        g = tuple(rng.sample(range(7), 7))
+        assert perm_conj(a, g) == perm_mul(perm_mul(perm_inv(g), a), g)
 
 
 def test_cycle_round_trip():
@@ -208,6 +229,84 @@ def test_class_matrices_computed_once():
     for i, M in enumerate(mats):
         assert list(M.sum(axis=0)) == [data.sizes[i]] * n
         assert not M.flags.writeable
+
+
+# Oracles below use plain tuple arithmetic written here, not the element table.
+
+def _compose(a, b):
+    return tuple(b[a[i]] for i in range(len(a)))
+
+
+def _invert(a):
+    out = [0] * len(a)
+    for i in range(len(a)):
+        out[a[i]] = i
+    return tuple(out)
+
+
+def _brute_classes(els):
+    """Each element's class as the frozenset {h^-1 x h : h in G}."""
+    return {x: frozenset(_compose(_compose(_invert(h), x), h) for h in els) for x in els}
+
+
+ORACLE_GROUPS = [
+    pytest.param(lambda: _sym(4), 24, id="S4"),
+    pytest.param(_alt5, 60, id="A5"),
+    pytest.param(_psl27, 168, id="PSL(2,7)"),
+    pytest.param(_s3_x_c5_on_20, 30, id="S3xC5-on-20"),
+]
+
+
+@pytest.mark.parametrize("make, order", ORACLE_GROUPS)
+def test_classes_match_brute_force_conjugation(make, order):
+    G = make()
+    assert G.order() == order
+    els = G.elements()
+    brute = _brute_classes(els)
+    data = G.conjugacy_classes()
+    distinct = sorted(set(brute.values()), key=min)
+    assert data.reps == [min(c) for c in distinct]
+    assert data.sizes == [len(c) for c in distinct]
+    assert set(data.class_of) == set(els)
+    for x in els:
+        assert data.reps[data.class_of[x]] == min(brute[x])
+
+
+@pytest.mark.parametrize("make, order", ORACLE_GROUPS)
+def test_class_matrices_match_triple_count(make, order):
+    G = make()
+    els = G.elements()
+    brute = _brute_classes(els)
+    distinct = sorted(set(brute.values()), key=min)
+    label = {x: i for i, c in enumerate(distinct) for x in c}
+    rep_index = {min(c): k for k, c in enumerate(distinct)}
+    n = len(distinct)
+    count = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for x in els:
+        for y in els:
+            k = rep_index.get(perm_mul(x, y))
+            if k is not None:
+                count[label[x]][label[y]][k] += 1
+    mats = G.class_matrices()
+    for i in range(n):
+        assert mats[i].tolist() == [[count[i][j][k] for k in range(n)] for j in range(n)]
+
+
+def test_element_table_lookup_rejects_rows_outside_the_group():
+    G = PermGroup(3, [_cycles(3, (1, 2, 3))])
+    table = G._element_table()
+    assert table.index(table.rows).tolist() == [0, 1, 2]
+    for row in ((0, 2, 1), (2, 1, 0)):
+        with pytest.raises(RuntimeError):
+            table.index(np.array([row]))
+
+
+def test_centralizer_matches_commuting_elements():
+    G = _s3_x_c5_on_20()
+    els = G.elements()
+    for rep in G.conjugacy_classes().reps:
+        commuting = {g for g in els if _compose(g, rep) == _compose(rep, g)}
+        assert set(G.centralizer(rep).elements()) == commuting
 
 
 def test_exponent():
