@@ -27,12 +27,10 @@ from .intmath import is_prime
 from .linalg import (
     Mat,
     mat_charpoly,
-    mat_left_kernel,
+    mat_eigenspace,
     mat_mul,
     mat_rref,
-    mat_scale,
     mat_solve_left,
-    mat_sub,
 )
 from .perm import ClassData, PermGroup, perm_inv, perm_mul
 
@@ -86,10 +84,7 @@ def _split_eigenspaces(F, class_mats: list, order: list) -> list:
             pieces = []
             total = 0
             for lam in poly_roots(F, mat_charpoly(action)):
-                shifted = mat_sub(action, mat_scale(Mat.identity(F, space.nrows), lam))
-                coords = mat_left_kernel(shifted)
-                if coords.nrows == 0:
-                    continue
+                coords = mat_eigenspace(action, lam)
                 basis, _ = mat_rref(mat_mul(coords, space))
                 pieces.append(basis)
                 total += basis.nrows

@@ -5,8 +5,6 @@ import json
 import sys
 
 from .corpus import (
-    DEFAULT_CORPUS,
-    DEFAULT_SCENARIOS,
     FIXTURES,
     CartanFixture,
     CorpusEntry,

@@ -269,6 +269,12 @@ class CartanFixture:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "defect_order", int(self.defect_order))
         object.__setattr__(self, "sectional", int(self.sectional))
+        if self.trace_expected is not None:
+            object.__setattr__(self, "trace_expected", int(self.trace_expected))
+        if self.defect_order < 1:
+            raise ValueError(f"fixture {self.name!r}: defect group order must be positive")
+        if self.sectional < 0:
+            raise ValueError(f"fixture {self.name!r}: sectional rank must not be negative")
 
     def __repr__(self) -> str:
         return f"CartanFixture({self.name!r})"

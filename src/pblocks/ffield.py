@@ -652,7 +652,9 @@ def poly_divmod(F: Field, f, g):
     dg = len(g) - 1
     if len(f) <= dg:
         return [], f
-    inv_lead = F.inv(g[-1])
+    # a monic divisor, such as a charpoly, needs no inversion; in a generic
+    # field an inversion is a power of about 2m products
+    inv_lead = 1 if g[-1] == 1 else F.inv(g[-1])
     quot = [0] * (len(f) - dg)
     for i in range(len(f) - 1, dg - 1, -1):
         c = f[i]
@@ -849,4 +851,9 @@ def poly_roots(F: Field, f) -> list:
         raise ValueError("the zero polynomial has no root list")
     if F.q <= ROOT_SCAN_CAP:
         return _all_roots_scan(F, f)
-    return sorted(int(F.neg(g[0])) for g, _ in poly_factor(F, f) if len(g) == 2)
+    x = [0, 1]
+    g = poly_gcd(F, poly_sub(F, poly_pow_mod(F, x, F.q, f), x), f)
+    if poly_deg(g) < 1:
+        return []
+    lines = _equal_degree_split(F, g, 1, random.Random(0), [EDF_DRAW_BUDGET])
+    return sorted(F.neg(h[0]) for h in lines)

@@ -6,7 +6,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from typing import Optional
 
 from . import __version__
 from .blocks import (
@@ -25,7 +24,6 @@ from .corpus import (
     DEFAULT_SCENARIOS,
     FIXTURES,
     CartanFixture,
-    CorpusEntry,
     PairedScenario,
 )
 from .chartab import class_inner_product

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatch
-from .ffield import Field, poly_add, poly_factor, poly_mul, poly_scale
+from .ffield import Field, poly_add, poly_mul, poly_scale
 
 # -- matrix type -------------------------------------------------------------
 
@@ -236,6 +236,17 @@ def mat_left_kernel(A: Mat) -> Mat:
     return mat_right_kernel(mat_transpose(A))
 
 
+def mat_eigenspace(A: Mat, lam: int) -> Mat:
+    """Return rows spanning the eigenspace of rows v with v A = lam v."""
+    if A.nrows != A.ncols:
+        raise ShapeMismatch("eigenspaces need a square matrix")
+    F = A.field
+    shifted = A.writable()
+    idx = np.arange(A.nrows)
+    shifted[idx, idx] = F.vsub(shifted[idx, idx], np.int64(int(lam)))
+    return mat_left_kernel(Mat(F, shifted))
+
+
 def mat_solve_left(A: Mat, B: Mat) -> Mat:
     """Solve X A = B for X, raising ValueError when no solution exists."""
     _same_field(A, B)
@@ -299,8 +310,3 @@ def mat_charpoly(A: Mat) -> list:
             cur = poly_add(F, cur, poly_scale(F, polys[k - 1 - i], F.neg(c)))
         polys.append(cur)
     return polys[n]
-
-
-def char_poly_factors(A: Mat) -> list:
-    """Return the sorted irreducible factors of the characteristic polynomial."""
-    return poly_factor(A.field, mat_charpoly(A))

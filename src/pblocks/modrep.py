@@ -2,8 +2,10 @@
 
 A module is stored as the list of matrices by which the group generators
 act on row vectors over a fixed splitting field of characteristic p.
-The chop routine finds composition factors with Norton-certified
-irreducibility tests, a tensor closure collects all simple modules, and
+The chop certifies composition factors with Norton's test on eigenvalues
+of random algebra elements, which settles irreducibility over a splitting
+field; a module that is simple but not absolutely simple ends in
+RandomBudgetExceeded.  A tensor closure collects all simple modules, and
 Brauer character values are read off as exact cyclotomic sums of
 eigenvalue multiplicities.
 
@@ -22,22 +24,20 @@ import numpy as np
 
 from .cyclotomic import Cyc, cyc_to_field
 from .errors import ClosureStalled, NotSemisimpleElement, RandomBudgetExceeded
-from .ffield import field_create, poly_deg, poly_factor
+from .ffield import field_create, poly_roots
 from .intmath import multiplicative_order, p_valuation
 from .linalg import (
     Mat,
-    char_poly_factors,
     mat_add,
     mat_charpoly,
+    mat_eigenspace,
     mat_inv,
     mat_kron,
-    mat_left_kernel,
     mat_mul,
     mat_rank,
     mat_right_kernel,
     mat_rref,
     mat_scale,
-    mat_sub,
     mat_transpose,
 )
 from .perm import ClassData, PermGroup
@@ -255,16 +255,6 @@ def _random_element(rng: random.Random, modules) -> list:
     return out
 
 
-def _poly_at(module_field, theta: Mat, coeffs) -> Mat:
-    """Evaluate a polynomial at a matrix by the Horner scheme."""
-    F = module_field
-    n = theta.nrows
-    out = mat_scale(Mat.identity(F, n), int(coeffs[-1]))
-    for c in reversed(coeffs[:-1]):
-        out = mat_add(mat_mul(out, theta), mat_scale(Mat.identity(F, n), int(c)))
-    return out
-
-
 # -- the chop ---------------------------------------------------------------------
 
 def _algebra_is_full(module: GModule) -> bool:
@@ -284,19 +274,15 @@ def _chop_step(module: GModule, rng: random.Random):
     mats_data = [M.data for M in module.mats]
     for _ in range(RANDOM_ELEMENT_BUDGET):
         [theta] = _random_element(rng, [module])
-        for coeffs_f, _mult in char_poly_factors(theta):
-            nucleus = _poly_at(F, theta, coeffs_f)
-            kernel = mat_left_kernel(nucleus)
-            nullity = kernel.nrows
-            if nullity == 0:
-                continue
-            for row in kernel.data[: min(nullity, 4)]:
+        for lam in poly_roots(F, mat_charpoly(theta)):
+            nucleus = mat_eigenspace(theta, lam)
+            for row in nucleus.data[:4]:
                 span, _, _ = _spin(F, mats_data, row)
                 if span.dim < n:
                     return span.basis()
-            if nullity == poly_deg(list(coeffs_f)):
-                co_kernel = mat_left_kernel(mat_transpose(nucleus))
-                span, _, _ = _spin(F, [d.T.copy() for d in mats_data], co_kernel.data[0])
+            if nucleus.nrows == 1:
+                co_nucleus = mat_eigenspace(mat_transpose(theta), lam)
+                span, _, _ = _spin(F, [d.T.copy() for d in mats_data], co_nucleus.data[0])
                 if span.dim == n:
                     return None
                 ortho = mat_right_kernel(span.basis())
@@ -335,16 +321,13 @@ def module_iso(a: GModule, b: GModule, seed: int = 0):
         charpoly = mat_charpoly(theta_a)
         if charpoly != mat_charpoly(theta_b):
             return None
-        for coeffs_f, mult in poly_factor(F, charpoly):
-            if mult != 1 or len(coeffs_f) != 2:
-                continue
-            lam = F.neg(int(coeffs_f[0]))
-            shift_a = mat_sub(theta_a, mat_scale(Mat.identity(F, a.dim), lam))
-            shift_b = mat_sub(theta_b, mat_scale(Mat.identity(F, b.dim), lam))
-            ker_a = mat_left_kernel(shift_a)
-            ker_b = mat_left_kernel(shift_b)
-            if ker_a.nrows != 1 or ker_b.nrows != 1:
+        for lam in poly_roots(F, charpoly):
+            ker_a = mat_eigenspace(theta_a, lam)
+            ker_b = mat_eigenspace(theta_b, lam)
+            if ker_a.nrows != ker_b.nrows:
                 return None
+            if ker_a.nrows != 1:
+                continue
             span, rows_a, ops = _spin(F, [M.data for M in a.mats], ker_a.data[0])
             if span.dim < a.dim:
                 raise RuntimeError("standard basis spin stalled on a reducible module")
@@ -436,9 +419,7 @@ def brauer_value(module: GModule, g, order: int, context: ReductionContext) -> C
     value = Cyc.zero(order)
     total = 0
     for j in range(order):
-        lam = F.pow(w_n, j)
-        shifted = mat_sub(action, mat_scale(Mat.identity(F, module.dim), lam))
-        mult = module.dim - mat_rank(shifted)
+        mult = mat_eigenspace(action, F.pow(w_n, j)).nrows
         if mult:
             value = value + Cyc.root(order, j) * mult
             total += mult

@@ -456,12 +456,14 @@ class PermGroup:
     def centralizer(self, x) -> "PermGroup":
         """Return the centralizer subgroup of an element."""
         t = _validate_perm(x, self.degree)
+        data = self.conjugacy_classes()
+        if t not in data.class_of:
+            raise ValueError("element does not belong to the group")
         X = self._element_table().rows
         ta = np.array(t)
         els = self.elements()
         cent = [els[i] for i in np.flatnonzero((ta[X] == X[:, ta]).all(axis=1))]
         H = self.subgroup(cent)
-        data = self.conjugacy_classes()
         if H.order() * data.sizes[data.class_of[t]] != self.order():
             raise RuntimeError("centralizer order fails the orbit count")
         return H

@@ -1,8 +1,11 @@
 """Acceptance suite: one test per criterion, each with its stated time budget."""
 
+import copy
+import hashlib
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from pblocks.corpus import (
 )
 from pblocks.harness import (
     fixture_checks,
+    render_report,
     report_json,
     run_corpus,
     scenario_suite,
@@ -24,6 +28,10 @@ from pblocks.perm import abelian_p_invariants
 
 KLEIN_A = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
 KLEIN_B = [[4, 2, 2], [2, 2, 1], [2, 1, 2]]
+
+DATA = Path(__file__).parent / "data"
+# sha256 of report_json(run_corpus(seed=0)) with meta.timings dropped
+CORPUS_SEED0_JSON_SHA256 = "cfeea0728e3f14d0ce8065508c8e051fe350d6b610d36a2b4aa94ce11a521194"
 
 
 @pytest.fixture(scope="module")
@@ -232,3 +240,13 @@ def test_criterion_8_determinism(determinism_reports):
         third["lemmas"], sort_keys=True
     )
     print("criterion 8 (determinism): PASS")
+
+
+def test_golden_corpus_report(corpus_report):
+    report, _ = corpus_report
+    assert render_report(report, "md") == (DATA / "corpus_seed0.md").read_text()
+    assert render_report(report, "csv") == (DATA / "corpus_seed0.csv").read_text()
+    stable = copy.deepcopy(report)
+    del stable["meta"]["timings"]
+    digest = hashlib.sha256(report_json(stable).encode()).hexdigest()
+    assert digest == CORPUS_SEED0_JSON_SHA256

@@ -172,6 +172,25 @@ class TestVerifyCorpus:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("field,value", [
+        ("sectional", -1), ("defect_order", -4), ("trace", "six"),
+    ])
+    def test_fixture_bad_value_rejected(self, tmp_path, capsys, field, value):
+        fix = {"name": "klein", "prime": 2, "defect_order": 4, "sectional": 2,
+               "trace": 6, "rows": [[2, 1, 1], [1, 2, 1], [1, 1, 2]]}
+        fix[field] = value
+        corpus_file = write_json(tmp_path / "bad.json", {"groups": [], "fixtures": [fix]})
+        assert main(["verify-corpus", "--corpus", corpus_file]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_fixture_trace_as_string_is_read_as_int(self, tmp_path, capsys):
+        fix = {"name": "klein", "prime": 2, "defect_order": 4, "sectional": 2,
+               "trace": "6", "rows": [[2, 1, 1], [1, 2, 1], [1, 1, 2]]}
+        corpus_file = write_json(tmp_path / "ok.json", {"groups": [], "fixtures": [fix]})
+        assert main(["verify-corpus", "--corpus", corpus_file]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["fixtures"][0]["trace_ok"] is True
+
     def test_fixture_prime_below_two_rejected(self, tmp_path, capsys):
         doc = {
             "groups": [],

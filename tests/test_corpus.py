@@ -24,7 +24,7 @@ from pblocks.corpus import (
     verify_normal,
 )
 from pblocks.errors import CompositeCharacteristic, NotNormal, ShapeMismatch
-from pblocks.harness import SCENARIO_KINDS
+from pblocks.harness import SCENARIO_KINDS, fixture_checks
 from pblocks.perm import PermGroup, abelian_p_invariants, perm_from_cycles, perm_order
 
 EXPECTED_ORDERS = {
@@ -224,6 +224,23 @@ class TestFixtures:
     def test_rejects_empty(self):
         with pytest.raises(ShapeMismatch):
             CartanFixture("bad", "", 2, [], defect_order=2, sectional=1)
+
+    def test_rejects_negative_sectional_rank(self):
+        with pytest.raises(ValueError, match="sectional rank"):
+            CartanFixture("bad", "", 2, [[2]], defect_order=2, sectional=-1)
+
+    def test_rejects_defect_order_below_one(self):
+        for bad in (0, -4):
+            with pytest.raises(ValueError, match="defect group order"):
+                CartanFixture("bad", "", 2, [[2]], defect_order=bad, sectional=1)
+
+    def test_trace_expected_is_converted_to_int(self):
+        rows = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+        fix = CartanFixture("k", "", 2, rows, defect_order=4, sectional=2, trace_expected="6")
+        assert fix.trace_expected == 6
+        assert fixture_checks(fix)["trace_ok"]
+        with pytest.raises(ValueError):
+            CartanFixture("k", "", 2, rows, defect_order=4, sectional=2, trace_expected="six")
 
     def test_rejects_non_prime(self):
         # a prime-4 fixture would otherwise pass every check, bound 16 included

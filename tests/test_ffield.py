@@ -445,6 +445,23 @@ def test_factor_large_field_paths():
     assert poly_roots(F, f) == [5, 9]
 
 
+@pytest.mark.parametrize("p,m,quadratic", [(2, 17, [1, 1, 1]), (3, 11, [1, 0, 1])])
+def test_poly_roots_above_scan_cap(p, m, quadratic):
+    # x^2 + x + 1 has no root in GF(2^17) since 17 is odd, and x^2 + 1 has
+    # none in GF(3^11) since 3^11 = 3 mod 4
+    F = field_create(p, m)
+    rng = random.Random(p ** m)
+    roots = sorted(set(rng.randrange(F.q) for _ in range(5)))
+    f = [rng.randrange(1, F.q)]
+    for r, k in zip(roots, [1, 3, 1, 2, 1]):
+        for _ in range(k):
+            f = poly_mul(F, f, [F.neg(r), 1])
+    assert poly_roots(F, f) == roots
+    assert poly_roots(F, poly_mul(F, f, quadratic)) == roots
+    assert poly_roots(F, quadratic) == []
+    assert poly_roots(F, [rng.randrange(1, F.q)]) == []
+
+
 def test_poly_roots_small_field():
     F = field_create(7)
     f = poly_mul(F, [6, 1], poly_mul(F, [4, 1], [4, 1]))

@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 
 from pblocks.errors import ShapeMismatch
-from pblocks.ffield import field_create, poly_eval, poly_mul, poly_sub, poly_trim
+from pblocks.ffield import (
+    field_create,
+    poly_eval,
+    poly_factor,
+    poly_mul,
+    poly_sub,
+    poly_trim,
+)
 from pblocks.linalg import (
     Mat,
     _mat_mul_schoolbook,
-    char_poly_factors,
     mat_add,
     mat_charpoly,
+    mat_eigenspace,
     mat_inv,
     mat_kron,
     mat_left_kernel,
@@ -318,9 +325,38 @@ def test_charpoly_of_companion_matrix():
 def test_char_poly_factors_of_block_diagonal():
     F = field_create(5)
     A = Mat(F, [[2, 0, 0], [0, 3, 0], [0, 0, 3]])
-    factors = dict(char_poly_factors(A))
+    factors = dict(poly_factor(F, mat_charpoly(A)))
     assert factors == {(3, 1): 1, (2, 1): 2}
     # eigenvalue 2 gives factor x - 2 = x + 3, eigenvalue 3 gives x + 2
     for (coeffs, _mult) in factors.items():
         root = F.neg(coeffs[0])
         assert poly_eval(F, list(coeffs), root) == 0
+
+
+# -- eigenspaces -------------------------------------------------------------------
+
+@pytest.mark.parametrize("p,m", [(7, 1), (2, 4), (3, 6)])
+def test_eigenspace_matches_rank_oracle(p, m):
+    F = field_create(p, m)
+    rng = random.Random(p * 100 + m)
+    lam, mu, nu = 2, 3, 5
+    # a Jordan block of lam, a second lam, then mu twice and nu once
+    J = np.zeros((6, 6), dtype=np.int64)
+    for i, c in enumerate([lam, lam, lam, mu, mu, nu]):
+        J[i, i] = c
+    J[0, 1] = 1
+    P = _random_invertible(F, 6, rng)
+    A = mat_mul(mat_mul(mat_inv(P), Mat(F, J)), P)
+    expected = {lam: 2, mu: 2, nu: 1, 6: 0}
+    for c, dim in expected.items():
+        E = mat_eigenspace(A, c)
+        shifted = mat_sub(A, mat_scale(Mat.identity(F, 6), c))
+        assert E.nrows == dim == 6 - mat_rank(shifted)
+        if dim:
+            assert mat_rank(E) == dim
+            assert mat_mul(E, A) == mat_scale(E, c)
+
+
+def test_eigenspace_needs_square_matrix():
+    with pytest.raises(ShapeMismatch):
+        mat_eigenspace(Mat.zeros(field_create(7), 2, 3), 1)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from pblocks.cyclotomic import Cyc
+from pblocks.errors import RandomBudgetExceeded
+from pblocks.ffield import field_create
 from pblocks.linalg import Mat, mat_inv, mat_mul, mat_rank
 from pblocks.modrep import (
     BrauerTable,
@@ -209,6 +211,16 @@ class TestChop:
         nontrivial = [m for m in factors if module_iso(m, triv, seed=1) is None]
         assert len(nontrivial) == 2
         assert module_iso(nontrivial[0], nontrivial[1], seed=2) is None
+
+    def test_module_over_a_non_splitting_field_is_not_certified(self):
+        # C3 on GF(2)^2 by the companion matrix of x^2 + x + 1: simple, but
+        # not absolutely simple, so no algebra element has a one-dimensional
+        # eigenspace and the algebra is GF(4), not all 2x2 matrices
+        g = PermGroup(3, [perm_from_cycles(3, [(1, 2, 3)])])
+        F = field_create(2)
+        module = GModule(g, F, [Mat(F, [[0, 1], [1, 1]])])
+        with pytest.raises(RandomBudgetExceeded):
+            composition_factors(module)
 
 
 class TestSpinRecipe:

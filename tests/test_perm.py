@@ -326,6 +326,12 @@ def test_centralizer_orders():
     assert G.centralizer(four).order() == 4
 
 
+def test_centralizer_rejects_element_outside_the_group():
+    G = PermGroup(4, [_cycles(4, (1, 2), (3, 4)), _cycles(4, (1, 2, 3))])
+    with pytest.raises(ValueError, match="does not belong"):
+        G.centralizer(_cycles(4, (1, 2)))
+
+
 def test_subgroup_from_elements():
     G = _sym(4)
     v4 = [
