@@ -29,8 +29,6 @@ from .linalg import Mat, mat_mul, mat_rank, mat_solve_left
 from .modrep import BrauerTable, ReductionContext, brauer_table
 from .perm import PermGroup, orbit, perm_conj, perm_inv, sectional_rank
 
-SOLVE_PRIME_ATTEMPTS = 5
-
 
 def _central_character(row, degree: int, classes) -> list:
     """Return the exact central character values of one ordinary character."""
@@ -69,26 +67,21 @@ def _check_central_characters(group, lambdas, field) -> None:
 def _integral_expansion(basis, targets, order: int, exponent: int) -> tuple:
     """Express target rows in a square basis of cyclotomic rows over the integers.
 
-    The system is solved modulo a witness prime and the integer candidate is
-    then verified exactly, so a wrong or fractional solution cannot slip
-    through rounding.
+    The system is solved modulo the lifting prime r and the integer
+    candidate is then verified exactly, so a wrong or fractional solution
+    cannot slip through rounding.  One prime suffices when the basis is the
+    Brauer table Phi of G or of a subgroup H: with C the Cartan matrix,
+    |det Phi|^2 det C is the product of the centralizer orders |C_H(h)|
+    over the p-regular classes, so Phi is invertible modulo every prime
+    that does not divide |G|, and lifting_prime returns only such primes.
     """
     size = len(basis)
-    minimum = 0
-    field = None
-    bmat = None
-    for _ in range(SOLVE_PRIME_ATTEMPTS):
-        r = lifting_prime(order, exponent, minimum=minimum)
-        minimum = r + 1
-        cand = field_create(r)
-        z = cand.root_of_unity(exponent)
-        rows = [[cyc_to_field(v, cand, z, exponent) for v in brow] for brow in basis]
-        if mat_rank(Mat(cand, rows)) == size:
-            field = cand
-            bmat = Mat(cand, rows)
-            break
-    if field is None:
-        raise RuntimeError("no usable solving prime found for the expansion")
+    r = lifting_prime(order, exponent)
+    field = field_create(r)
+    z = field.root_of_unity(exponent)
+    bmat = Mat(field, [[cyc_to_field(v, field, z, exponent) for v in brow] for brow in basis])
+    if mat_rank(bmat) < size:
+        raise RuntimeError(f"the basis is singular modulo the lifting prime {r}")
     rmat = Mat(field, [[cyc_to_field(v, field, z, exponent) for v in row] for row in targets])
     solved = mat_solve_left(bmat, rmat)
     coeffs = tuple(tuple(int(x) for x in row) for row in solved.data)

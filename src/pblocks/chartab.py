@@ -37,9 +37,9 @@ from .perm import ClassData, PermGroup, perm_inv, perm_mul
 LIFTING_PRIME_CAP = 1_000_000
 
 
-def lifting_prime(order: int, exponent: int, minimum: int = 0) -> int:
+def lifting_prime(order: int, exponent: int) -> int:
     """Return the least usable lifting prime for a group of the given order."""
-    bound = max(2 * isqrt(order) + 1, minimum)
+    bound = 2 * isqrt(order) + 1
     r = exponent + 1
     while r <= LIFTING_PRIME_CAP:
         if r > bound and is_prime(r) and order % r:

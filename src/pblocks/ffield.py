@@ -10,10 +10,13 @@ Three backends cover the supported size range.  Prime fields use native
 modular arithmetic.  Extension fields up to the hard cap of 2^24 elements
 have a generic backend: carry-less arithmetic in characteristic 2 and
 base-p digit arithmetic otherwise; it is the only one that splits codes
-into digits.  Extension fields with at most 2^16 elements are table fields
-built from it: its arithmetic finds the primitive element and fills, once,
-exp/log tables to multiply by and, in odd characteristic, the Zech
-logarithms log(1 + g^k) to add by; in characteristic 2 they add by XOR.
+into digits.  In odd characteristic its scalar add and neg are its vector
+operations on one element, and its scalar mul is a digit loop, which the
+table construction calls.  Extension fields with at most 2^16 elements are
+table fields built from it: its arithmetic finds the primitive element and
+fills, once, exp/log tables to multiply by and, in odd characteristic, the
+Zech logarithms log(1 + g^k) to add by; in characteristic 2 they add by
+XOR.
 
 Scalar operations take and return plain ints.  Vectorized operations
 (vadd, vsub, vneg, vmul, vsum) take and return numpy int64 arrays of
@@ -430,7 +433,10 @@ class _GenericField(Field):
 
     It serves fields beyond 2^16 elements and builds the tables of the
     smaller ones; it is the only backend that splits codes into base-p
-    digits to add them.
+    digits to add them.  In odd characteristic the scalar add and neg are
+    vadd and vneg on one element; the scalar mul keeps its own digit loop,
+    since building a table field calls it, and a vector call per product
+    made GF(7^3) take over ten times as long to build.
     """
 
     kind = "generic"
@@ -456,31 +462,13 @@ class _GenericField(Field):
         """Return a + b."""
         if self.p == 2:
             return int(a) ^ int(b)
-        a = int(a)
-        b = int(b)
-        p = self.p
-        s = 0
-        place = 1
-        for _ in range(self.m):
-            s += (((a % p) + (b % p)) % p) * place
-            a //= p
-            b //= p
-            place *= p
-        return s
+        return int(self.vadd(a, b))
 
     def neg(self, a):
         """Return -a."""
         if self.p == 2:
             return int(a)
-        a = int(a)
-        p = self.p
-        s = 0
-        place = 1
-        for _ in range(self.m):
-            s += ((-a) % p) * place
-            a //= p
-            place *= p
-        return s
+        return int(self.vneg(a))
 
     def mul(self, a, b):
         """Return a * b."""

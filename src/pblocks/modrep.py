@@ -5,9 +5,13 @@ act on row vectors over a fixed splitting field of characteristic p.
 The chop certifies composition factors with Norton's test on eigenvalues
 of random algebra elements, which settles irreducibility over a splitting
 field; a module that is simple but not absolutely simple ends in
-RandomBudgetExceeded.  A tensor closure collects all simple modules, and
-Brauer character values are read off as exact cyclotomic sums of
-eigenvalue multiplicities.
+RandomBudgetExceeded.  As Holt and Rees state the test, it spins one
+vector of each eigenspace (the nucleus) and, when that eigenspace is a
+line, one vector of the matching eigenspace of the transpose.  A random
+element is a combination of generator words with no scalar term, since
+theta + cI has the eigenspaces of theta with every root shifted by c.  A
+tensor closure collects all simple modules, and Brauer character values
+are read off as exact cyclotomic sums of eigenvalue multiplicities.
 
 One spin closes a vector under the generators.  It records the recipe
 of each accepted image (which earlier row, times which generator), so the
@@ -242,10 +246,9 @@ def _random_element(rng: random.Random, modules) -> list:
         for _ in range(rng.randint(2, 4)):
             terms.append(tuple(rng.randrange(num_gens) for _ in range(rng.randint(1, 3))))
     coeffs = [rng.randrange(1, F.q) for _ in terms]
-    constant = rng.randrange(F.q)
     out = []
     for module in modules:
-        total = mat_scale(Mat.identity(F, module.dim), constant)
+        total = Mat.zeros(F, module.dim, module.dim)
         for word, c in zip(terms, coeffs):
             prod = module.mats[word[0]]
             for gi in word[1:]:
@@ -276,10 +279,9 @@ def _chop_step(module: GModule, rng: random.Random):
         [theta] = _random_element(rng, [module])
         for lam in poly_roots(F, mat_charpoly(theta)):
             nucleus = mat_eigenspace(theta, lam)
-            for row in nucleus.data[:4]:
-                span, _, _ = _spin(F, mats_data, row)
-                if span.dim < n:
-                    return span.basis()
+            span, _, _ = _spin(F, mats_data, nucleus.data[0])
+            if span.dim < n:
+                return span.basis()
             if nucleus.nrows == 1:
                 co_nucleus = mat_eigenspace(mat_transpose(theta), lam)
                 span, _, _ = _spin(F, [d.T.copy() for d in mats_data], co_nucleus.data[0])

@@ -454,11 +454,13 @@ class PermGroup:
         return out
 
     def centralizer(self, x) -> "PermGroup":
-        """Return the centralizer subgroup of an element."""
+        """Return the centralizer subgroup of an element, the group itself if x is central."""
         t = _validate_perm(x, self.degree)
         data = self.conjugacy_classes()
         if t not in data.class_of:
             raise ValueError("element does not belong to the group")
+        if data.sizes[data.class_of[t]] == 1:
+            return self
         X = self._element_table().rows
         ta = np.array(t)
         els = self.elements()

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from pblocks import blocks
 from pblocks.blocks import (
     Block,
     BlockSystem,
     _check_central_characters,
+    _integral_expansion,
     block_orbit,
     block_system,
     brauer_orbit,
@@ -21,12 +23,15 @@ from pblocks.blocks import (
     induced_brauer_values,
     inflation_correspondence,
 )
-from pblocks.chartab import character_table
-from pblocks.cyclotomic import Cyc
+from pblocks.chartab import character_table, lifting_prime
+from pblocks.corpus import corpus_entry
+from pblocks.cyclotomic import Cyc, cyc_to_field
 from pblocks.errors import CompositeCharacteristic, ReductionInconsistent
 from pblocks.ffield import field_create
+from pblocks.intmath import factorint
 from pblocks.intmath import int_det as _int_det
-from pblocks.modrep import GModule, ReductionContext, module_iso
+from pblocks.linalg import Mat, mat_rank
+from pblocks.modrep import GModule, ReductionContext, brauer_table, module_iso
 from pblocks.perm import (
     PermGroup,
     abelian_p_invariants,
@@ -304,6 +309,37 @@ class TestCentralCharacterCheck:
                 bad = lambdas[:b] + [tuple(altered)] + lambdas[b + 1:]
                 with pytest.raises(ReductionInconsistent):
                     _check_central_characters(system.group, bad, field)
+
+
+class TestSolvingPrime:
+    # |det Phi|^2 det C is the product of the p-regular centralizer orders,
+    # so the Brauer table Phi is invertible modulo any prime not dividing |G|
+    @pytest.mark.parametrize("name", ["A4", "SL(2,3)", "S4", "A5", "PSL(2,7)"])
+    def test_brauer_table_has_full_rank_at_the_lifting_prime(self, name):
+        group = corpus_entry(name).build()
+        exponent = group.exponent()
+        F = field_create(lifting_prime(group.order(), exponent))
+        z = F.root_of_unity(exponent)
+        for p in factorint(group.order()):
+            rows = brauer_table(group, p).rows
+            reduced = Mat(F, [[cyc_to_field(v, F, z, exponent) for v in row] for row in rows])
+            assert mat_rank(reduced) == len(rows)
+
+    def test_expansion_asks_for_one_prime(self, monkeypatch):
+        group = alt5()
+        tab = character_table(group)
+        btab = brauer_table(group, 2)
+        calls = []
+
+        def counting(order, exponent):
+            calls.append((order, exponent))
+            return lifting_prime(order, exponent)
+
+        monkeypatch.setattr(blocks, "lifting_prime", counting)
+        targets = [[row[k] for k in btab.regular] for row in tab.rows]
+        coeffs = _integral_expansion(btab.rows, targets, group.order(), tab.exponent)
+        assert calls == [(60, 30)]
+        assert [sum(c * d for c, d in zip(row, btab.dims)) for row in coeffs] == list(tab.degrees)
 
 
 class TestConjectureChecks:

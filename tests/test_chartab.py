@@ -83,9 +83,6 @@ class TestLiftingPrime:
         # the prime must exceed twice the root of the order
         assert lifting_prime(10000, 2) > 201
 
-    def test_minimum_parameter(self):
-        assert lifting_prime(60, 30, minimum=31) == 61
-
     def test_cap_exhaustion(self):
         with pytest.raises(LiftingPrimeNotFound):
             lifting_prime(4, 999983)

@@ -247,7 +247,7 @@ def test_vector_ops_broadcast():
             assert int(outer[i, j]) == F.mul(int(col[i, 0]), int(row[0, j]))
 
 
-# -- table backend against a coefficient oracle ----------------------------------
+# -- additive ops against a coefficient oracle -----------------------------------
 
 def _coeff_combo(F, terms):
     """Return the code of sum(sign * a) over (sign, a) terms, coefficient-wise mod p."""
@@ -269,14 +269,9 @@ def _oracle_pairs(F, rng, exhaustive):
     return pairs
 
 
-@pytest.mark.parametrize("p,m,exhaustive", [
-    (3, 2, True), (5, 2, True), (7, 2, True), (3, 4, True),
-    (7, 3, False), (3, 6, False), (3, 10, False), (5, 6, False), (2, 8, False),
-])
-def test_table_additive_ops_match_coefficient_oracle(p, m, exhaustive):
-    F = field_create(p, m)
-    assert F.kind == "table"
-    rng = random.Random(p * 100 + m)
+def _check_additive_ops(F, exhaustive):
+    """Check add, sub, neg and their vector forms, vsum included, against the oracle."""
+    rng = random.Random(F.p * 100 + F.m)
     pairs = _oracle_pairs(F, rng, exhaustive)
     want_add = [_coeff_combo(F, [(1, a), (1, b)]) for a, b in pairs]
     want_sub = [_coeff_combo(F, [(1, a), (-1, b)]) for a, b in pairs]
@@ -301,6 +296,25 @@ def test_table_additive_ops_match_coefficient_oracle(p, m, exhaustive):
         _coeff_combo(F, [(1, int(c)) for c in r]) for r in M]
     assert F.vsum(M, axis=0).tolist() == [
         _coeff_combo(F, [(1, int(c)) for c in M[:, j]]) for j in range(M.shape[1])]
+
+
+@pytest.mark.parametrize("p,m,exhaustive", [
+    (3, 2, True), (5, 2, True), (7, 2, True), (3, 4, True),
+    (7, 3, False), (3, 6, False), (3, 10, False), (5, 6, False), (2, 8, False),
+])
+def test_table_additive_ops_match_coefficient_oracle(p, m, exhaustive):
+    F = field_create(p, m)
+    assert F.kind == "table"
+    _check_additive_ops(F, exhaustive)
+
+
+@pytest.mark.parametrize("p,m", [(3, 11), (5, 7)])
+def test_generic_additive_ops_match_coefficient_oracle(p, m):
+    # the scalar add and neg of an odd generic field are its vector ops, so
+    # test_vector_ops_match_scalar no longer checks them independently
+    F = field_create(p, m)
+    assert F.kind == "generic"
+    _check_additive_ops(F, exhaustive=False)
 
 
 def test_table_construction_rejects_a_misplaced_zech_sentinel():

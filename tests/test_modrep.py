@@ -212,6 +212,22 @@ class TestChop:
         assert len(nontrivial) == 2
         assert module_iso(nontrivial[0], nontrivial[1], seed=2) is None
 
+    def test_double_of_a_simple_module_splits(self):
+        # on S + S every eigenspace of every algebra element has even
+        # dimension, so the chop splits it by spinning one nucleus vector
+        g = sym(3)
+        ctx = ReductionContext(g, 2)
+        simple = next(m for m in composition_factors(perm_module(g, ctx.field)) if m.dim == 2)
+        zero = np.zeros((2, 2), dtype=np.int64)
+        double = GModule(g, ctx.field, [
+            Mat(ctx.field, np.block([[M.data, zero], [zero, M.data]])) for M in simple.mats
+        ])
+        for seed in range(4):
+            factors = composition_factors(double, seed=seed)
+            assert [m.dim for m in factors] == [2, 2]
+            for m in factors:
+                assert module_iso(m, simple, seed=seed) is not None
+
     def test_module_over_a_non_splitting_field_is_not_certified(self):
         # C3 on GF(2)^2 by the companion matrix of x^2 + x + 1: simple, but
         # not absolutely simple, so no algebra element has a one-dimensional
