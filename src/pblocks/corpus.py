@@ -95,38 +95,34 @@ def special_linear_2_3() -> PermGroup:
     return PermGroup(8, [a, b])
 
 
+def projective_special_linear_2(q: int) -> PermGroup:
+    """Build PSL(2,q) acting on the q + 1 points of the projective line over GF(q).
+
+    Point z < q is the field element with code z and point q is infinity.
+    The generators are z -> z + 1, then z -> g^2 z for the primitive
+    element g when q is not prime, then z -> -1/z.
+    """
+    factors = factorint(q) if q >= 2 else {}
+    if len(factors) != 1:
+        raise ValueError("PSL(2,q) builder needs a prime power q")
+    [(p, k)] = factors.items()
+    F = field_create(p, k)
+    gens = [tuple(F.add(z, 1) if z < q else q for z in range(q + 1))]
+    if k > 1:
+        square = F.mul(F.primitive, F.primitive)
+        gens.append(tuple(F.mul(z, square) if z < q else q for z in range(q + 1)))
+    gens.append(tuple(q if z == 0 else 0 if z == q else F.neg(F.inv(z)) for z in range(q + 1)))
+    return PermGroup(q + 1, gens)
+
+
 def projective_special_linear_2_7() -> PermGroup:
-    """Build PSL(2,7) acting on the eight points of the projective line over GF(7)."""
-    points = list(range(7)) + [None]
-    shift = tuple(points.index((z + 1) % 7) if z is not None else 7 for z in points)
-    neg_inv = []
-    for z in points:
-        if z is None:
-            neg_inv.append(points.index(0))
-        elif z == 0:
-            neg_inv.append(points.index(None))
-        else:
-            neg_inv.append(points.index((-pow(z, 5, 7)) % 7))
-    return PermGroup(8, [shift, tuple(neg_inv)])
+    """Build PSL(2,7) on the eight points of the projective line over GF(7)."""
+    return projective_special_linear_2(7)
 
 
 def special_linear_2_8() -> PermGroup:
-    """Build SL(2,8) acting on the nine points of the projective line over GF(8)."""
-    F = field_create(2, 3)
-    points = list(range(8)) + [None]
-    loc = points.index
-    add_one = [loc(F.add(z, 1)) if z is not None else loc(None) for z in points]
-    alpha2 = F.mul(F.primitive, F.primitive)
-    scale = [loc(F.mul(z, alpha2)) if z is not None else loc(None) for z in points]
-    inv = []
-    for z in points:
-        if z is None:
-            inv.append(loc(0))
-        elif z == 0:
-            inv.append(loc(None))
-        else:
-            inv.append(loc(F.inv(z)))
-    return PermGroup(9, [tuple(add_one), tuple(scale), tuple(inv)])
+    """Build SL(2,8) = PSL(2,8) on the nine points of the projective line over GF(8)."""
+    return projective_special_linear_2(8)
 
 
 def mathieu_group_11() -> PermGroup:

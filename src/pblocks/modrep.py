@@ -13,10 +13,10 @@ theta + cI has the eigenspaces of theta with every root shifted by c.  A
 tensor closure collects all simple modules, and Brauer character values
 are read off as exact cyclotomic sums of eigenvalue multiplicities.
 
-One spin closes a vector under the generators.  It records the recipe
-of each accepted image (which earlier row, times which generator), so the
-rows it finds on a simple module are a standard basis that module_iso
-replays on a second module.
+One spin closes a vector under the generators and returns its span.
+module_iso spins a pair (v_a, v_b) of matching eigenvectors in the direct
+sum a + b; by Schur's lemma that span is the graph of an isomorphism
+a -> b or all of a + b.
 """
 
 from __future__ import annotations
@@ -35,10 +35,8 @@ from .linalg import (
     mat_add,
     mat_charpoly,
     mat_eigenspace,
-    mat_inv,
     mat_kron,
     mat_mul,
-    mat_rank,
     mat_right_kernel,
     mat_rref,
     mat_scale,
@@ -59,13 +57,13 @@ def p_regular_indices(classes: ClassData, p: int) -> list:
 class ReductionContext:
     """Fixed splitting field data for reducing character values mod p."""
 
-    __slots__ = ("p", "exponent", "p_part", "eprime", "m", "field", "w", "inv_p_part")
+    __slots__ = ("p", "exponent", "eprime", "m", "field", "w", "zeta")
 
     def __init__(self, group: PermGroup, p: int, field=None):
         self.p = p
         self.exponent = group.exponent()
-        self.p_part = p ** p_valuation(self.exponent, p)
-        self.eprime = e = self.exponent // self.p_part
+        p_part = p ** p_valuation(self.exponent, p)
+        self.eprime = e = self.exponent // p_part
         self.m = multiplicative_order(p, e)
         if field is None:
             field = field_create(p, self.m)
@@ -73,12 +71,13 @@ class ReductionContext:
             raise ValueError("supplied field does not contain the needed roots of unity")
         self.field = field
         self.w = field.root_of_unity(e)
-        self.inv_p_part = pow(self.p_part, -1, e) if e > 1 else 0
+        # the image of a primitive exponent-th root: zeta ** p_part == w,
+        # and its p-part maps to one
+        self.zeta = field.pow(self.w, pow(p_part, -1, e) if e > 1 else 0)
 
     def reduce(self, value: Cyc) -> int:
         """Reduce an exact cyclotomic value into the splitting field."""
-        zeta = self.field.pow(self.w, self.inv_p_part)
-        return cyc_to_field(value, self.field, zeta, self.exponent)
+        return cyc_to_field(value, self.field, self.zeta, self.exponent)
 
 
 # -- modules -------------------------------------------------------------------
@@ -157,7 +156,7 @@ def quotient_module(module: GModule, basis: Mat) -> GModule:
 # -- spinning ------------------------------------------------------------------
 
 class _Span:
-    """Incremental echelonized row space."""
+    """Incremental semi-echelon row space."""
 
     def __init__(self, field):
         self.field = field
@@ -185,9 +184,8 @@ class _Span:
         return True
 
     def basis(self) -> Mat:
-        """Return the canonical reduced basis of the span."""
-        M = Mat(self.field, np.array(self.rows, dtype=np.int64))
-        return mat_rref(M)[0]
+        """Return the semi-echelon rows spanning the space."""
+        return Mat(self.field, np.array(self.rows, dtype=np.int64))
 
 
 def _vec_mat(F, v, M):
@@ -196,39 +194,21 @@ def _vec_mat(F, v, M):
     return F.vsum(F.vmul(blocks[:, :, None], M), axis=1).reshape(-1)
 
 
-def _spin(field, mats_data: list, seed_row):
-    """Close a seed row under right multiplication by the given matrices.
+def _spin(field, mats_data: list, seed_row) -> _Span:
+    """Return the span of a seed row closed under the given matrices.
 
-    Returns the echelonized span together with its recipe: the accepted
-    images in the order found, starting with the seed, and for each image
-    after the seed the (row index, matrix index) pair it was made from.
-    On a simple module the rows are Parker's standard basis, which
-    _replay_basis rebuilds on a second module.
+    Each stored row of the span is multiplied by each matrix in turn, so
+    the span is invariant once every row has been visited.
     """
     width = len(seed_row)
     span = _Span(field)
     span.add(seed_row)
-    rows = [np.array(seed_row, dtype=np.int64)]
-    ops = []
-    for idx, v in enumerate(rows):
-        if span.dim == width:
-            break
-        for gi, M in enumerate(mats_data):
+    for v in span.rows:
+        for M in mats_data:
             if span.dim == width:
-                break
-            w = _vec_mat(field, v, M)
-            if span.add(w):
-                rows.append(w)
-                ops.append((idx, gi))
-    return span, rows, ops
-
-
-def _replay_basis(field, mats_data: list, seed_row, ops: list):
-    """Rebuild a standard basis from its recorded recipe."""
-    rows = [np.array(seed_row, dtype=np.int64)]
-    for parent, gi in ops:
-        rows.append(_vec_mat(field, rows[parent], mats_data[gi]))
-    return rows
+                return span
+            span.add(_vec_mat(field, v, M))
+    return span
 
 
 # -- random algebra elements ----------------------------------------------------
@@ -264,8 +244,7 @@ def _algebra_is_full(module: GModule) -> bool:
     """Decide irreducibility by closing the generated algebra (splitting field)."""
     n = module.dim
     eye = Mat.identity(module.field, n).data.reshape(-1)
-    span, _, _ = _spin(module.field, [M.data for M in module.mats], eye)
-    return span.dim == n * n
+    return _spin(module.field, [M.data for M in module.mats], eye).dim == n * n
 
 
 def _chop_step(module: GModule, rng: random.Random):
@@ -279,16 +258,15 @@ def _chop_step(module: GModule, rng: random.Random):
         [theta] = _random_element(rng, [module])
         for lam in poly_roots(F, mat_charpoly(theta)):
             nucleus = mat_eigenspace(theta, lam)
-            span, _, _ = _spin(F, mats_data, nucleus.data[0])
+            span = _spin(F, mats_data, nucleus.data[0])
             if span.dim < n:
                 return span.basis()
             if nucleus.nrows == 1:
                 co_nucleus = mat_eigenspace(mat_transpose(theta), lam)
-                span, _, _ = _spin(F, [d.T.copy() for d in mats_data], co_nucleus.data[0])
+                span = _spin(F, [d.T.copy() for d in mats_data], co_nucleus.data[0])
                 if span.dim == n:
                     return None
-                ortho = mat_right_kernel(span.basis())
-                return mat_rref(ortho)[0]
+                return mat_right_kernel(span.basis())
     if n <= BURNSIDE_DIM_CAP and _algebra_is_full(module):
         return None
     raise RandomBudgetExceeded(
@@ -313,10 +291,20 @@ def composition_factors(module: GModule, seed: int = 0) -> list:
 
 
 def module_iso(a: GModule, b: GModule, seed: int = 0):
-    """Return an intertwining matrix between two simple modules, or None."""
+    """Return an intertwining matrix between two simple modules, or None.
+
+    A random algebra element with a one-dimensional eigenspace gives an
+    eigenvector v_a in a and v_b in b.  The spin of (v_a, v_b) in a + b
+    projects onto both simple modules, so by Schur's lemma it is either
+    all of a + b or the graph of the isomorphism taking v_a to v_b; its
+    reduced basis is then [I | bridge].
+    """
     if a.dim != b.dim or a.field != b.field or len(a.mats) != len(b.mats):
         return None
     F = a.field
+    n = a.dim
+    zero = np.zeros((n, n), dtype=np.int64)
+    pair = [np.block([[Ma.data, zero], [zero, Mb.data]]) for Ma, Mb in zip(a.mats, b.mats)]
     rng = random.Random(seed)
     for _ in range(RANDOM_ELEMENT_BUDGET):
         theta_a, theta_b = _random_element(rng, [a, b])
@@ -330,15 +318,13 @@ def module_iso(a: GModule, b: GModule, seed: int = 0):
                 return None
             if ker_a.nrows != 1:
                 continue
-            span, rows_a, ops = _spin(F, [M.data for M in a.mats], ker_a.data[0])
-            if span.dim < a.dim:
-                raise RuntimeError("standard basis spin stalled on a reducible module")
-            rows_b = _replay_basis(F, [M.data for M in b.mats], ker_b.data[0], ops)
-            Sa = Mat(F, np.array(rows_a, dtype=np.int64))
-            Sb = Mat(F, np.array(rows_b, dtype=np.int64))
-            if mat_rank(Sb) < b.dim:
+            span = _spin(F, pair, np.concatenate([ker_a.data[0], ker_b.data[0]]))
+            if span.dim != n:
                 return None
-            bridge = mat_mul(mat_inv(Sa), Sb)
+            graph, pivots = mat_rref(span.basis())
+            if pivots != tuple(range(n)):
+                raise RuntimeError("pair spin is not a graph: the modules are not simple")
+            bridge = Mat(F, graph.data[:, n:])
             for Ma, Mb in zip(a.mats, b.mats):
                 if mat_mul(Ma, bridge) != mat_mul(bridge, Mb):
                     return None

@@ -1,5 +1,7 @@
 """Tests for the built-in corpus, scenarios, and Cartan fixtures."""
 
+from math import gcd
+
 import pytest
 
 from pblocks.corpus import (
@@ -16,6 +18,7 @@ from pblocks.corpus import (
     klein_four_group,
     mathieu_group_11,
     prime_factors,
+    projective_special_linear_2,
     quaternion_group,
     special_linear_2_3,
     special_linear_2_8,
@@ -103,6 +106,17 @@ class TestBuilders:
         group = special_linear_2_8()
         assert group.order() == 504
         assert len(group.conjugacy_classes().reps) == 9
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+    def test_projective_special_linear_family(self, q):
+        group = projective_special_linear_2(q)
+        assert group.degree == q + 1
+        assert group.order() == q * (q * q - 1) // gcd(2, q - 1)
+
+    def test_projective_special_linear_rejects_non_prime_powers(self):
+        for q in (0, 1, 6, 12):
+            with pytest.raises(ValueError):
+                projective_special_linear_2(q)
 
     def test_mathieu_order(self):
         assert mathieu_group_11().order() == 7920

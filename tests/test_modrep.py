@@ -9,12 +9,12 @@ from pblocks.cyclotomic import Cyc
 from pblocks.errors import RandomBudgetExceeded
 from pblocks.ffield import field_create
 from pblocks.linalg import Mat, mat_inv, mat_mul, mat_rank
+from pblocks import modrep
 from pblocks.modrep import (
     BrauerTable,
     GModule,
     ReductionContext,
     _algebra_is_full,
-    _replay_basis,
     _spin,
     brauer_table,
     composition_factors,
@@ -91,6 +91,13 @@ class TestReductionContext:
         ctx = ReductionContext(sym(4), 2)
         assert ctx.reduce(Cyc.root(4)) == 1
         assert ctx.reduce(Cyc.root(2)) == 1
+
+    @pytest.mark.parametrize("build, p", [
+        (alt5, 2), (alt5, 3), (alt5, 5), (sl28, 3),
+    ])
+    def test_zeta_has_w_as_its_p_part_power(self, build, p):
+        ctx = ReductionContext(build(), p)
+        assert ctx.field.pow(ctx.zeta, ctx.exponent // ctx.eprime) == ctx.w
 
     def test_reduce_rejects_foreign_conductor(self):
         ctx = ReductionContext(sym(3), 2)
@@ -239,34 +246,55 @@ class TestChop:
             composition_factors(module)
 
 
-class TestSpinRecipe:
-    def _spun(self):
+class TestOneSpin:
+    def test_spin_of_a5_permutation_module(self):
         g = alt5()
         F = ReductionContext(g, 2).field
         mats = [M.data for M in perm_module(g, F).mats]
-        seed = np.array([1, 0, 0, 0, 0], dtype=np.int64)
-        span, rows, ops = _spin(F, mats, seed)
-        return F, mats, seed, span, rows, ops
+        point = np.array([1, 0, 0, 0, 0], dtype=np.int64)
+        ones = np.ones(5, dtype=np.int64)
+        assert _spin(F, mats, point).dim == 5
+        span = _spin(F, mats, ones)
+        assert span.dim == 1
+        assert span.basis() == Mat(F, [[1, 1, 1, 1, 1]])
 
-    def test_replay_reproduces_the_recorded_rows(self):
-        F, mats, seed, span, rows, ops = self._spun()
-        assert span.dim == len(rows) == len(ops) + 1 == 5
-        replayed = _replay_basis(F, mats, seed, ops)
-        assert [list(r) for r in replayed] == [list(r) for r in rows]
-
-    def test_replay_on_a_conjugated_copy_moves_the_rows(self):
-        F, mats, seed, span, rows, ops = self._spun()
-        rng = random.Random(11)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_iso_to_a_conjugated_copy_is_a_scalar_times_the_conjugator(self, seed):
+        # by Schur's lemma the intertwiners S -> S^X are the multiples of X
+        g = alt5()
+        F = ReductionContext(g, 2).field
+        simple = next(m for m in composition_factors(perm_module(g, F)) if m.dim == 4)
+        rng = random.Random(100 + seed)
         while True:
-            X = Mat(F, np.array([[rng.randrange(F.q) for _ in range(5)] for _ in range(5)]))
-            if mat_rank(X) == 5:
+            X = Mat(F, [[rng.randrange(F.q) for _ in range(4)] for _ in range(4)])
+            if mat_rank(X) == 4:
                 break
-        Xinv = mat_inv(X)
-        conjugated = [mat_mul(mat_mul(Xinv, Mat(F, M)), X).data for M in mats]
-        moved_seed = mat_mul(Mat(F, seed[None, :]), X).data[0]
-        replayed = _replay_basis(F, conjugated, moved_seed, ops)
-        expected = mat_mul(Mat(F, np.array(rows)), X)
-        assert Mat(F, np.array(replayed)) == expected
+        moved = GModule(g, F, [mat_mul(mat_mul(mat_inv(X), M), X) for M in simple.mats])
+        bridge = module_iso(simple, moved, seed=seed)
+        assert bridge is not None
+        nonzero = next((i, j) for i in range(4) for j in range(4) if X.data[i, j])
+        c = F.mul(int(bridge.data[nonzero]), F.inv(int(X.data[nonzero])))
+        assert c != 0
+        assert bridge == Mat(F, F.vmul(np.int64(c), X.data))
+
+    def test_distinct_linears_are_rejected_by_the_pair_spin(self, monkeypatch):
+        g = alt4()
+        F = ReductionContext(g, 2).field
+        factors = composition_factors(perm_module(g, F))
+        triv = trivial_module(g, F)
+        a, b = [m for m in factors if module_iso(m, triv, seed=1) is None]
+        spins = []
+
+        def counting_spin(field, mats_data, seed_row):
+            span = _spin(field, mats_data, seed_row)
+            spins.append((len(seed_row), span.dim))
+            return span
+
+        monkeypatch.setattr(modrep, "_spin", counting_spin)
+        for seed in range(16):
+            assert module_iso(a, b, seed=seed) is None
+        # a pair spin in a + b of width 2 that filled the whole space
+        assert spins and all(s == (2, 2) for s in spins)
 
 
 class TestSimpleModules:
