@@ -31,15 +31,22 @@ def _load_json(path: str):
         return json.load(handle)
 
 
+def _json_int(value) -> int:
+    """Read an integer from JSON, rejecting a number with a fractional part."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _images_to_perm(images) -> tuple:
     """Convert a 1-based image list into a 0-based permutation tuple."""
-    return tuple(int(v) - 1 for v in images)
+    return tuple(_json_int(v) - 1 for v in images)
 
 
 def _group_from_json(obj) -> tuple:
     """Build a named permutation group from its JSON description."""
     name = str(obj["name"])
-    degree = int(obj["degree"])
+    degree = _json_int(obj["degree"])
     generators = [_images_to_perm(images) for images in obj["generators"]]
     return name, PermGroup(degree, generators)
 
@@ -53,14 +60,12 @@ def _corpus_from_json(doc) -> tuple:
         if name in groups:
             raise ValueError(f"duplicate group name {name!r}")
         groups[name] = group
-        primes = tuple(int(p) for p in obj["primes"]) if "primes" in obj else None
+        primes = tuple(_json_int(p) for p in obj["primes"]) if "primes" in obj else None
+        large = obj.get("large", False)
+        if not isinstance(large, bool):
+            raise ValueError(f"group {name!r}: large must be true or false, got {large!r}")
         entries.append(
-            CorpusEntry(
-                name,
-                (lambda g: lambda: g)(group),
-                large=bool(obj.get("large", False)),
-                primes=primes,
-            )
+            CorpusEntry(name, (lambda g: lambda: g)(group), large=large, primes=primes)
         )
     subgroups = {}
     for obj in doc.get("normal_subgroups", []):
@@ -91,7 +96,7 @@ def _corpus_from_json(doc) -> tuple:
             PairedScenario(
                 f"{kind}:{parent_name}/{sub_name}",
                 kind,
-                int(obj["prime"]),
+                _json_int(obj["prime"]),
                 (lambda pair: lambda: pair)((parent, sub)),
             )
         )
@@ -101,11 +106,11 @@ def _corpus_from_json(doc) -> tuple:
             CartanFixture(
                 str(obj["name"]),
                 str(obj.get("note", "")),
-                int(obj["prime"]),
-                obj["rows"],
-                defect_order=int(obj["defect_order"]),
-                sectional=int(obj["sectional"]),
-                trace_expected=obj.get("trace"),
+                _json_int(obj["prime"]),
+                [[_json_int(v) for v in row] for row in obj["rows"]],
+                defect_order=_json_int(obj["defect_order"]),
+                sectional=_json_int(obj["sectional"]),
+                trace_expected=None if obj.get("trace") is None else _json_int(obj["trace"]),
             )
             for obj in doc["fixtures"]
         ]
@@ -166,7 +171,7 @@ def _cmd_tau(args) -> int:
     """Evaluate the Cartan quadratic form ratio for an explicit matrix and degrees."""
     doc = _load_json(args.cartan)
     rows = doc["rows"] if isinstance(doc, dict) else doc
-    rows = [[int(value) for value in row] for row in rows]
+    rows = [[_json_int(value) for value in row] for row in rows]
     degrees = [int(part) for part in args.degrees.split(",") if part.strip()]
     sys.stdout.write(format_fraction(tau_rayleigh(rows, degrees)) + "\n")
     return 0

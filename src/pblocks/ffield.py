@@ -14,9 +14,9 @@ into digits.  In odd characteristic its scalar add and neg are its vector
 operations on one element, and its scalar mul is a digit loop, which the
 table construction calls.  Extension fields with at most 2^16 elements are
 table fields built from it: its arithmetic finds the primitive element and
-fills, once, exp/log tables to multiply by and, in odd characteristic, the
-Zech logarithms log(1 + g^k) to add by; in characteristic 2 they add by
-XOR.
+fills, once, exp/log tables to multiply by, where zero has the logarithm
+2(q - 1), and, in odd characteristic, Zech logarithms to add by, indexed
+by log b - log a + 2(q - 1); in characteristic 2 they add by XOR.
 
 Scalar operations take and return plain ints.  Vectorized operations
 (vadd, vsub, vneg, vmul, vsum) take and return numpy int64 arrays of
@@ -292,16 +292,17 @@ class _PrimeField(Field):
 class _TableField(Field):
     """Extension field on exp/log and Zech tables, for orders up to 2^16.
 
-    With g the primitive element, a nonzero code a is g^log(a), and a
-    product adds logarithms.  In characteristic 2 a sum is the XOR of the
-    codes.  In odd characteristic it goes through the Zech logarithm
-    Z(k) = log(1 + g^k), as g^i + g^j = g^(i + Z(j - i)); 1 + g^k vanishes
-    only at k = (q - 1) / 2, where Z holds the sentinel 2 (q - 1).  The exp
-    table holds two periods, so a sum of two logarithms needs no reduction,
-    followed by q - 1 zeros that the sentinel indexes.  Negation is one more
-    table, and vsum adds digits read from a q x m digit table.  All tables
-    are computed once by a generic field on the same modulus, so no
-    operation of this backend splits codes into base-p digits itself.
+    With g the primitive element, a nonzero code a is g^log(a), and
+    log 0 = 2 (q - 1).  The exp table holds two periods, then zeros up to
+    index 4 (q - 1), so a * b = exp[log a + log b] for all a and b.  In
+    characteristic 2 a sum is the XOR of the codes.  In odd characteristic
+    it goes through the Zech logarithm Z(k) = log(1 + g^k), as
+    g^i + g^j = g^(i + Z(j - i)), and Z((q - 1) / 2) = log 0.  The Zech
+    table holds, at d + 2 (q - 1) for d = log b - log a, d if a = 0, 0 if
+    b = 0 and Z(d mod (q - 1)) otherwise, so a + b is
+    exp[log a + zech[d + 2 (q - 1)]] with no index below 0.  Negation is
+    one more table, and vsum adds digits read from a q x m digit table.
+    All tables are computed once by a generic field on the same modulus.
     """
 
     kind = "table"
@@ -323,10 +324,10 @@ class _TableField(Field):
         exp_l = exp.tolist()
         if raw.mul(exp_l[-1], g) != 1 or len(set(exp_l)) != q1:
             raise RuntimeError("generator does not enumerate the unit group")
-        log = np.zeros(self.q, dtype=np.int64)
+        log = np.full(self.q, 2 * q1, dtype=np.int64)
         log[exp] = np.arange(q1, dtype=np.int64)
         self._log_l = log.tolist()
-        self._exp_l = exp_l * 2 + [0] * q1
+        self._exp_l = exp_l * 2 + [0] * (2 * q1 + 1)
         self._log_np = log
         self._exp_np = np.array(self._exp_l, dtype=np.int64)
         self._log_np.setflags(write=False)
@@ -346,10 +347,11 @@ class _TableField(Field):
             raise RuntimeError("negation table is not an involution")
         if np.flatnonzero(neg == codes).tolist() != [0]:
             raise RuntimeError("negation table fixes a nonzero element")
-        one_plus = raw.vadd(exp_np, np.int64(1))
-        zech = np.where(one_plus == 0, 2 * q1, self._log_np[one_plus])
-        if np.flatnonzero(zech == 2 * q1).tolist() != [q1 // 2]:
+        z = self._log_np[raw.vadd(exp_np, np.int64(1))]
+        if np.flatnonzero(z == 2 * q1).tolist() != [q1 // 2]:
             raise RuntimeError("Zech table needs exactly one sentinel, at (q - 1) / 2")
+        d = np.arange(-2 * q1, 2 * q1 + 1, dtype=np.int64)
+        zech = np.where(d < -q1, d, np.where(d > q1, 0, z[d % q1]))
         self._neg_np = neg
         self._zech_np = zech
         self._neg_l = neg.tolist()
@@ -359,18 +361,12 @@ class _TableField(Field):
 
     def add(self, a, b):
         """Return a + b."""
-        a = int(a)
-        b = int(b)
         if self.p == 2:
-            return a ^ b
-        if a == 0:
-            return b
-        if b == 0:
-            return a
+            return int(a) ^ int(b)
         log = self._log_l
         la = log[a]
-        # a negative index wraps around the q - 1 entries like a residue
-        return self._exp_l[la + self._zech_l[log[b] - la]]
+        # log[0] = 2 (q - 1) is also the offset of the Zech index
+        return self._exp_l[la + self._zech_l[log[b] - la + log[0]]]
 
     def neg(self, a):
         """Return -a."""
@@ -380,10 +376,6 @@ class _TableField(Field):
 
     def mul(self, a, b):
         """Return a * b."""
-        a = int(a)
-        b = int(b)
-        if a == 0 or b == 0:
-            return 0
         return self._exp_l[self._log_l[a] + self._log_l[b]]
 
     def inv(self, a):
@@ -400,8 +392,7 @@ class _TableField(Field):
         if self.p == 2:
             return np.bitwise_xor(A, B)
         la = self._log_np[A]
-        s = self._exp_np[la + self._zech_np[self._log_np[B] - la]]
-        return np.where(A == 0, B, np.where(B == 0, A, s))
+        return self._exp_np[la + self._zech_np[self._log_np[B] - la + self._log_l[0]]]
 
     def vneg(self, A):
         """Return the elementwise negation of a code array."""
@@ -414,8 +405,7 @@ class _TableField(Field):
         """Return the elementwise product of two code arrays."""
         A = np.asarray(A, np.int64)
         B = np.asarray(B, np.int64)
-        nz = (A != 0) & (B != 0)
-        return np.where(nz, self._exp_np[self._log_np[A] + self._log_np[B]], 0)
+        return self._exp_np[self._log_np[A] + self._log_np[B]]
 
     def vsum(self, A, axis=None):
         """Sum a code array along an axis (all axes when axis is None)."""

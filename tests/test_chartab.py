@@ -11,7 +11,7 @@ from pblocks.chartab import (
     lifting_prime,
     restrict_row,
 )
-from pblocks.corpus import projective_special_linear_2_7
+from pblocks.corpus import projective_special_linear_2_7, special_linear_2_8
 from pblocks.cyclotomic import Cyc
 from pblocks.errors import FusionInconsistent, LiftingPrimeNotFound
 from pblocks.perm import ClassData, PermGroup, perm_from_cycles
@@ -31,46 +31,6 @@ def sym(n: int) -> PermGroup:
 def alt5() -> PermGroup:
     """Return the alternating group on 5 points."""
     return PermGroup(5, [perm_from_cycles(5, [(1, 2, 3, 4, 5)]), perm_from_cycles(5, [(3, 4, 5)])])
-
-
-def psl27() -> PermGroup:
-    """Return PSL(2, 7) acting on the projective line over GF(7)."""
-    shift = perm_from_cycles(8, [(1, 2, 3, 4, 5, 6, 7)])
-    points = list(range(7)) + [None]
-
-    def neg_inv(z):
-        if z is None:
-            return 0
-        if z == 0:
-            return None
-        return (-pow(z, 5, 7)) % 7
-
-    images = [points.index(neg_inv(z)) for z in points]
-    return PermGroup(8, [shift, tuple(images)])
-
-
-def sl28() -> PermGroup:
-    """Return SL(2, 8) acting on the projective line over GF(8)."""
-    from pblocks.ffield import field_create
-
-    F = field_create(2, 3)
-    points = list(range(8)) + [None]
-
-    def locate(z):
-        return points.index(z)
-
-    add_one = [locate(F.add(z, 1)) if z is not None else locate(None) for z in points]
-    alpha = F.primitive
-    scale = [locate(F.mul(z, F.mul(alpha, alpha))) if z is not None else locate(None) for z in points]
-    inv = []
-    for z in points:
-        if z is None:
-            inv.append(locate(0))
-        elif z == 0:
-            inv.append(locate(None))
-        else:
-            inv.append(locate(F.inv(z)))
-    return PermGroup(9, [tuple(add_one), tuple(scale), tuple(inv)])
 
 
 class TestLiftingPrime:
@@ -172,7 +132,7 @@ class TestClassicalTables:
             )
 
     def test_psl27_degrees_and_quadratic_values(self):
-        tab = character_table(psl27())
+        tab = character_table(projective_special_linear_2_7())
         assert tab.group.order() == 168
         assert tab.degrees == (1, 3, 3, 6, 7, 8)
         seven_cols = [k for k, o in enumerate(tab.classes.orders) if o == 7]
@@ -185,7 +145,7 @@ class TestClassicalTables:
         assert hits == 2
 
     def test_sl28_degrees(self):
-        tab = character_table(sl28())
+        tab = character_table(special_linear_2_8())
         assert tab.group.order() == 504
         assert tab.prime == 127
         assert tab.degrees == (1, 7, 7, 7, 7, 8, 9, 9, 9)

@@ -8,11 +8,11 @@ from pblocks.cli import main
 
 A4_GROUP = {"name": "A4", "degree": 4, "generators": [[2, 1, 4, 3], [2, 3, 1, 4]]}
 
+S4_GROUP = {"name": "S4", "degree": 4, "generators": [[2, 1, 3, 4], [2, 3, 4, 1]],
+            "primes": [3]}
+
 S4_CORPUS = {
-    "groups": [
-        {"name": "S4", "degree": 4, "generators": [[2, 1, 3, 4], [2, 3, 4, 1]],
-         "primes": [3]},
-    ],
+    "groups": [S4_GROUP],
     "normal_subgroups": [
         {"name": "A4", "parent": "S4", "generators": [[2, 1, 4, 3], [2, 3, 1, 4]]},
     ],
@@ -20,6 +20,9 @@ S4_CORPUS = {
         {"check": "coprime_quotient_tau", "group": "S4", "subgroup": "A4", "prime": 3},
     ],
 }
+
+KLEIN_FIXTURE = {"name": "klein", "prime": 2, "defect_order": 4, "sectional": 2,
+                 "trace": 6, "rows": [[2, 1, 1], [1, 2, 1], [1, 1, 2]]}
 
 
 def write_json(path, payload):
@@ -112,6 +115,11 @@ class TestTau:
         assert main(["tau", "--cartan", cartan, "--degrees", "1,2,3"]) == 2
         capsys.readouterr()
 
+    def test_rejects_fractional_entry(self, tmp_path, capsys):
+        cartan = write_json(tmp_path / "c.json", [[2, 1], [1, 2.5]])
+        assert main(["tau", "--cartan", cartan, "--degrees", "1,2"]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestFixturesCommand:
     def test_all_ok(self, capsys):
@@ -176,16 +184,33 @@ class TestVerifyCorpus:
         ("sectional", -1), ("defect_order", -4), ("trace", "six"),
     ])
     def test_fixture_bad_value_rejected(self, tmp_path, capsys, field, value):
-        fix = {"name": "klein", "prime": 2, "defect_order": 4, "sectional": 2,
-               "trace": 6, "rows": [[2, 1, 1], [1, 2, 1], [1, 1, 2]]}
-        fix[field] = value
+        fix = dict(KLEIN_FIXTURE, **{field: value})
         corpus_file = write_json(tmp_path / "bad.json", {"groups": [], "fixtures": [fix]})
         assert main(["verify-corpus", "--corpus", corpus_file]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        {"groups": [dict(S4_GROUP, degree=4.5)]},
+        {"groups": [dict(S4_GROUP, generators=[[2, 1, 3, 4], [2.5, 3, 4, 1]])]},
+        {"groups": [dict(S4_GROUP, primes=[2.5])]},
+        {"groups": [dict(S4_GROUP, large="false")]},
+        {"groups": [dict(S4_GROUP, large=0)]},
+        dict(S4_CORPUS, lemma_bindings=[dict(S4_CORPUS["lemma_bindings"][0], prime=3.5)]),
+        {"groups": [], "fixtures": [dict(KLEIN_FIXTURE, prime=2.5)]},
+        {"groups": [], "fixtures": [dict(KLEIN_FIXTURE, defect_order=4.5)]},
+        {"groups": [], "fixtures": [dict(KLEIN_FIXTURE, sectional=2.5)]},
+        {"groups": [], "fixtures": [dict(KLEIN_FIXTURE, trace=6.5)]},
+        {"groups": [], "fixtures": [dict(KLEIN_FIXTURE, rows=[[2, 1, 1], [1, 2.5, 1], [1, 1, 2]])]},
+    ], ids=["degree", "generator", "primes", "large-string", "large-number", "binding-prime",
+            "fixture-prime", "defect-order", "sectional", "trace", "rows"])
+    def test_fractional_or_non_boolean_value_rejected(self, tmp_path, capsys, doc):
+        # these were coerced: primes [2.5] became (2,) and "false" made the entry large
+        corpus_file = write_json(tmp_path / "bad.json", doc)
+        assert main(["verify-corpus", "--corpus", corpus_file]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_fixture_trace_as_string_is_read_as_int(self, tmp_path, capsys):
-        fix = {"name": "klein", "prime": 2, "defect_order": 4, "sectional": 2,
-               "trace": "6", "rows": [[2, 1, 1], [1, 2, 1], [1, 1, 2]]}
+        fix = dict(KLEIN_FIXTURE, trace="6")
         corpus_file = write_json(tmp_path / "ok.json", {"groups": [], "fixtures": [fix]})
         assert main(["verify-corpus", "--corpus", corpus_file]) == 0
         report = json.loads(capsys.readouterr().out)

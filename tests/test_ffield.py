@@ -349,13 +349,21 @@ def _long_division_mul(F, a, b):
 
 
 def test_extension_product_against_long_division():
-    for p, m in [(2, 6), (3, 6), (5, 2), (3, 10), (2, 16), (2, 17), (3, 11), (2, 20)]:
+    for p, m in [(3, 2), (2, 4), (2, 6), (3, 6), (5, 2), (3, 10), (2, 16), (2, 17),
+                 (3, 11), (2, 20)]:
         F = field_create(p, m)
-        rng = random.Random(23)
-        for _ in range(200):
-            a = rng.randrange(F.q)
-            b = rng.randrange(F.q)
-            assert F.mul(a, b) == _long_division_mul(F, a, b)
+        if F.q <= 16:
+            pairs = [(a, b) for a in range(F.q) for b in range(F.q)]
+        else:
+            rng = random.Random(23)
+            pairs = [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(200)]
+            b = rng.randrange(1, F.q)
+            pairs += [(0, b), (b, 0), (0, 0)]
+        want = [_long_division_mul(F, a, b) for a, b in pairs]
+        assert [F.mul(a, b) for a, b in pairs] == want
+        A = np.array([a for a, _ in pairs], dtype=np.int64)
+        B = np.array([b for _, b in pairs], dtype=np.int64)
+        assert F.vmul(A, B).tolist() == want
 
 
 # -- polynomial arithmetic -----------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from pblocks.corpus import special_linear_2_8
 from pblocks.cyclotomic import Cyc
 from pblocks.errors import RandomBudgetExceeded
 from pblocks.ffield import field_create
@@ -42,38 +43,18 @@ def alt5():
     return PermGroup(5, [perm_from_cycles(5, [(1, 2, 3, 4, 5)]), perm_from_cycles(5, [(3, 4, 5)])])
 
 
-def sl28():
-    from pblocks.ffield import field_create
-
-    F = field_create(2, 3)
-    points = list(range(8)) + [None]
-    loc = points.index
-    add_one = [loc(F.add(z, 1)) if z is not None else loc(None) for z in points]
-    alpha2 = F.mul(F.primitive, F.primitive)
-    scale = [loc(F.mul(z, alpha2)) if z is not None else loc(None) for z in points]
-    inv = []
-    for z in points:
-        if z is None:
-            inv.append(loc(0))
-        elif z == 0:
-            inv.append(loc(None))
-        else:
-            inv.append(loc(F.inv(z)))
-    return PermGroup(9, [tuple(add_one), tuple(scale), tuple(inv)])
-
-
 class TestReductionContext:
     def test_splitting_parameters(self):
         ctx = ReductionContext(alt4(), 2)
         assert (ctx.eprime, ctx.m) == (3, 2)
         assert ctx.field.q == 4
-        ctx = ReductionContext(sl28(), 2)
+        ctx = ReductionContext(special_linear_2_8(), 2)
         assert (ctx.eprime, ctx.m) == (63, 6)
         assert ctx.field.q == 64
-        ctx = ReductionContext(sl28(), 3)
+        ctx = ReductionContext(special_linear_2_8(), 3)
         assert (ctx.eprime, ctx.m) == (14, 6)
         assert ctx.field.q == 729
-        ctx = ReductionContext(sl28(), 7)
+        ctx = ReductionContext(special_linear_2_8(), 7)
         assert (ctx.eprime, ctx.m) == (18, 3)
         assert ctx.field.q == 343
 
@@ -93,7 +74,8 @@ class TestReductionContext:
         assert ctx.reduce(Cyc.root(2)) == 1
 
     @pytest.mark.parametrize("build, p", [
-        (alt5, 2), (alt5, 3), (alt5, 5), (sl28, 3),
+        (alt5, 2), (alt5, 3), (alt5, 5),
+        pytest.param(special_linear_2_8, 3, id="sl28-3"),
     ])
     def test_zeta_has_w_as_its_p_part_power(self, build, p):
         ctx = ReductionContext(build(), p)
@@ -319,12 +301,12 @@ class TestSimpleModules:
         assert sorted(m.dim for m in simple_modules(g, ReductionContext(g, 5))) == [1, 3, 5]
 
     def test_sl28_mod2(self):
-        g = sl28()
+        g = special_linear_2_8()
         simples = simple_modules(g, ReductionContext(g, 2))
         assert sorted(m.dim for m in simples) == [1, 2, 2, 2, 4, 4, 4, 8]
 
     def test_sl28_mod3(self):
-        g = sl28()
+        g = special_linear_2_8()
         simples = simple_modules(g, ReductionContext(g, 3))
         assert sorted(m.dim for m in simples) == [1, 7, 9, 9, 9]
 
