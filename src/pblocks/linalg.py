@@ -4,7 +4,9 @@ Matrices are immutable wrappers around numpy int64 arrays of element
 codes.  Vectors are rows and matrices act on the right: the left kernel
 of M is the space of rows v with v M = 0, and eigenvectors of M are rows
 v with v M = c v.  Elimination routines use one vectorized full-matrix
-update per pivot, with the pivot chosen as the first nonzero entry.
+update per pivot, with the pivot chosen as the first nonzero entry.  The
+characteristic polynomial runs the Hessenberg recurrence on coefficient
+rows, with one vector op per term.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatch
-from .ffield import Field, poly_add, poly_mul, poly_scale
+from .ffield import Field
 
 # -- matrix type -------------------------------------------------------------
 
@@ -119,6 +121,12 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
         if col.any():
             out = F.vadd(out, F.vmul(col, B.data[k:k + 1, :]))
     return Mat(F, out)
+
+
+def vec_mat(F: Field, v, M):
+    """Multiply each len(M) block of a row vector by the code array M."""
+    blocks = v.reshape(-1, len(M))
+    return F.vsum(F.vmul(blocks[:, :, None], M), axis=1).reshape(-1)
 
 
 def mat_add(A: Mat, B: Mat) -> Mat:
@@ -286,27 +294,24 @@ def _hessenberg(A: Mat):
 
 
 def mat_charpoly(A: Mat) -> list:
-    """Return the characteristic polynomial det(xI - A), constant term first."""
+    """Return the characteristic polynomial det(xI - A), constant term first.
+
+    The polynomials p_k of the leading blocks of the Hessenberg form H are
+    the rows of one array (Cohen, 2.2.9): p_k = x p_(k-1) minus, over j < k,
+    H[j, k-1] H[j+1, j] ... H[k-1, k-2] p_j, one vec_mat per step.
+    """
     if A.nrows != A.ncols:
         raise ShapeMismatch("characteristic polynomial needs a square matrix")
     F = A.field
     n = A.nrows
-    if n == 0:
-        return [1]
     H = _hessenberg(A)
-    polys = [[1]]
+    # sub[k - 1] = H[k - 1, k - 2]; sub[0] only ever meets the empty prods
+    sub = np.concatenate([np.zeros(1, np.int64), np.diagonal(H, -1)])
+    P = np.eye(n + 1, dtype=np.int64)
+    prods = np.zeros(0, dtype=np.int64)
     for k in range(1, n + 1):
-        a = int(H[k - 1, k - 1])
-        term = [F.neg(a), 1]
-        cur = poly_mul(F, term, polys[k - 1])
-        prod = 1
-        for i in range(1, k):
-            prod = F.mul(prod, int(H[k - i, k - i - 1]))
-            if prod == 0:
-                break
-            c = F.mul(int(H[k - 1 - i, k - 1]), prod)
-            if c == 0:
-                continue
-            cur = poly_add(F, cur, poly_scale(F, polys[k - 1 - i], F.neg(c)))
-        polys.append(cur)
-    return polys[n]
+        prods = np.append(F.vmul(prods, sub[k - 1]), 1)
+        c = F.vmul(H[:k, k - 1], prods)
+        P[k, 1:k + 1] = P[k - 1, :k]
+        P[k, :k] = F.vsub(P[k, :k], vec_mat(F, c, P[:k, :k]))
+    return P[n].tolist()

@@ -41,6 +41,7 @@ from .linalg import (
     mat_rref,
     mat_scale,
     mat_transpose,
+    vec_mat,
 )
 from .perm import ClassData, PermGroup
 
@@ -188,12 +189,6 @@ class _Span:
         return Mat(self.field, np.array(self.rows, dtype=np.int64))
 
 
-def _vec_mat(F, v, M):
-    """Multiply each len(M) block of a row vector by a matrix over F."""
-    blocks = v.reshape(-1, len(M))
-    return F.vsum(F.vmul(blocks[:, :, None], M), axis=1).reshape(-1)
-
-
 def _spin(field, mats_data: list, seed_row) -> _Span:
     """Return the span of a seed row closed under the given matrices.
 
@@ -207,7 +202,7 @@ def _spin(field, mats_data: list, seed_row) -> _Span:
         for M in mats_data:
             if span.dim == width:
                 return span
-            span.add(_vec_mat(field, v, M))
+            span.add(vec_mat(field, v, M))
     return span
 
 

@@ -16,6 +16,7 @@ from pblocks.ffield import (
 )
 from pblocks.linalg import (
     Mat,
+    _hessenberg,
     _mat_mul_schoolbook,
     mat_add,
     mat_charpoly,
@@ -37,7 +38,7 @@ from pblocks.linalg import (
 def _random_mat(F, nrows, ncols, rng):
     """Build a random matrix over F."""
     data = [[rng.randrange(F.q) for _ in range(ncols)] for _ in range(nrows)]
-    return Mat(F, data)
+    return Mat(F, np.array(data, dtype=np.int64).reshape(nrows, ncols))
 
 
 def _random_invertible(F, n, rng):
@@ -260,6 +261,8 @@ def _charpoly_cofactor(F, A):
     ]
 
     def det(rows, cols):
+        if not rows:
+            return [1]
         if len(rows) == 1:
             return entries[rows[0]][cols[0]]
         total = []
@@ -285,21 +288,30 @@ def _charpoly_cofactor(F, A):
 
 
 def test_charpoly_matches_cofactor_oracle():
-    for p, m in [(2, 1), (3, 1), (2, 2), (3, 2), (7, 1)]:
+    # (5, 2) is an odd table field and (2, 17) a generic one.  The diagonal
+    # and block upper-triangular inputs put zeros on the Hessenberg
+    # subdiagonal, which zero the running products of the recurrence.
+    for p, m in [(2, 1), (3, 1), (2, 2), (3, 2), (7, 1), (5, 2), (2, 17)]:
         F = field_create(p, m)
         rng = random.Random(41)
-        for n in (1, 2, 3, 4, 5):
-            A = _random_mat(F, n, n, rng)
-            got = poly_trim(mat_charpoly(A))
-            want = _charpoly_cofactor(F, A)
-            assert got == want, (p, m, n, A.data.tolist())
+        for n in (0, 1, 2, 3, 4, 5):
+            diagonal = Mat(F, np.diag([rng.randrange(F.q) for _ in range(n)]))
+            block = _random_mat(F, n, n, rng).writable()
+            block[n // 2:, :n // 2] = 0
+            block = Mat(F, block)
+            if n >= 2:
+                assert _hessenberg(block)[n // 2, n // 2 - 1] == 0
+            for A in (_random_mat(F, n, n, rng), diagonal, block):
+                got = poly_trim(mat_charpoly(A))
+                want = _charpoly_cofactor(F, A)
+                assert got == want, (p, m, n, A.data.tolist())
 
 
 def test_cayley_hamilton():
-    for p, m in [(2, 2), (7, 1), (5, 2), (2, 6)]:
+    for p, m in [(2, 2), (7, 1), (5, 2), (2, 6), (13, 1), (3, 4)]:
         F = field_create(p, m)
         rng = random.Random(53)
-        for n in (3, 6, 9):
+        for n in (3, 6, 9, 24, 40):
             A = _random_mat(F, n, n, rng)
             coeffs = mat_charpoly(A)
             acc = Mat.zeros(F, n, n)
@@ -331,6 +343,16 @@ def test_char_poly_factors_of_block_diagonal():
     for (coeffs, _mult) in factors.items():
         root = F.neg(coeffs[0])
         assert poly_eval(F, list(coeffs), root) == 0
+    for p, m in [(2, 6), (3, 4)]:
+        F = field_create(p, m)
+        rng = random.Random(67)
+        A = _random_mat(F, 7, 7, rng)
+        B = _random_mat(F, 9, 9, rng)
+        diag = np.zeros((16, 16), dtype=np.int64)
+        diag[:7, :7] = A.data
+        diag[7:, 7:] = B.data
+        got = mat_charpoly(Mat(F, diag))
+        assert got == poly_mul(F, mat_charpoly(A), mat_charpoly(B))
 
 
 # -- eigenspaces -------------------------------------------------------------------
