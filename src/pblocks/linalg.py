@@ -6,7 +6,10 @@ of M is the space of rows v with v M = 0, and eigenvectors of M are rows
 v with v M = c v.  Elimination routines use one vectorized full-matrix
 update per pivot, with the pivot chosen as the first nonzero entry.  The
 characteristic polynomial runs the Hessenberg recurrence on coefficient
-rows, with one vector op per term.
+rows, with one vector op per term.  Products outside small prime fields,
+and the sums inside the recurrence and the spin, go through vec_mat: one
+vmul and one vsum per block of the inner index, with blocks small enough
+that no transient array holds more than max(2^14, rows x cols) products.
 """
 
 from __future__ import annotations
@@ -108,25 +111,43 @@ def _mat_mul_schoolbook(A: Mat, B: Mat) -> Mat:
 
 
 def mat_mul(A: Mat, B: Mat) -> Mat:
-    """Multiply two matrices."""
+    """Multiply two matrices.
+
+    A prime field whose int64 dot products cannot overflow uses numpy's
+    integer product; every other field goes through vec_mat.
+    """
     _same_field(A, B)
     if A.ncols != B.nrows:
         raise ShapeMismatch(f"cannot multiply {A.shape} by {B.shape}")
     F = A.field
     if F.kind == "prime" and A.ncols * (F.p - 1) ** 2 < 2 ** 62:
         return Mat(F, (A.data @ B.data) % F.p)
-    out = np.zeros((A.nrows, B.ncols), dtype=np.int64)
-    for k in range(A.ncols):
-        col = A.data[:, k:k + 1]
-        if col.any():
-            out = F.vadd(out, F.vmul(col, B.data[k:k + 1, :]))
-    return Mat(F, out)
+    return Mat(F, vec_mat(F, A.data, B.data))
 
 
-def vec_mat(F: Field, v, M):
-    """Multiply each len(M) block of a row vector by the code array M."""
-    blocks = v.reshape(-1, len(M))
-    return F.vsum(F.vmul(blocks[:, :, None], M), axis=1).reshape(-1)
+# most products one vec_mat block holds, unless one inner index alone has more
+_PRODUCT_BLOCK = 2 ** 14
+
+
+def vec_mat(F: Field, A, B):
+    """Return the product of two 2-D code arrays over F.
+
+    The inner index is split into blocks: each block's entrywise products
+    A[i, k] B[k, j] are one vmul and their sum over k one vsum, and the
+    block sums are added in turn.  So no transient array holds more than
+    max(2^14, rows x cols) products, and an inner dimension of 0 gives the
+    zero matrix (the sum over an empty block).
+    """
+    rows, inner = A.shape
+    step = max(1, _PRODUCT_BLOCK // max(1, rows * B.shape[1]))
+
+    def block(k):
+        return F.vsum(F.vmul(A[:, k:k + step, None], B[None, k:k + step, :]), axis=1)
+
+    out = block(0)
+    for k in range(step, inner, step):
+        out = F.vadd(out, block(k))
+    return out
 
 
 def mat_add(A: Mat, B: Mat) -> Mat:
@@ -313,5 +334,5 @@ def mat_charpoly(A: Mat) -> list:
         prods = np.append(F.vmul(prods, sub[k - 1]), 1)
         c = F.vmul(H[:k, k - 1], prods)
         P[k, 1:k + 1] = P[k - 1, :k]
-        P[k, :k] = F.vsub(P[k, :k], vec_mat(F, c, P[:k, :k]))
+        P[k, :k] = F.vsub(P[k, :k], vec_mat(F, c[None, :], P[:k, :k])[0])
     return P[n].tolist()

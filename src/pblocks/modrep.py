@@ -11,9 +11,13 @@ line, one vector of the matching eigenspace of the transpose.  A random
 element is a combination of generator words with no scalar term, since
 theta + cI has the eigenspaces of theta with every root shifted by c.  A
 tensor closure collects all simple modules, and Brauer character values
-are read off as exact cyclotomic sums of eigenvalue multiplicities.
+are read off as exact cyclotomic sums of eigenvalue multiplicities: a
+p-regular element acts diagonalizably, so the multiplicities are those of
+the roots of one characteristic polynomial.
 
-One spin closes a vector under the generators and returns its span.
+One spin closes a vector under the generators and returns its span, kept
+in reduced echelon form as one array, so that each new row is reduced and
+each old row cleared by a fixed number of whole-array field calls.
 module_iso spins a pair (v_a, v_b) of matching eigenvectors in the direct
 sum a + b; by Schur's lemma that span is the graph of an isomorphism
 a -> b or all of a + b.
@@ -28,7 +32,7 @@ import numpy as np
 
 from .cyclotomic import Cyc, cyc_to_field
 from .errors import ClosureStalled, NotSemisimpleElement, RandomBudgetExceeded
-from .ffield import field_create, poly_roots
+from .ffield import field_create, poly_divmod, poly_roots
 from .intmath import multiplicative_order, p_valuation
 from .linalg import (
     Mat,
@@ -102,8 +106,11 @@ class GModule:
 
     def image(self, g) -> Mat:
         """Return the matrix by which a group element acts."""
-        acc = Mat.identity(self.field, self.dim)
-        for i in self.group.word(g):
+        word = self.group.word(g)
+        if not word:
+            return Mat.identity(self.field, self.dim)
+        acc = self.mats[word[0]]
+        for i in word[1:]:
             acc = mat_mul(acc, self.mats[i])
         return acc
 
@@ -157,52 +164,64 @@ def quotient_module(module: GModule, basis: Mat) -> GModule:
 # -- spinning ------------------------------------------------------------------
 
 class _Span:
-    """Incremental semi-echelon row space."""
+    """Incremental row space in reduced echelon form.
 
-    def __init__(self, field):
+    The rows are one array, and the column of each row's pivot is zero in
+    every other row.  A new row is therefore reduced by subtracting its
+    pivot entries times the stored rows, one vec_mat, and its own pivot
+    column is cleared from the stored rows by one outer product.
+    """
+
+    def __init__(self, field, width: int):
         self.field = field
-        self.rows = []
+        self.rows = np.zeros((0, width), dtype=np.int64)
         self.pivots = []
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def add(self, row) -> bool:
         """Insert a row unless it lies in the span; return whether it was new."""
         F = self.field
-        res = np.array(row, dtype=np.int64)
-        for piv, stored in zip(self.pivots, self.rows):
-            c = int(res[piv])
-            if c:
-                res = F.vsub(res, F.vmul(np.int64(c), stored))
-        support = np.nonzero(res)[0]
+        row = np.asarray(row, dtype=np.int64)
+        res = F.vsub(row, vec_mat(F, row[None, self.pivots], self.rows)[0])
+        support = np.flatnonzero(res)
         if support.size == 0:
             return False
         piv = int(support[0])
-        self.rows.append(F.vmul(np.int64(F.inv(int(res[piv]))), res))
+        res = F.vmul(np.int64(F.inv(int(res[piv]))), res)
+        cleared = F.vsub(self.rows, F.vmul(self.rows[:, piv:piv + 1], res))
+        self.rows = np.vstack([cleared, res])
         self.pivots.append(piv)
         return True
 
     def basis(self) -> Mat:
-        """Return the semi-echelon rows spanning the space."""
-        return Mat(self.field, np.array(self.rows, dtype=np.int64))
+        """Return the reduced echelon rows spanning the space."""
+        return Mat(self.field, self.rows)
 
 
 def _spin(field, mats_data: list, seed_row) -> _Span:
     """Return the span of a seed row closed under the given matrices.
 
-    Each stored row of the span is multiplied by each matrix in turn, so
-    the span is invariant once every row has been visited.
+    The row at each index is multiplied by each matrix once, in index order.
+    A later insertion changes an earlier row only by multiples of rows with
+    higher indices, so the rows as visited still span the space, and the
+    span is invariant once the last index has been visited.  The matrices
+    act on each len(M) block of a row, so a row of n x n entries can stand
+    for a matrix.
     """
     width = len(seed_row)
-    span = _Span(field)
+    span = _Span(field, width)
     span.add(seed_row)
-    for v in span.rows:
+    i = 0
+    while i < span.dim:
+        v = span.rows[i]
         for M in mats_data:
             if span.dim == width:
                 return span
-            span.add(vec_mat(field, v, M))
+            span.add(vec_mat(field, v.reshape(-1, len(M)), M).reshape(-1))
+        i += 1
     return span
 
 
@@ -391,24 +410,38 @@ class BrauerTable:
 
 
 def brauer_value(module: GModule, g, order: int, context: ReductionContext) -> Cyc:
-    """Return the Brauer character value of a module at a p-regular element."""
+    """Return the Brauer character value of a module at a p-regular element.
+
+    The element's order n is prime to p, so x^n - 1 is separable and its
+    action is diagonalizable: the multiplicity of each root w_n^j in the
+    characteristic polynomial is the dimension of its eigenspace.  One
+    charpoly is therefore enough, and the multiplicities come from
+    repeated division by x - w_n^j.  If they add up to less than the
+    dimension, the module does not act as a group of that order would.
+    """
     if order == 1:
         return Cyc.rational(module.dim)
     if context.eprime % order:
         raise ValueError("element order is not prime to the characteristic")
     F = context.field
-    action = module.image(g)
+    charpoly = mat_charpoly(module.image(g))
     w_n = F.pow(context.w, context.eprime // order)
     value = Cyc.zero(order)
-    total = 0
     for j in range(order):
-        mult = mat_eigenspace(action, F.pow(w_n, j)).nrows
+        root_factor = [F.neg(F.pow(w_n, j)), 1]
+        mult = 0
+        while True:
+            quot, rem = poly_divmod(F, charpoly, root_factor)
+            if rem:
+                break
+            charpoly = quot
+            mult += 1
         if mult:
             value = value + Cyc.root(order, j) * mult
-            total += mult
-    if total != module.dim:
+    if len(charpoly) > 1:
         raise NotSemisimpleElement(
-            f"action of an order {order} element is not diagonalizable"
+            f"action of an order {order} element is not diagonalizable "
+            f"over the {order}-th roots of unity"
         )
     return value
 

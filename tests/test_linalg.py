@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from pblocks import linalg
 from pblocks.errors import ShapeMismatch
 from pblocks.ffield import (
     field_create,
@@ -94,6 +95,36 @@ def test_product_matches_schoolbook():
             A = _random_mat(F, rng.randrange(1, 7), rng.randrange(1, 7), rng)
             B = _random_mat(F, A.ncols, rng.randrange(1, 7), rng)
             assert mat_mul(A, B) == _mat_mul_schoolbook(A, B)
+
+
+EDGE_FIELDS = [(2, 1), (101, 1), (2, 2), (3, 6), (2, 17), (3, 11)]
+
+
+@pytest.mark.parametrize("p, m", EDGE_FIELDS)
+def test_product_edge_shapes_match_schoolbook(p, m):
+    F = field_create(p, m)
+    rng = random.Random(41)
+    # empty factors, then products that run more than one inner block:
+    # a long inner index, and an output with more entries than the bound
+    for rows, inner, cols in [(3, 0, 4), (0, 5, 2), (4, 5, 0), (0, 0, 0),
+                              (3, 1900, 3), (129, 2, 128)]:
+        A = _random_mat(F, rows, inner, rng)
+        B = _random_mat(F, inner, cols, rng)
+        if inner and rows * cols:
+            assert rows * inner * cols > linalg._PRODUCT_BLOCK
+        got = mat_mul(A, B)
+        assert got.shape == (rows, cols)
+        assert got == _mat_mul_schoolbook(A, B)
+
+
+@pytest.mark.parametrize("p, m", EDGE_FIELDS)
+def test_solve_left_against_a_zero_matrix(p, m):
+    # no pivots, so both products inside the solve have inner dimension 0
+    F = field_create(p, m)
+    A = Mat.zeros(F, 3, 4)
+    assert mat_solve_left(A, Mat.zeros(F, 2, 4)) == Mat.zeros(F, 2, 3)
+    with pytest.raises(ValueError):
+        mat_solve_left(A, Mat(F, [[0, 0, 1, 0]]))
 
 
 def test_product_associativity_and_identity():

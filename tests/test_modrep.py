@@ -5,19 +5,21 @@ import random
 import numpy as np
 import pytest
 
-from pblocks.corpus import special_linear_2_8
+from pblocks.corpus import corpus_entry, cyclic_group, special_linear_2_8
 from pblocks.cyclotomic import Cyc
-from pblocks.errors import RandomBudgetExceeded
+from pblocks.errors import NotSemisimpleElement, RandomBudgetExceeded
 from pblocks.ffield import field_create
-from pblocks.linalg import Mat, mat_inv, mat_mul, mat_rank
+from pblocks.linalg import Mat, mat_inv, mat_mul, mat_rank, mat_rref, mat_scale, mat_sub
 from pblocks import modrep
 from pblocks.modrep import (
     BrauerTable,
     GModule,
     ReductionContext,
+    _Span,
     _algebra_is_full,
     _spin,
     brauer_table,
+    brauer_value,
     composition_factors,
     module_iso,
     p_regular_indices,
@@ -279,6 +281,93 @@ class TestOneSpin:
         assert spins and all(s == (2, 2) for s in spins)
 
 
+def _row_space(F, rows, width: int) -> Mat:
+    """Return the nonzero rows of the reduced echelon form of some rows."""
+    R, pivots = mat_rref(Mat(F, np.asarray(rows, dtype=np.int64).reshape(-1, width)))
+    return Mat(F, R.data[:len(pivots)])
+
+
+def _closure_oracle(F, mats, seed) -> Mat:
+    """Close a row under matrices by whole-space rrefs until the rank stops growing."""
+    width = len(seed)
+    S = _row_space(F, seed, width)
+    while True:
+        grown = _row_space(F, np.vstack([S.data] + [mat_mul(S, M).data for M in mats]), width)
+        if grown.nrows == S.nrows:
+            return S
+        S = grown
+
+
+def _flagged_mats(F, n, count, rng):
+    """Random matrices with a chain of invariant subspaces, conjugated at random.
+
+    Before conjugation each matrix is block upper triangular, so the rows
+    that vanish on the first blocks are invariant.  Return the matrices, the
+    conjugator X (a row v of the triangular frame is v X after it) and the
+    block of each coordinate.
+    """
+    cuts = sorted(rng.sample(range(1, n), min(2, n - 1)))
+    block = np.searchsorted(cuts, np.arange(n), side="right")
+    X = Mat(F, [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)])
+    while mat_rank(X) < n:
+        X = Mat(F, [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)])
+    mats = []
+    for _ in range(count):
+        M = np.array([[rng.randrange(F.q) for _ in range(n)] for _ in range(n)])
+        M[block[:, None] > block[None, :]] = 0
+        mats.append(mat_mul(mat_mul(mat_inv(X), Mat(F, M)), X))
+    return mats, X, block
+
+
+SPAN_FIELDS = [(2, 1), (3, 2), (2, 6)]
+
+
+class TestSpan:
+    @pytest.mark.parametrize("p, m", SPAN_FIELDS)
+    def test_reduced_echelon_after_every_add(self, p, m):
+        F = field_create(p, m)
+        rng = random.Random(61 + p + m)
+        width = 7
+        span = _Span(F, width)
+        inserted = []
+        for step in range(14):
+            if inserted and step % 3 == 2:
+                # a combination of earlier rows, which the span must refuse
+                row = np.zeros(width, dtype=np.int64)
+                for old in inserted:
+                    row = F.vadd(row, F.vmul(np.int64(rng.randrange(F.q)), old))
+            else:
+                row = np.array([rng.randrange(F.q) if rng.random() < 0.6 else 0
+                                for _ in range(width)], dtype=np.int64)
+            before = _row_space(F, inserted, width).nrows
+            inserted.append(row)
+            expected = _row_space(F, inserted, width)
+            assert span.add(row) == (expected.nrows > before)
+            assert span.dim == len(span.pivots) == expected.nrows
+            assert np.array_equal(span.rows[:, span.pivots], np.eye(span.dim))
+            assert _row_space(F, span.rows, width) == expected
+
+    @pytest.mark.parametrize("p, m", SPAN_FIELDS)
+    def test_spin_matches_the_closure_oracle(self, p, m):
+        F = field_create(p, m)
+        rng = random.Random(67 + p + m)
+        for _ in range(8):
+            n = rng.randrange(2, 9)
+            mats, X, block = _flagged_mats(F, n, rng.randrange(1, 4), rng)
+            # a seed in the frame that vanishes on the first blocks up to a random one
+            start = rng.randrange(block[-1] + 1)
+            frame = np.array([rng.randrange(F.q) if b >= start else 0 for b in block])
+            seed = mat_mul(Mat(F, [frame]), X).data[0]
+            span = _spin(F, [M.data for M in mats], seed)
+            assert _row_space(F, span.rows, n) == _closure_oracle(F, mats, seed)
+            # two blocks of a row are acted on side by side, as by diag(M, M)
+            pair = np.concatenate([seed, np.roll(seed, 1)])
+            zero = np.zeros((n, n), dtype=np.int64)
+            doubled = [Mat(F, np.block([[M.data, zero], [zero, M.data]])) for M in mats]
+            span = _spin(F, [M.data for M in mats], pair)
+            assert _row_space(F, span.rows, 2 * n) == _closure_oracle(F, doubled, pair)
+
+
 class TestSimpleModules:
     def test_sym3_mod2(self):
         g = sym(3)
@@ -360,3 +449,38 @@ class TestBrauerTable:
         assert t1.dims == t2.dims
         for r1, r2 in zip(t1.rows, t2.rows):
             assert all(a == b for a, b in zip(r1, r2))
+
+
+class TestBrauerValue:
+    @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "SL(2,8)"])
+    def test_values_match_eigenspace_ranks(self, name):
+        # each eigenvalue w_n^j counts dim - rank(action - w_n^j I) times
+        entry = corpus_entry(name)
+        g = entry.build()
+        classes = g.conjugacy_classes()
+        for p in entry.target_primes(g):
+            ctx = ReductionContext(g, p)
+            F = ctx.field
+            for module in simple_modules(g, ctx):
+                eye = Mat.identity(F, module.dim)
+                for k in p_regular_indices(classes, p):
+                    rep, order = classes.reps[k], classes.orders[k]
+                    action = eye
+                    for i in g.word(rep):
+                        action = mat_mul(action, module.mats[i])
+                    w_n = F.pow(ctx.w, ctx.eprime // order)
+                    want = Cyc.zero(order)
+                    for j in range(order):
+                        shifted = mat_sub(action, mat_scale(eye, F.pow(w_n, j)))
+                        want = want + Cyc.root(order, j) * (module.dim - mat_rank(shifted))
+                    assert brauer_value(module, rep, order, ctx) == want
+
+    def test_an_action_of_the_wrong_order_is_not_semisimple(self):
+        # the generator of C3 acts by an element of order 15, which has no
+        # eigenvalue among the cube roots of unity
+        g = cyclic_group(3)
+        F = field_create(2, 4)
+        ctx = ReductionContext(g, 2, field=F)
+        module = GModule(g, F, [Mat(F, [[F.primitive]])])
+        with pytest.raises(NotSemisimpleElement):
+            brauer_value(module, g.generators[0], 3, ctx)
