@@ -9,7 +9,7 @@ from .chartab import (
     CharacterTable,
     character_table,
     class_fusion,
-    class_inner_product,
+    class_gram,
     lifting_prime,
     restrict_row,
 )
@@ -392,15 +392,14 @@ def block_orbit(system: BlockSystem, sub: BlockSystem, index: int) -> tuple:
 def covered_blocks(system: BlockSystem, sub: BlockSystem) -> dict:
     """Map each ambient block index to the normal subgroup blocks it covers."""
     fusion = class_fusion(system.chartab.classes, sub.chartab.classes)
-    classes = sub.chartab.classes
+    restricted = [restrict_row(row, fusion) for row in system.chartab.rows]
+    gram = class_gram(restricted, sub.chartab.rows, sub.chartab.classes)
 
     covered = {}
     for block in system.blocks:
         hit = set()
         for ci in block.chars:
-            restricted = restrict_row(system.chartab.rows[ci], fusion)
-            for t, trow in enumerate(sub.chartab.rows):
-                mult = class_inner_product(restricted, trow, classes)
+            for t, mult in enumerate(gram[ci]):
                 if mult is None:
                     raise RuntimeError("restriction inner product is irrational")
                 if mult.denominator != 1 or mult < 0:

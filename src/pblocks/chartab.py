@@ -8,19 +8,32 @@ split semisimple commutative algebra, so refining the whole space by the
 eigenspaces of one class matrix at a time, smallest classes first, always
 ends in lines: the common eigenvectors, which are the central characters.
 Every step is deterministic.  A degree d is read from its residue d^2 mod r
-as the only d <= sqrt(|G|) with that square, and the character values
-are lifted back to exact cyclotomic numbers through discrete Fourier sums
-of root-of-unity eigenvalue multiplicities.  Orthogonality and the degree
-sum are verified exactly before a table is returned.
+as the only d <= sqrt(|G|) with that square.
+
+The values are lifted back to exact cyclotomic numbers from the character
+mod r, one int64 row per character.  For each element order m the m x m
+matrix of z_m^(-js) mod r is built once, and one product of the rows' values
+on the powers g^j of a class representative with it gives, for every row at
+once, the multiplicity of each z_m^s as an eigenvalue of g (a discrete
+Fourier sum).  The value is sum_s mult_s z_m^s at conductor m, one integer
+product with the basis coordinates of the powers of z_m.
+
+The degree sum and orthogonality are verified exactly before a table is
+returned.  Orthogonality is one Gram matrix from class_gram, the kernel
+that also checks tables in the harness and restriction multiplicities in
+the block pipeline: integer coordinate arrays, one tensordot over the
+classes per coefficient index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
-from .cyclotomic import Cyc
+import numpy as np
+
+from .cyclotomic import euler_phi, power_rows, root_sum
 from .errors import FusionInconsistent, LiftingPrimeNotFound
 from .ffield import field_create, poly_roots
 from .intmath import is_prime
@@ -50,17 +63,71 @@ def lifting_prime(order: int, exponent: int) -> int:
     )
 
 
-def class_inner_product(chi, psi, classes: ClassData) -> Fraction | None:
-    """Return the inner product <chi, psi> of two class functions given by class values.
+def _rational(value):
+    """Return a value as an int or Fraction when it is rational, else None."""
+    q = value.as_int()
+    return value.as_rational() if q is None else q
 
-    The result is a Fraction, or None when it is irrational, which cannot
-    happen when both functions are characters.
+
+def class_gram(rows, others, classes: ClassData) -> tuple:
+    """Return the matrix of inner products <rows[i], others[j]> of class functions.
+
+    <chi, psi> = sum_k |C_k| chi(g_k) conj(psi(g_k)) / |G| over the classes
+    C_k with representatives g_k.  Each entry is a Fraction, or None where
+    it is irrational, which cannot happen when both are characters.
+
+    Rational values are read at conductor 1 and the irrational ones are
+    lifted to L, the lcm of their conductors only, so every value is a row
+    of phi(L) integer coordinates over one common denominator.  The
+    conjugate is one integer matrix (z^s to z^-s), the coordinate product
+    is a loop over the phi(L) coefficient index with one tensordot over
+    the classes per step, so no intermediate is larger than
+    rows x others x (2 phi(L) - 1), and the powers z^0 .. z^(2 phi(L) - 2)
+    reduce by one product with their basis coordinates.  The arrays are
+    int64 when max |coordinate|^2 |G| phi(L) times the column norms of the
+    two integer matrices is below 2^62, which bounds every partial sum, and
+    dtype=object with the same expressions otherwise.
     """
-    acc = Cyc.zero(1)
-    for k, size in enumerate(classes.sizes):
-        acc = acc + chi[k] * psi[k].conj() * size
-    total = acc.as_rational()
-    return None if total is None else total / sum(classes.sizes)
+    rows, others = list(rows), list(others)
+    values = [v for row in rows + others for v in row]
+    rational = [_rational(v) for v in values]
+    irrational = [i for i, q in enumerate(rational) if q is None]
+    conductor = lcm(*(values[i].conductor for i in irrational))
+    phi = euler_phi(conductor)
+    den = lcm(*(q.denominator for q in rational if q is not None),
+              *(c.denominator for i in irrational for c in values[i].coords))
+
+    coords = np.zeros((len(values), phi), dtype=object)
+    coords[:, 0] = [0 if q is None else q.numerator * (den // q.denominator) for q in rational]
+    by_conductor = {}
+    for i in irrational:
+        by_conductor.setdefault(values[i].conductor, []).append(i)
+    for m, idx in by_conductor.items():
+        nums = [[c.numerator * (den // c.denominator) for c in values[i].coords] for i in idx]
+        lift = power_rows(conductor, (conductor // m) * np.arange(euler_phi(m)))
+        coords[idx] = np.array(nums, dtype=object) @ lift
+
+    conj = power_rows(conductor, -np.arange(phi))
+    reduction = power_rows(conductor, np.arange(2 * phi - 1))
+    order = sum(classes.sizes)
+    top = max(map(abs, coords.flat), default=0)
+    bound = top * top * order * phi * int(np.abs(conj).sum(axis=0).max()) * int(
+        np.abs(reduction).sum(axis=0).max()
+    )
+    kind = np.int64 if bound < 2 ** 62 else object
+    coords = coords.astype(kind).reshape(len(rows) + len(others), len(classes.sizes), phi)
+    left = coords[: len(rows)] * np.array(classes.sizes, dtype=kind)[:, None]
+    right = coords[len(rows):] @ conj
+    conv = np.zeros((len(rows), len(others), 2 * phi - 1), dtype=kind)
+    for i in range(phi):
+        conv[:, :, i : i + phi] += np.tensordot(left[:, :, i], right, axes=(1, 1))
+    total = conv @ reduction
+    irrational_entries = (total[:, :, 1:] != 0).any(axis=2).tolist()
+    scale = den * den * order
+    return tuple(
+        tuple(None if irr else Fraction(int(x), scale) for x, irr in zip(line, flags))
+        for line, flags in zip(total[:, :, 0].tolist(), irrational_entries)
+    )
 
 
 def _split_eigenspaces(F, class_mats: list, order: list) -> list:
@@ -134,10 +201,10 @@ def character_table(group: PermGroup, seed: int = 0, prime: int | None = None) -
     by_size = sorted((k for k in range(n) if classes.orders[k] != 1), key=sizes.__getitem__)
     spaces = _split_eigenspaces(F, group.class_matrices(), by_size)
 
-    inv_sizes = [F.inv(s % r) for s in sizes]
+    # exact in int64 when every sum of e products of two residues fits
+    kind = np.int64 if e * r * r < 2 ** 62 else object
     kstar = [classes.class_of[perm_inv(rep)] for rep in classes.reps]
-    root_cap = isqrt(order)
-    zroot = F.root_of_unity(e)
+    inv_sizes = np.array([F.inv(s % r) for s in sizes], dtype=kind)
 
     identity = tuple(range(group.degree))
     power_classes = []
@@ -149,53 +216,41 @@ def character_table(group: PermGroup, seed: int = 0, prime: int | None = None) -
             cur = perm_mul(cur, rep)
         power_classes.append(row)
 
-    table = []
-    for space in spaces:
-        vec = space.data[0]
-        lead = int(vec[0])
-        if lead == 0:
-            raise RuntimeError("central character vanishes on the identity class")
-        scale = F.inv(lead)
-        omega = [F.mul(int(v), scale) for v in vec]
+    # one central character per row, scaled to 1 on the identity class
+    vecs = np.array([space.data[0].tolist() for space in spaces], dtype=kind)
+    if not vecs[:, 0].all():
+        raise RuntimeError("central character vanishes on the identity class")
+    scale = np.array([F.inv(int(x)) for x in vecs[:, 0]], dtype=kind)
+    omega = vecs * scale[:, None] % r
+    # sum_k omega_k omega_k* / |C_k| = |G| / d^2
+    denominators = (omega * omega[:, kstar] % r * inv_sizes % r).sum(axis=1) % r
+    if not denominators.all():
+        raise RuntimeError("degree denominator vanished modulo the lifting prime")
+    # one key per square: d1^2 = d2^2 mod r puts r in (d1 - d2)(d1 + d2), both below r
+    root_of = {d * d % r: d for d in range(1, isqrt(order) + 1)}
+    degrees = [root_of.get(F.mul(order % r, F.inv(int(x)))) for x in denominators]
+    if None in degrees:
+        raise RuntimeError("could not identify the character degree")
+    deg = np.array(degrees, dtype=kind)
+    chi_mod = deg[:, None] * omega % r * inv_sizes % r
 
-        s = 0
-        for k in range(n):
-            s = F.add(s, F.mul(F.mul(omega[k], omega[kstar[k]]), inv_sizes[k]))
-        if s == 0:
-            raise RuntimeError("degree denominator vanished modulo the lifting prime")
-        d2 = F.mul(order % r, F.inv(s))
-        # unique: d1^2 = d2^2 mod r puts r in (d1 - d2)(d1 + d2), both below r
-        degree = next((d for d in range(1, root_cap + 1) if d * d % r == d2), None)
-        if degree is None:
-            raise RuntimeError("could not identify the character degree")
-
-        chi_mod = [F.mul(F.mul(degree % r, omega[k]), inv_sizes[k]) for k in range(n)]
-
-        values = []
-        for k in range(n):
-            m = classes.orders[k]
-            if m == 1:
-                values.append(Cyc.rational(degree))
-                continue
-            zn_inv = F.inv(F.pow(zroot, e // m))
-            zpow = [F.pow(zn_inv, t) for t in range(m)]
-            inv_m = F.inv(m % r)
-            val = Cyc.zero(m)
-            total = 0
-            for sdx in range(m):
-                acc = 0
-                for j in range(m):
-                    acc = F.add(acc, F.mul(chi_mod[power_classes[k][j]], zpow[(j * sdx) % m]))
-                mult = F.mul(inv_m, acc)
-                if mult > degree:
-                    raise RuntimeError("eigenvalue multiplicity exceeds the degree")
-                total += mult
-                if mult:
-                    val = val + Cyc.root(m, sdx) * mult
-            if total != degree:
-                raise RuntimeError("eigenvalue multiplicities do not sum to the degree")
-            values.append(val)
-        table.append((degree, tuple(values)))
+    # dft[m][j, s] = z_m^(-js): the multiplicity of z_m^s as an eigenvalue of
+    # g_k in a row is (1/m) sum_j chi(g_k^j) z_m^(-js)
+    zroot = F.root_of_unity(e)
+    dft = {}
+    for m in set(classes.orders):
+        zinv = F.inv(F.pow(zroot, e // m))
+        steps = np.arange(m)
+        dft[m] = np.array([F.pow(zinv, t) for t in range(m)], dtype=kind)[np.outer(steps, steps) % m]
+    columns = []
+    for k, m in enumerate(classes.orders):
+        mults = chi_mod[:, power_classes[k]] @ dft[m] % r * F.inv(m % r) % r
+        if (mults > deg[:, None]).any():
+            raise RuntimeError("eigenvalue multiplicity exceeds the degree")
+        if (mults.sum(axis=1) != deg).any():
+            raise RuntimeError("eigenvalue multiplicities do not sum to the degree")
+        columns.append([root_sum(m, row) for row in mults])
+    table = [(d, tuple(column[i] for column in columns)) for i, d in enumerate(degrees)]
 
     table.sort(key=lambda row: (row[0], tuple(v.sort_key(e) for v in row[1])))
     degrees = tuple(row[0] for row in table)
@@ -203,10 +258,9 @@ def character_table(group: PermGroup, seed: int = 0, prime: int | None = None) -
 
     if sum(d * d for d in degrees) != order:
         raise RuntimeError("degree squares do not sum to the group order")
-    for i in range(len(rows)):
-        for j in range(i, len(rows)):
-            if class_inner_product(rows[i], rows[j], classes) != (1 if i == j else 0):
-                raise RuntimeError("character rows violate orthogonality")
+    gram = class_gram(rows, rows, classes)
+    if any(x != (1 if i == j else 0) for i, line in enumerate(gram) for j, x in enumerate(line)):
+        raise RuntimeError("character rows violate orthogonality")
 
     return CharacterTable(group, classes, e, r, degrees, rows)
 

@@ -8,7 +8,9 @@ algebraic integer (every ordinary or Brauer character value) has
 denominator 1 and its arithmetic runs on plain Python ints.  Products
 reduce through precomputed integer tables of the basis relation given by
 the n-th cyclotomic polynomial; values with different conductors lift to
-the least common multiple before combining.
+the least common multiple before combining.  The same tables, as integer
+matrices (power_rows) and as root sums (root_sum), serve callers that
+work on whole coordinate arrays instead of one value at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from numbers import Rational
+
+import numpy as np
 
 from .intmath import factorint
 
@@ -83,6 +87,25 @@ def _power_table(n: int) -> tuple:
             for i in range(phi):
                 cur[i] += spill * reduction[i]
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _power_array(n: int) -> np.ndarray:
+    """Return ``_power_table(n)`` as one read-only int64 array."""
+    table = np.array(_power_table(n), dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def power_rows(n: int, exponents) -> np.ndarray:
+    """Return the int64 matrix whose rows are the basis coordinates of z_n^e.
+
+    One row per given exponent e, any integer (it is read mod n).  A row
+    vector of coefficients c_e times this matrix is the coordinate vector
+    of sum c_e z_n^e, so basis reductions and Galois substitutions become
+    one integer product.
+    """
+    return _power_array(n)[np.asarray(exponents, dtype=np.int64) % n]
 
 
 # -- values -----------------------------------------------------------------------
@@ -307,6 +330,17 @@ class Cyc:
                 power = f"z{self.conductor}" if i == 1 else f"z{self.conductor}^{i}"
                 terms.append(f"{head}{power}")
         return " + ".join(terms).replace("+ -", "- ")
+
+
+def root_sum(n: int, mults) -> Cyc:
+    """Return sum_s mults[s] z_n^s, s = 0 .. n-1, as a value at conductor n.
+
+    ``mults`` holds n integers (an int64 or object array, or any
+    sequence); the coordinates are one integer product with the first n
+    rows of the power table and come back as Python ints, the value that
+    adding ``Cyc.root(n, s) * mults[s]`` one term at a time gives.
+    """
+    return Cyc(n, (np.asarray(mults) @ _power_array(n)[:n]).tolist())
 
 
 # -- finite field images ---------------------------------------------------------------

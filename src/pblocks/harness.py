@@ -26,7 +26,7 @@ from .corpus import (
     CartanFixture,
     PairedScenario,
 )
-from .chartab import class_inner_product
+from .chartab import class_gram
 from .errors import BindingUnsatisfiable, ShapeMismatch
 from .intmath import int_det, is_p_power, p_valuation
 from .modrep import ReductionContext
@@ -433,9 +433,9 @@ def verify_system(system: BlockSystem) -> dict:
     checks["simple_count_total"] = simple_total == len(system.regular)
     checks["dimension_total"] = sum(block.dim for block in blocks) == order
     checks["orthogonality"] = all(
-        class_inner_product(tab.rows[i], tab.rows[j], tab.classes) == (1 if i == j else 0)
-        for i in range(count)
-        for j in range(i, count)
+        x == (1 if i == j else 0)
+        for i, line in enumerate(class_gram(tab.rows, tab.rows, tab.classes))
+        for j, x in enumerate(line)
     )
     checks["decomposition_nonnegative"] = all(
         value >= 0 for row in system.decomposition for value in row

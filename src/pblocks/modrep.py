@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import Cyc, cyc_to_field
+from .cyclotomic import Cyc, cyc_to_field, root_sum
 from .errors import ClosureStalled, NotSemisimpleElement, RandomBudgetExceeded
 from .ffield import field_create, poly_divmod, poly_roots
 from .intmath import multiplicative_order, p_valuation
@@ -416,8 +416,9 @@ def brauer_value(module: GModule, g, order: int, context: ReductionContext) -> C
     action is diagonalizable: the multiplicity of each root w_n^j in the
     characteristic polynomial is the dimension of its eigenspace.  One
     charpoly is therefore enough, and the multiplicities come from
-    repeated division by x - w_n^j.  If they add up to less than the
-    dimension, the module does not act as a group of that order would.
+    repeated division by x - w_n^j; the value is their root_sum.  If they
+    add up to less than the dimension, the module does not act as a group
+    of that order would.
     """
     if order == 1:
         return Cyc.rational(module.dim)
@@ -426,24 +427,21 @@ def brauer_value(module: GModule, g, order: int, context: ReductionContext) -> C
     F = context.field
     charpoly = mat_charpoly(module.image(g))
     w_n = F.pow(context.w, context.eprime // order)
-    value = Cyc.zero(order)
+    counts = [0] * order
     for j in range(order):
         root_factor = [F.neg(F.pow(w_n, j)), 1]
-        mult = 0
         while True:
             quot, rem = poly_divmod(F, charpoly, root_factor)
             if rem:
                 break
             charpoly = quot
-            mult += 1
-        if mult:
-            value = value + Cyc.root(order, j) * mult
+            counts[j] += 1
     if len(charpoly) > 1:
         raise NotSemisimpleElement(
             f"action of an order {order} element is not diagonalizable "
             f"over the {order}-th roots of unity"
         )
-    return value
+    return root_sum(order, counts)
 
 
 def brauer_table(group: PermGroup, p: int, seed: int = 0,

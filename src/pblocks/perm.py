@@ -17,8 +17,10 @@ centralizers compose whole columns of it by fancy indexing and map the
 products back to element indices by binary search on byte-row keys.
 
 orbit is the one breadth-first search: the chain's transversals, the
-element enumeration and its words, subgroup closures, conjugacy classes
+element enumeration and its words, generated closures, conjugacy classes
 and the block orbits in pblocks.blocks all read its Schreier tree.
+Subgroups built from a closed element set (subgroup, sylow) instead grow
+their closure one generator at a time by Dimino's coset step.
 """
 
 from __future__ import annotations
@@ -251,6 +253,25 @@ def _closure(degree: int, gens) -> set:
     return set(orbit(tuple(range(degree)), gens, perm_mul))
 
 
+def _coset_closure(group: set, gens: list, identity: tuple) -> set:
+    """Return the elements of <H, gens[-1]>, where H = group is closed and holds gens[:-1].
+
+    Dimino's coset step (Butler, LNCS 559, 1991): the larger group is a
+    union of right cosets H t, and a coset representative times any
+    generator lies in a known coset or represents a new one.
+    """
+    base = list(group)
+    out = set(group)
+    reps = [identity]
+    for rep in reps:
+        for s in gens:
+            t = perm_mul(rep, s)
+            if t not in out:
+                reps.append(t)
+                out.update(perm_mul(h, t) for h in base)
+    return out
+
+
 def verify_normal(group: PermGroup, sub: PermGroup) -> None:
     """Check that a subgroup is normal in an ambient group of the same degree."""
     if sub.degree != group.degree:
@@ -478,7 +499,7 @@ class PermGroup:
         for x in els:
             if x not in known:
                 gens.append(x)
-                known = _closure(self.degree, gens)
+                known = _coset_closure(known, gens, self.identity)
         want = len(els) if els else 1
         if len(known) != want:
             raise ValueError("element set is not closed under composition")
@@ -522,7 +543,7 @@ class PermGroup:
             if found is None:
                 raise RuntimeError("normalizer growth stalled below the Sylow order")
             p_gens.append(found)
-            p_set = _closure(self.degree, p_gens)
+            p_set = _coset_closure(p_set, p_gens, self.identity)
             if target % len(p_set):
                 raise RuntimeError("growth left the p-subgroup lattice")
         return PermGroup(self.degree, p_gens)

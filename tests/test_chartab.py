@@ -1,6 +1,7 @@
 """Tests for exact character table computation."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,10 +9,17 @@ from pblocks.chartab import (
     CharacterTable,
     character_table,
     class_fusion,
+    class_gram,
     lifting_prime,
     restrict_row,
 )
-from pblocks.corpus import projective_special_linear_2_7, special_linear_2_8
+from pblocks.corpus import (
+    DEFAULT_CORPUS,
+    alternating_group,
+    mathieu_group_11,
+    projective_special_linear_2_7,
+    special_linear_2_8,
+)
 from pblocks.cyclotomic import Cyc
 from pblocks.errors import FusionInconsistent, LiftingPrimeNotFound
 from pblocks.perm import ClassData, PermGroup, perm_from_cycles
@@ -31,6 +39,34 @@ def sym(n: int) -> PermGroup:
 def alt5() -> PermGroup:
     """Return the alternating group on 5 points."""
     return PermGroup(5, [perm_from_cycles(5, [(1, 2, 3, 4, 5)]), perm_from_cycles(5, [(3, 4, 5)])])
+
+
+@pytest.fixture(scope="module")
+def m11_table():
+    return character_table(mathieu_group_11())
+
+
+def oracle_gram(rows, others, classes):
+    """Sum |C_k| chi(g_k) conj(psi(g_k)) / |G| one Cyc at a time."""
+    order = sum(classes.sizes)
+    out = []
+    for chi in rows:
+        line = []
+        for psi in others:
+            acc = Cyc.zero(1)
+            for k, size in enumerate(classes.sizes):
+                acc = acc + chi[k] * psi[k].conj() * size
+            total = acc.as_rational()
+            line.append(None if total is None else total / order)
+        out.append(tuple(line))
+    return tuple(out)
+
+
+def assert_gram_matches(rows, others, classes):
+    gram = class_gram(rows, others, classes)
+    assert gram == oracle_gram(rows, others, classes)
+    assert all(x is None or type(x) is Fraction for line in gram for x in line)
+    return gram
 
 
 class TestLiftingPrime:
@@ -149,6 +185,85 @@ class TestClassicalTables:
         assert tab.group.order() == 504
         assert tab.prime == 127
         assert tab.degrees == (1, 7, 7, 7, 7, 8, 9, 9, 9)
+
+
+class TestMathieu11:
+    """M11 against the ATLAS (Conway et al. 1985): the lift at element orders 8 and 11."""
+
+    def test_degrees(self, m11_table):
+        assert m11_table.degrees == (1, 10, 10, 10, 11, 16, 16, 44, 45, 55)
+
+    def test_order_eight_values_of_the_non_real_tens(self, m11_table):
+        tab = m11_table
+        eights = [k for k, o in enumerate(tab.classes.orders) if o == 8]
+        assert len(eights) == 2
+        i_root2 = Cyc.root(8) + Cyc.root(8, 3)
+        tens = [row for d, row in zip(tab.degrees, tab.rows) if d == 10]
+        non_real = [row for row in tens if any(v != v.conj() for v in row)]
+        assert len(non_real) == 2
+        pairs = [tuple(row[k] for k in eights) for row in non_real]
+        plus, minus = (i_root2, -i_root2), (-i_root2, i_root2)
+        assert pairs in ([plus, minus], [minus, plus])
+        real = next(row for row in tens if row not in non_real)
+        assert all(real[k] == 0 for k in eights)
+
+    def test_order_eleven_values_of_the_sixteens(self, m11_table):
+        tab = m11_table
+        elevens = [k for k, o in enumerate(tab.classes.orders) if o == 11]
+        assert len(elevens) == 2
+        b11 = Cyc.zero(11)
+        for s in sorted({x * x % 11 for x in range(1, 11)}):
+            b11 = b11 + Cyc.root(11, s)
+        # b11 = (-1 + sqrt(-11)) / 2
+        assert b11 + b11.conj() == -1 and b11 * b11.conj() == 3
+        sixteens = [row for d, row in zip(tab.degrees, tab.rows) if d == 16]
+        assert len(sixteens) == 2
+        pairs = [tuple(row[k] for k in elevens) for row in sixteens]
+        plus, minus = (b11, b11.conj()), (b11.conj(), b11)
+        assert pairs in ([plus, minus], [minus, plus])
+        assert all(row[k].conductor == 11 for row in sixteens for k in elevens)
+
+
+class TestClassGram:
+    @pytest.mark.parametrize("entry", DEFAULT_CORPUS, ids=lambda entry: entry.name)
+    def test_corpus_tables_against_the_cyc_sum(self, entry, m11_table):
+        tab = m11_table if entry.name == "M11" else character_table(entry.build())
+        gram = assert_gram_matches(tab.rows, tab.rows, tab.classes)
+        assert gram == tuple(
+            tuple(1 if i == j else 0 for j in range(len(tab))) for i in range(len(tab))
+        )
+
+    def test_restricted_rows_against_subgroup_rows(self):
+        g, h = sym(4), alternating_group(4)
+        tab, sub = character_table(g), character_table(h)
+        fusion = class_fusion(tab.classes, sub.classes)
+        restricted = [restrict_row(row, fusion) for row in tab.rows]
+        gram = assert_gram_matches(restricted, sub.rows, sub.classes)
+        assert len(gram) == 5 and all(len(line) == 4 for line in gram)
+        # the degree 2 character of S4 restricts to the two non-real linear characters
+        # of A4; the others stay irreducible
+        assert [sum(line) for line in gram] == [1, 1, 2, 1, 1]
+
+    def test_class_functions_with_denominators(self):
+        tab = character_table(alt5())
+        thirds = [[v * Fraction(1, 3) for v in row] for row in tab.rows]
+        gram = assert_gram_matches(thirds, tab.rows, tab.classes)
+        assert gram[1][1] == Fraction(1, 3) and gram[1][2] == 0
+
+    def test_irrational_entry_is_none(self):
+        tab = character_table(alt5())
+        five = tab.classes.orders.index(5)
+        indicator = [Cyc.rational(1 if k == five else 0) for k in range(len(tab.classes))]
+        gram = assert_gram_matches(tab.rows, [indicator], tab.classes)
+        assert gram[0][0] == Fraction(tab.classes.sizes[five], 60)
+        assert gram[1][0] is None and gram[2][0] is None
+
+    def test_large_coordinates_take_exact_integers(self):
+        # 2^40 times each value squares past the int64 bound
+        tab = character_table(projective_special_linear_2_7())
+        big = [[v * 2 ** 40 for v in row] for row in tab.rows]
+        gram = assert_gram_matches(big, big, tab.classes)
+        assert gram[0][0] == 2 ** 80 and gram[1][2] == 0
 
 
 class TestConsistency:

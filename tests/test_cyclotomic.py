@@ -13,7 +13,9 @@ from pblocks.cyclotomic import (
     cyc_to_field,
     cyclotomic_poly,
     euler_phi,
+    power_rows,
     rational_to_field,
+    root_sum,
 )
 from pblocks.chartab import character_table, lifting_prime
 from pblocks.corpus import (
@@ -111,6 +113,39 @@ class TestRootIdentities:
                     acc = acc + Cyc.root(n, i) * c
             assert acc.is_zero()
             assert not z.is_zero()
+
+
+class TestRootSums:
+    def test_root_sum_matches_term_by_term_sums(self):
+        rng = random.Random(5)
+        for n in (1, 2, 3, 4, 8, 11, 12, 15):
+            mults = [rng.randint(0, 9) for _ in range(n)]
+            expected = Cyc.zero(n)
+            for s, mult in enumerate(mults):
+                expected = expected + Cyc.root(n, s) * mult
+            for given in (mults, np.array(mults, dtype=np.int64)):
+                value = root_sum(n, given)
+                assert value == expected and value.conductor == n
+                assert value.coords == expected.coords
+                assert all(type(c) is int for c in value.coords)
+
+    def test_power_rows_are_root_coordinates(self):
+        for n in (1, 2, 7, 8, 12, 88):
+            exponents = [0, 1, -1, n + 3, 2 * euler_phi(n) - 2]
+            rows = power_rows(n, exponents)
+            assert rows.shape == (5, euler_phi(n)) and rows.dtype == np.int64
+            for e, row in zip(exponents, rows.tolist()):
+                assert Cyc(n, row) == Cyc.root(n, e % n)
+
+    def test_power_rows_conjugate_and_lift(self):
+        rng = random.Random(8)
+        n, big = 8, 88
+        value = random_value(rng, n)
+        phi = euler_phi(n)
+        conj = np.array(value.coords, dtype=object) @ power_rows(n, -np.arange(phi))
+        assert Cyc(n, conj.tolist()) == value.conj()
+        lifted = np.array(value.coords, dtype=object) @ power_rows(big, 11 * np.arange(phi))
+        assert Cyc(big, lifted.tolist()) == value.lift(big)
 
 
 class TestArithmetic:

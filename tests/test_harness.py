@@ -1,5 +1,6 @@
 """Tests for fixture validation, paired-subgroup suites, and report emission."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from pblocks.corpus import (
     alternating_group,
     corpus_entry,
     fixture,
+    projective_special_linear_2_7,
     symmetric_group,
 )
 from pblocks.errors import BindingUnsatisfiable, ShapeMismatch
@@ -278,6 +280,20 @@ class TestVerifySystem:
         system = block_system(symmetric_group(5), 2)
         checks = verify_system(system)
         assert checks and all(checks.values())
+
+    def test_orthogonality_reads_false_on_a_broken_table(self):
+        system = block_system(projective_special_linear_2_7(), 7)
+        tab = system.chartab
+        sevens = [k for k, o in enumerate(tab.classes.orders) if o == 7]
+        i = tab.degrees.index(3)
+        row = list(tab.rows[i])
+        row[sevens[0]], row[sevens[1]] = row[sevens[1]], row[sevens[0]]
+        rows = tab.rows[:i] + (tuple(row),) + tab.rows[i + 1:]
+        broken = dataclasses.replace(system, chartab=dataclasses.replace(tab, rows=rows))
+        checks = verify_system(broken)
+        assert checks["orthogonality"] is False
+        assert all(value for key, value in checks.items() if key != "orthogonality")
+        assert verify_system(system)["orthogonality"] is True
 
 
 class TestViolations:

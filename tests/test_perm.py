@@ -347,6 +347,36 @@ def test_subgroup_from_elements():
         G.subgroup([G.identity, _cycles(4, (1, 2, 3))][1:])
 
 
+def _rebuilt_generators(G, elements):
+    """Greedy generators of a closed set, recomputing the closure after each one."""
+    gens = []
+    known = {G.identity}
+    for x in sorted(set(elements)):
+        if x not in known:
+            gens.append(x)
+            known = _closure(G.degree, gens)
+    return gens, known
+
+
+@pytest.mark.parametrize("build", [lambda: _sym(7), _s3_x_c5_on_20], ids=["S7", "S3xC5-on-20"])
+def test_subgroup_coset_step_matches_rebuilt_closures(build):
+    G = build()
+    els = G.elements()
+    for rep in G.conjugacy_classes().reps:
+        cent = [g for g in els if _compose(g, rep) == _compose(rep, g)]
+        gens, known = _rebuilt_generators(G, cent)
+        assert len(known) == len(cent)
+        H = G.subgroup(cent)
+        assert list(H.generators) == gens
+        assert H.order() == len(cent)
+
+
+def test_subgroup_rejects_a_set_that_closes_larger():
+    G = _sym(4)
+    with pytest.raises(ValueError, match="not closed"):
+        G.subgroup([G.identity, _cycles(4, (1, 2)), _cycles(4, (2, 3))])
+
+
 def test_normality():
     G = _sym(4)
     v4 = G.subgroup([
