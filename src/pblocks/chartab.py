@@ -179,7 +179,7 @@ class CharacterTable:
         return len(self.rows)
 
 
-def character_table(group: PermGroup, seed: int = 0, prime: int | None = None) -> CharacterTable:
+def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
     """Compute the exact ordinary character table of a small group.
 
     The computation is deterministic; ``seed`` is accepted for symmetry
@@ -189,22 +189,19 @@ def character_table(group: PermGroup, seed: int = 0, prime: int | None = None) -
     order = group.order()
     e = group.exponent()
     n = len(classes)
-    if prime is None:
-        r = lifting_prime(order, e)
-    else:
-        r = prime
-        if (r - 1) % e or r <= 2 * isqrt(order) + 1 or not is_prime(r) or order % r == 0:
-            raise ValueError("supplied lifting prime violates the required conditions")
+    r = lifting_prime(order, e)
+    # every sum of e products of two residues fits in int64: r <= LIFTING_PRIME_CAP
+    # and e <= |G| <= ENUMERATION_CAP keep e r^2 below 2^62
+    if e * r * r >= 2 ** 62:
+        raise RuntimeError("lifting prime too large for int64 sums")
     F = field_create(r)
 
     sizes = classes.sizes
     by_size = sorted((k for k in range(n) if classes.orders[k] != 1), key=sizes.__getitem__)
     spaces = _split_eigenspaces(F, group.class_matrices(), by_size)
 
-    # exact in int64 when every sum of e products of two residues fits
-    kind = np.int64 if e * r * r < 2 ** 62 else object
     kstar = [classes.class_of[perm_inv(rep)] for rep in classes.reps]
-    inv_sizes = np.array([F.inv(s % r) for s in sizes], dtype=kind)
+    inv_sizes = np.array([F.inv(s % r) for s in sizes], dtype=np.int64)
 
     identity = tuple(range(group.degree))
     power_classes = []
@@ -217,10 +214,10 @@ def character_table(group: PermGroup, seed: int = 0, prime: int | None = None) -
         power_classes.append(row)
 
     # one central character per row, scaled to 1 on the identity class
-    vecs = np.array([space.data[0].tolist() for space in spaces], dtype=kind)
+    vecs = np.array([space.data[0].tolist() for space in spaces], dtype=np.int64)
     if not vecs[:, 0].all():
         raise RuntimeError("central character vanishes on the identity class")
-    scale = np.array([F.inv(int(x)) for x in vecs[:, 0]], dtype=kind)
+    scale = np.array([F.inv(int(x)) for x in vecs[:, 0]], dtype=np.int64)
     omega = vecs * scale[:, None] % r
     # sum_k omega_k omega_k* / |C_k| = |G| / d^2
     denominators = (omega * omega[:, kstar] % r * inv_sizes % r).sum(axis=1) % r
@@ -231,7 +228,7 @@ def character_table(group: PermGroup, seed: int = 0, prime: int | None = None) -
     degrees = [root_of.get(F.mul(order % r, F.inv(int(x)))) for x in denominators]
     if None in degrees:
         raise RuntimeError("could not identify the character degree")
-    deg = np.array(degrees, dtype=kind)
+    deg = np.array(degrees, dtype=np.int64)
     chi_mod = deg[:, None] * omega % r * inv_sizes % r
 
     # dft[m][j, s] = z_m^(-js): the multiplicity of z_m^s as an eigenvalue of
@@ -241,7 +238,8 @@ def character_table(group: PermGroup, seed: int = 0, prime: int | None = None) -
     for m in set(classes.orders):
         zinv = F.inv(F.pow(zroot, e // m))
         steps = np.arange(m)
-        dft[m] = np.array([F.pow(zinv, t) for t in range(m)], dtype=kind)[np.outer(steps, steps) % m]
+        powers = np.array([F.pow(zinv, t) for t in range(m)], dtype=np.int64)
+        dft[m] = powers[np.outer(steps, steps) % m]
     columns = []
     for k, m in enumerate(classes.orders):
         mults = chi_mod[:, power_classes[k]] @ dft[m] % r * F.inv(m % r) % r

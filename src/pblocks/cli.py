@@ -14,6 +14,7 @@ from .errors import BlockEngineError
 from .harness import (
     SCENARIO_KINDS,
     analyze_group,
+    build_report,
     fixture_checks,
     format_fraction,
     render_report,
@@ -132,21 +133,9 @@ def _cmd_analyze(args) -> int:
     """Analyze one group at one prime and print the report."""
     name, group = _single_group_from_file(args.group)
     result = analyze_group(group, args.prime, seed=args.seed, name=name)
-    report = {
-        "meta": {
-            "version": __version__,
-            "seed": args.seed,
-            "include_large": False,
-            "entries": [name],
-            "passed": result["passed"],
-            "timings": {},
-        },
-        "blocks": [result],
-        "lemmas": [],
-        "fixtures": [],
-    }
+    report = build_report(args.seed, False, [name], [result], [], [], {})
     sys.stdout.write(render_report(report, args.format))
-    return 0 if result["passed"] else 1
+    return 0 if report_passed(report) else 1
 
 
 def _cmd_verify_corpus(args) -> int:

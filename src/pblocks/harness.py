@@ -1,4 +1,12 @@
-"""Corpus runner with fixture validation, paired-subgroup suites, and report emission."""
+"""Corpus runner with fixture validation, paired-subgroup suites, and report emission.
+
+Each verdict is written once, where it is defined: the six system-level
+checks of verify_system in its own dict and the nine per-block ones in
+_block_checks; the four per-block bound checks in blocks.check_conjectures,
+named in block_record; the seven fixture verdicts in fixture_checks; and
+each paired-subgroup check in its _check_* function.  build_report folds
+them into the one report that verify-corpus and analyze print.
+"""
 
 import hashlib
 import json
@@ -105,14 +113,8 @@ def fixture_checks(fix: CartanFixture, seed: int = 0, samples: int = 1000) -> di
     p = fix.prime
     trace = fix.trace()
     bound = fix.bound()
-    symmetric = all(rows[i][j] == rows[j][i] for i in range(size) for j in range(size))
-    diagonal_ok = fix.max_diagonal() <= fix.defect_order
-    trace_ok = fix.trace_expected is None or trace == fix.trace_expected
     det = int_det(rows)
-    det_p_power = is_p_power(det, p)
     top = _top_elementary_divisor(rows)
-    top_divisor_ok = top == fix.defect_order
-    definite = _positive_definite(rows)
     rng = random.Random(_derive_seed(seed, "fixture", fix.name))
     rayleigh_ok = True
     worst = Fraction(0)
@@ -123,7 +125,16 @@ def fixture_checks(fix: CartanFixture, seed: int = 0, samples: int = 1000) -> di
             worst = value
         if not (value <= trace and value < bound):
             rayleigh_ok = False
-    result = {
+    verdicts = {
+        "symmetric": all(rows[i][j] == rows[j][i] for i in range(size) for j in range(size)),
+        "diagonal_ok": fix.max_diagonal() <= fix.defect_order,
+        "trace_ok": fix.trace_expected is None or trace == fix.trace_expected,
+        "det_p_power": is_p_power(det, p),
+        "top_divisor_ok": top == fix.defect_order,
+        "positive_definite": _positive_definite(rows),
+        "rayleigh_ok": rayleigh_ok,
+    }
+    return {
         "name": fix.name,
         "prime": p,
         "size": size,
@@ -134,27 +145,9 @@ def fixture_checks(fix: CartanFixture, seed: int = 0, samples: int = 1000) -> di
         "bound": bound,
         "samples": samples,
         "rayleigh_max": format_fraction(worst),
-        "symmetric": symmetric,
-        "diagonal_ok": diagonal_ok,
-        "trace_ok": trace_ok,
-        "det_p_power": det_p_power,
-        "top_divisor_ok": top_divisor_ok,
-        "positive_definite": definite,
-        "rayleigh_ok": rayleigh_ok,
+        **verdicts,
+        "holds": all(verdicts.values()),
     }
-    result["holds"] = all(
-        result[key]
-        for key in (
-            "symmetric",
-            "diagonal_ok",
-            "trace_ok",
-            "det_p_power",
-            "top_divisor_ok",
-            "positive_definite",
-            "rayleigh_ok",
-        )
-    )
-    return result
 
 
 def _verdict(key: str, items: list, left: str, relation: str, right: str) -> dict:
@@ -415,120 +408,79 @@ def block_record(system: BlockSystem, block) -> dict:
     }
 
 
-def verify_system(system: BlockSystem) -> dict:
-    """Re-assert the structural invariants of a computed block system independently."""
-    order = system.group.order()
+def _block_checks(system: BlockSystem, block) -> dict:
+    """Re-assert the structural invariants of one block, one verdict per key."""
     p = system.p
+    cartan = block.cartan
+    size = len(block.ibrs)
+    dmat = [[system.decomposition[ci][bj] for bj in block.ibrs] for ci in block.chars]
+    gram = [[sum(row[a] * row[b] for row in dmat) for b in range(size)] for a in range(size)]
+    pairs = [(a, b) for a in range(size) for b in range(size)]
+    by_chars = sum(d * d for d in block.degrees)
+    by_cartan = sum(cartan[a][b] * block.ibr_degrees[a] * block.ibr_degrees[b] for a, b in pairs)
+    D = block.defect_group
+    return {
+        "decomposition_full_rank": int_det(gram) != 0,
+        "cartan_symmetric": all(cartan[a][b] == cartan[b][a] for a, b in pairs),
+        "cartan_is_gram": [list(row) for row in cartan] == gram,
+        "cartan_det_p_power": is_p_power(int_det(cartan), p),
+        "two_route_dimension": block.dim == by_chars == by_cartan,
+        "tau_floor": block.tau >= 1 and (block.tau == 1) == (block.defect == 0),
+        "tau_trace_bound": block.tau <= sum(cartan[a][a] for a in range(size)),
+        "defect_consistency": D.order() == p ** block.defect
+        and (not block.principal or block.defect == p_valuation(system.group.order(), p)),
+        "abelian_diagonal_bound": not (p == 2 and D.is_abelian())
+        or all(cartan[a][a] <= D.order() for a in range(size)),
+    }
+
+
+def verify_system(system: BlockSystem) -> dict:
+    """Re-assert the structural invariants of a computed block system independently.
+
+    The first six keys are checked here on the whole system; the other
+    nine are defined per block in _block_checks and hold when they hold
+    for every block.
+    """
     tab = system.chartab
-    count = len(tab.rows)
-    simple_total = len(system.brauer.dims)
     blocks = system.blocks
-    checks = {}
-    checks["char_partition"] = sorted(
-        ci for block in blocks for ci in block.chars
-    ) == list(range(count))
-    checks["ibr_partition"] = sorted(
-        j for block in blocks for j in block.ibrs
-    ) == list(range(simple_total))
-    checks["simple_count_total"] = simple_total == len(system.regular)
-    checks["dimension_total"] = sum(block.dim for block in blocks) == order
-    checks["orthogonality"] = all(
-        x == (1 if i == j else 0)
-        for i, line in enumerate(class_gram(tab.rows, tab.rows, tab.classes))
-        for j, x in enumerate(line)
-    )
-    checks["decomposition_nonnegative"] = all(
-        value >= 0 for row in system.decomposition for value in row
-    )
-    full_rank = True
-    symmetric = True
-    product = True
-    det_power = True
-    two_route = True
-    tau_floor = True
-    tau_trace = True
-    defect_ok = True
-    diagonal_ok = True
-    for block in blocks:
-        dmat = [
-            [system.decomposition[ci][bj] for bj in block.ibrs] for ci in block.chars
-        ]
-        size = len(block.ibrs)
-        gram = [
-            [sum(row[a] * row[b] for row in dmat) for b in range(size)]
-            for a in range(size)
-        ]
-        if [list(row) for row in block.cartan] != gram:
-            product = False
-        if int_det(gram) == 0:
-            full_rank = False
-        if any(
-            block.cartan[a][b] != block.cartan[b][a]
-            for a in range(size)
-            for b in range(size)
-        ):
-            symmetric = False
-        if not is_p_power(int_det(block.cartan), p):
-            det_power = False
-        by_chars = sum(d * d for d in block.degrees)
-        by_cartan = sum(
-            block.cartan[a][b] * block.ibr_degrees[a] * block.ibr_degrees[b]
-            for a in range(size)
-            for b in range(size)
-        )
-        if not (block.dim == by_chars == by_cartan):
-            two_route = False
-        if block.tau < 1 or (block.tau == 1) != (block.defect == 0):
-            tau_floor = False
-        if block.tau > sum(block.cartan[a][a] for a in range(size)):
-            tau_trace = False
-        if block.defect_group.order() != p ** block.defect:
-            defect_ok = False
-        if block.principal and block.defect != p_valuation(order, p):
-            defect_ok = False
-        if p == 2 and block.defect_group.is_abelian():
-            if any(block.cartan[a][a] > block.defect_group.order() for a in range(size)):
-                diagonal_ok = False
-    checks["decomposition_full_rank"] = full_rank
-    checks["cartan_symmetric"] = symmetric
-    checks["cartan_is_gram"] = product
-    checks["cartan_det_p_power"] = det_power
-    checks["two_route_dimension"] = two_route
-    checks["tau_floor"] = tau_floor
-    checks["tau_trace_bound"] = tau_trace
-    checks["defect_consistency"] = defect_ok
-    checks["abelian_diagonal_bound"] = diagonal_ok
+    checks = {
+        "char_partition": sorted(ci for block in blocks for ci in block.chars)
+        == list(range(len(tab.rows))),
+        "ibr_partition": sorted(j for block in blocks for j in block.ibrs)
+        == list(range(len(system.brauer.dims))),
+        "simple_count_total": len(system.brauer.dims) == len(system.regular),
+        "dimension_total": sum(block.dim for block in blocks) == system.group.order(),
+        "orthogonality": all(
+            x == (1 if i == j else 0)
+            for i, line in enumerate(class_gram(tab.rows, tab.rows, tab.classes))
+            for j, x in enumerate(line)
+        ),
+        "decomposition_nonnegative": all(
+            value >= 0 for row in system.decomposition for value in row
+        ),
+    }
+    per_block = [_block_checks(system, block) for block in blocks]
+    checks.update({key: all(c[key] for c in per_block) for key in per_block[0]})
     return checks
 
 
 def system_violations(name: str, system: BlockSystem, records: list) -> list:
-    """Collect conjecture verdict failures with full block data attached."""
+    """Collect conjecture verdict failures with full block data attached.
+
+    The verdicts are the record's checks, defined by check_conjectures and
+    named in block_record, in their order.  The strict tau bound is proved
+    only at p = 2 for a block of positive defect with an abelian defect
+    group, so only there does its failure count.
+    """
     out = []
     for block, record in zip(system.blocks, records):
-        verdicts = record["checks"]
-        failed = []
-        if not verdicts["tau_bound"]:
-            failed.append("tau_bound")
-        if not verdicts["equality_iff_one_simple"]:
-            failed.append("equality_iff_one_simple")
-        if not verdicts["simple_count_bound"]:
-            failed.append("simple_count_bound")
-        if (
-            system.p == 2
-            and block.defect > 0
-            and record["defect_group_abelian"]
-            and not verdicts["strict_tau_bound"]
-        ):
-            failed.append("strict_tau_bound")
+        strict = system.p == 2 and block.defect > 0 and record["defect_group_abelian"]
+        failed = [
+            key for key, ok in record["checks"].items()
+            if not ok and (strict or key != "strict_tau_bound")
+        ]
         if failed:
-            out.append(
-                {
-                    "group": name,
-                    "prime": system.p,
-                    "failed": failed,
-                    "block": record,
-                }
-            )
+            out.append({"group": name, "prime": system.p, "failed": failed, "block": record})
     return out
 
 
@@ -580,23 +532,35 @@ def run_corpus(seed: int = 0, include_large: bool = False, entries=None,
         lemma_results.append(run_scenario(scenario, seed=seed))
         timings[f"scenario:{scenario.name}"] = round(time.perf_counter() - started, 6)
     fixture_results = [fixture_checks(fix, seed=seed) for fix in fixtures]
+    return build_report(seed, include_large, [entry.name for entry in chosen], analyses,
+                        lemma_results, fixture_results, timings)
+
+
+def build_report(seed: int, include_large: bool, names: list, analyses: list,
+                 lemmas: list, fixtures: list, timings: dict) -> dict:
+    """Assemble the report of analyze_group, run_scenario and fixture_checks results.
+
+    The report passes when every analysis passed (its verify_system checks
+    hold and system_violations is empty), every paired-subgroup check holds
+    (run_scenario) and every fixture holds (fixture_checks).
+    """
     passed = (
         all(item["passed"] for item in analyses)
-        and all(item["holds"] for item in lemma_results)
-        and all(item["holds"] for item in fixture_results)
+        and all(item["holds"] for item in lemmas)
+        and all(item["holds"] for item in fixtures)
     )
     return {
         "meta": {
             "version": __version__,
             "seed": seed,
             "include_large": bool(include_large),
-            "entries": [entry.name for entry in chosen],
+            "entries": names,
             "passed": passed,
             "timings": timings,
         },
         "blocks": analyses,
-        "lemmas": lemma_results,
-        "fixtures": fixture_results,
+        "lemmas": lemmas,
+        "fixtures": fixtures,
     }
 
 

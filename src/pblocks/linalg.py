@@ -6,10 +6,11 @@ of M is the space of rows v with v M = 0, and eigenvectors of M are rows
 v with v M = c v.  Elimination routines use one vectorized full-matrix
 update per pivot, with the pivot chosen as the first nonzero entry.  The
 characteristic polynomial runs the Hessenberg recurrence on coefficient
-rows, with one vector op per term.  Products outside small prime fields,
-and the sums inside the recurrence and the spin, go through vec_mat: one
-vmul and one vsum per block of the inner index, with blocks small enough
-that no transient array holds more than max(2^14, rows x cols) products.
+rows, with one vector op per term.  Every product, including the sums
+inside the recurrence and the spin, goes through vec_mat: numpy's integer
+product on prime fields where it cannot overflow, and otherwise one vmul
+and one vsum per block of the inner index, with blocks small enough that
+no transient array holds more than max(2^14, rows x cols) products.
 """
 
 from __future__ import annotations
@@ -111,18 +112,11 @@ def _mat_mul_schoolbook(A: Mat, B: Mat) -> Mat:
 
 
 def mat_mul(A: Mat, B: Mat) -> Mat:
-    """Multiply two matrices.
-
-    A prime field whose int64 dot products cannot overflow uses numpy's
-    integer product; every other field goes through vec_mat.
-    """
+    """Multiply two matrices."""
     _same_field(A, B)
     if A.ncols != B.nrows:
         raise ShapeMismatch(f"cannot multiply {A.shape} by {B.shape}")
-    F = A.field
-    if F.kind == "prime" and A.ncols * (F.p - 1) ** 2 < 2 ** 62:
-        return Mat(F, (A.data @ B.data) % F.p)
-    return Mat(F, vec_mat(F, A.data, B.data))
+    return Mat(A.field, vec_mat(A.field, A.data, B.data))
 
 
 # most products one vec_mat block holds, unless one inner index alone has more
@@ -132,13 +126,16 @@ _PRODUCT_BLOCK = 2 ** 14
 def vec_mat(F: Field, A, B):
     """Return the product of two 2-D code arrays over F.
 
-    The inner index is split into blocks: each block's entrywise products
-    A[i, k] B[k, j] are one vmul and their sum over k one vsum, and the
-    block sums are added in turn.  So no transient array holds more than
-    max(2^14, rows x cols) products, and an inner dimension of 0 gives the
-    zero matrix (the sum over an empty block).
+    A prime field whose int64 dot products cannot overflow uses numpy's
+    integer product.  Otherwise the inner index is split into blocks: each
+    block's entrywise products A[i, k] B[k, j] are one vmul and their sum
+    over k one vsum, and the block sums are added in turn.  So no transient
+    array holds more than max(2^14, rows x cols) products, and an inner
+    dimension of 0 gives the zero matrix (the sum over an empty block).
     """
     rows, inner = A.shape
+    if F.kind == "prime" and inner * (F.p - 1) ** 2 < 2 ** 62:
+        return A @ B % F.p
     step = max(1, _PRODUCT_BLOCK // max(1, rows * B.shape[1]))
 
     def block(k):

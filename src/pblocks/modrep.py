@@ -139,17 +139,15 @@ def tensor_module(a: GModule, b: GModule) -> GModule:
     return GModule(a.group, a.field, [mat_kron(x, y) for x, y in zip(a.mats, b.mats)])
 
 
-def sub_module(module: GModule, basis: Mat) -> GModule:
-    """Return the action on an invariant row space."""
-    B, pivots = mat_rref(basis)
+def sub_module(module: GModule, B: Mat, pivots: tuple) -> GModule:
+    """Return the action on an invariant row space, given in reduced echelon form."""
     cols = list(pivots)
     mats = [Mat(module.field, mat_mul(B, M).data[:, cols]) for M in module.mats]
     return GModule(module.group, module.field, mats)
 
 
-def quotient_module(module: GModule, basis: Mat) -> GModule:
-    """Return the action on the quotient by an invariant row space."""
-    B, pivots = mat_rref(basis)
+def quotient_module(module: GModule, B: Mat, pivots: tuple) -> GModule:
+    """Return the action on the quotient by an invariant row space in reduced echelon form."""
     n = module.dim
     F = module.field
     others = [j for j in range(n) if j not in set(pivots)]
@@ -169,7 +167,12 @@ class _Span:
     The rows are one array, and the column of each row's pivot is zero in
     every other row.  A new row is therefore reduced by subtracting its
     pivot entries times the stored rows, one vec_mat, and its own pivot
-    column is cleared from the stored rows by one outer product.
+    column is cleared from the stored rows by one outer product.  Each
+    row's first nonzero entry is its pivot: a new row is zero at every old
+    pivot, and clearing its pivot column from an old row subtracts a
+    multiple of the new row, so nothing left of the new pivot changes, and
+    an old row that is nonzero there has its own pivot further left.  So
+    the rows sorted by pivot are the (unique) reduced echelon form.
     """
 
     def __init__(self, field, width: int):
@@ -199,6 +202,11 @@ class _Span:
     def basis(self) -> Mat:
         """Return the reduced echelon rows spanning the space."""
         return Mat(self.field, self.rows)
+
+    def echelon(self) -> tuple:
+        """Return the rows sorted by pivot and the sorted pivots, as mat_rref would."""
+        order = np.argsort(self.pivots)
+        return Mat(self.field, self.rows[order]), tuple(sorted(self.pivots))
 
 
 def _spin(field, mats_data: list, seed_row) -> _Span:
@@ -262,7 +270,11 @@ def _algebra_is_full(module: GModule) -> bool:
 
 
 def _chop_step(module: GModule, rng: random.Random):
-    """Return a proper invariant row space, or None when the module is simple."""
+    """Return a proper invariant row space, or None when the module is simple.
+
+    The space is returned as mat_rref returns it: (basis, pivots) in reduced
+    echelon form.
+    """
     n = module.dim
     if n == 1:
         return None
@@ -274,13 +286,13 @@ def _chop_step(module: GModule, rng: random.Random):
             nucleus = mat_eigenspace(theta, lam)
             span = _spin(F, mats_data, nucleus.data[0])
             if span.dim < n:
-                return span.basis()
+                return span.echelon()
             if nucleus.nrows == 1:
                 co_nucleus = mat_eigenspace(mat_transpose(theta), lam)
                 span = _spin(F, [d.T.copy() for d in mats_data], co_nucleus.data[0])
                 if span.dim == n:
                     return None
-                return mat_right_kernel(span.basis())
+                return mat_rref(mat_right_kernel(span.basis()))
     if n <= BURNSIDE_DIM_CAP and _algebra_is_full(module):
         return None
     raise RandomBudgetExceeded(
@@ -295,12 +307,12 @@ def composition_factors(module: GModule, seed: int = 0) -> list:
     out = []
     while stack:
         cur = stack.pop()
-        basis = _chop_step(cur, rng)
-        if basis is None:
+        step = _chop_step(cur, rng)
+        if step is None:
             out.append(cur)
             continue
-        stack.append(sub_module(cur, basis))
-        stack.append(quotient_module(cur, basis))
+        stack.append(sub_module(cur, *step))
+        stack.append(quotient_module(cur, *step))
     return out
 
 
@@ -335,7 +347,7 @@ def module_iso(a: GModule, b: GModule, seed: int = 0):
             span = _spin(F, pair, np.concatenate([ker_a.data[0], ker_b.data[0]]))
             if span.dim != n:
                 return None
-            graph, pivots = mat_rref(span.basis())
+            graph, pivots = span.echelon()
             if pivots != tuple(range(n)):
                 raise RuntimeError("pair spin is not a graph: the modules are not simple")
             bridge = Mat(F, graph.data[:, n:])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from pblocks import chartab
 from pblocks.chartab import (
     CharacterTable,
     character_table,
@@ -281,10 +282,13 @@ class TestConsistency:
                 else:
                     assert total.is_zero()
 
-    def test_two_lifting_primes_agree(self):
+    def test_two_lifting_primes_agree(self, monkeypatch):
         g = alt5()
-        t1 = character_table(g, prime=31)
-        t2 = character_table(g, prime=61)
+        t1 = character_table(g)
+        assert t1.prime == 31
+        monkeypatch.setattr(chartab, "lifting_prime", lambda order, exponent: 61)
+        t2 = character_table(g)
+        assert t2.prime == 61
         assert t1.degrees == t2.degrees
         for r1, r2 in zip(t1.rows, t2.rows):
             assert all(a == b for a, b in zip(r1, r2))
@@ -303,12 +307,6 @@ class TestConsistency:
         monkeypatch.setattr(random, "Random", refuse)
         assert character_table(sym(5), seed=3).degrees == (1, 1, 4, 4, 5, 5, 6)
         assert character_table(projective_special_linear_2_7()).degrees == (1, 3, 3, 6, 7, 8)
-
-    def test_bad_supplied_prime_rejected(self):
-        with pytest.raises(ValueError):
-            character_table(sym(3), prime=11)
-        with pytest.raises(ValueError):
-            character_table(sym(4), prime=7)
 
 
 class TestFusion:

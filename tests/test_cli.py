@@ -1,10 +1,13 @@
 """Tests for the command line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from pblocks.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 A4_GROUP = {"name": "A4", "degree": 4, "generators": [[2, 1, 4, 3], [2, 3, 1, 4]]}
 
@@ -56,6 +59,15 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert code == 0
         assert out.splitlines()[0].startswith("group,prime,")
+
+    @pytest.mark.parametrize("prime", [2, 3])
+    def test_csv_matches_the_golden_corpus_rows(self, tmp_path, capsys, prime):
+        golden = (DATA / "corpus_seed0.csv").read_text().splitlines()
+        expected = [golden[0]] + [line for line in golden if line.startswith(f"S4,{prime},")]
+        group_file = write_json(tmp_path / "s4.json", S4_GROUP)
+        code = main(["analyze", "--group", group_file, "--prime", str(prime), "--format", "csv"])
+        assert code == 0
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
     def test_wrapped_single_group_file(self, tmp_path, capsys):
         group_file = write_json(tmp_path / "one.json", {"groups": [A4_GROUP]})

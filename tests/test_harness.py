@@ -1,6 +1,7 @@
 """Tests for fixture validation, paired-subgroup suites, and report emission."""
 
 import dataclasses
+import functools
 import json
 from fractions import Fraction
 
@@ -46,6 +47,53 @@ SMALL_ENTRIES = (
     CorpusEntry("S3", lambda: symmetric_group(3)),
     CorpusEntry("A4", lambda: alternating_group(4)),
 )
+
+
+@functools.cache
+def small_system(name):
+    """Return the block system of A4 or S4 at p = 2, computed once."""
+    group = {"A4": alternating_group(4), "S4": symmetric_group(4)}[name]
+    return block_system(group, 2)
+
+
+def with_block(system, **changes):
+    """Return a copy of a system whose first block has the given fields changed."""
+    block = dataclasses.replace(system.blocks[0], **changes)
+    return dataclasses.replace(system, blocks=(block,) + system.blocks[1:])
+
+
+def with_decomposition(system, edit):
+    """Return a copy of a system whose decomposition rows were edited in place."""
+    rows = [list(row) for row in system.decomposition]
+    edit(rows)
+    return dataclasses.replace(system, decomposition=tuple(map(tuple, rows)))
+
+
+def copy_column(rows, source, target):
+    for row in rows:
+        row[target] = row[source]
+
+
+# (verify_system key, system, mutation that makes the key read False); A4's one
+# 2-block has Cartan matrix KLEIN_A and defect group V4, S4's has ((4, 2), (2, 3)) and D8
+BROKEN_SYSTEMS = [
+    ("char_partition", "A4", lambda s: with_block(s, chars=s.blocks[0].chars[:-1])),
+    ("ibr_partition", "S4", lambda s: with_block(s, ibrs=s.blocks[0].ibrs[:-1])),
+    ("simple_count_total", "A4", lambda s: dataclasses.replace(s, regular=s.regular[:-1])),
+    ("dimension_total", "A4", lambda s: with_block(s, dim=s.blocks[0].dim + 1)),
+    ("decomposition_nonnegative", "S4",
+     lambda s: with_decomposition(s, lambda rows: rows[3].__setitem__(0, -rows[3][0]))),
+    ("decomposition_full_rank", "A4",
+     lambda s: with_decomposition(s, lambda rows: copy_column(rows, 0, 1))),
+    ("cartan_symmetric", "S4", lambda s: with_block(s, cartan=((4, 3), (2, 3)))),
+    ("cartan_is_gram", "S4", lambda s: with_block(s, cartan=((4, 2), (2, 4)))),
+    ("cartan_det_p_power", "A4", lambda s: with_block(s, cartan=((3, 1, 1),) + KLEIN_A[1:])),
+    ("two_route_dimension", "A4", lambda s: with_block(s, dim=s.blocks[0].dim + 1)),
+    ("tau_floor", "S4", lambda s: with_block(s, tau=Fraction(1, 2))),
+    ("tau_trace_bound", "A4", lambda s: with_block(s, tau=Fraction(7))),
+    ("defect_consistency", "S4", lambda s: with_block(s, defect=s.blocks[0].defect + 1)),
+    ("abelian_diagonal_bound", "A4", lambda s: with_block(s, cartan=((5, 1, 1),) + KLEIN_A[1:])),
+]
 
 
 def scenario_by_kind(kind):
@@ -295,6 +343,19 @@ class TestVerifySystem:
         assert all(value for key, value in checks.items() if key != "orthogonality")
         assert verify_system(system)["orthogonality"] is True
 
+    @pytest.mark.parametrize(
+        "key, name, mutate", BROKEN_SYSTEMS, ids=[case[0] for case in BROKEN_SYSTEMS]
+    )
+    def test_key_reads_false_on_a_broken_system(self, key, name, mutate):
+        system = small_system(name)
+        assert verify_system(system)[key] is True
+        assert verify_system(mutate(system))[key] is False
+
+    def test_every_key_has_a_breaking_case(self):
+        keys = list(verify_system(small_system("A4")))
+        assert len(keys) == 15
+        assert set(keys) == {"orthogonality"} | {case[0] for case in BROKEN_SYSTEMS}
+
 
 class TestViolations:
     def test_clean_system_has_none(self):
@@ -313,6 +374,23 @@ class TestViolations:
         assert out[0]["prime"] == 2
         assert set(out[0]["failed"]) == {"tau_bound", "strict_tau_bound"}
         assert out[0]["block"]["cartan"] == [list(row) for row in KLEIN_A]
+
+    def test_failed_keeps_the_order_of_the_record_checks(self):
+        system = small_system("A4")
+        records = [block_record(system, block) for block in system.blocks]
+        for key in records[0]["checks"]:
+            records[0]["checks"][key] = False
+        [violation] = system_violations("A4", system, records)
+        assert violation["failed"] == [
+            "tau_bound", "equality_iff_one_simple", "simple_count_bound", "strict_tau_bound",
+        ]
+
+    def test_strict_bound_not_enforced_for_a_nonabelian_defect_group(self):
+        system = small_system("S4")
+        records = [block_record(system, block) for block in system.blocks]
+        assert records[0]["defect_group_abelian"] is False
+        records[0]["checks"]["strict_tau_bound"] = False
+        assert system_violations("S4", system, records) == []
 
     def test_strict_bound_not_enforced_at_odd_primes(self):
         system = block_system(alternating_group(4), 3)

@@ -136,8 +136,8 @@ class TestModules:
         ctx = ReductionContext(g, 2)
         mod = perm_module(g, ctx.field)
         basis = Mat(ctx.field, np.array([[1, 1, 1]], dtype=np.int64))
-        sub = sub_module(mod, basis)
-        quo = quotient_module(mod, basis)
+        sub = sub_module(mod, basis, (0,))
+        quo = quotient_module(mod, basis, (0,))
         assert sub.dim == 1 and quo.dim == 2
         from pblocks.perm import perm_mul
 
@@ -346,6 +346,7 @@ class TestSpan:
             assert span.dim == len(span.pivots) == expected.nrows
             assert np.array_equal(span.rows[:, span.pivots], np.eye(span.dim))
             assert _row_space(F, span.rows, width) == expected
+            assert span.echelon() == mat_rref(span.basis())
 
     @pytest.mark.parametrize("p, m", SPAN_FIELDS)
     def test_spin_matches_the_closure_oracle(self, p, m):
