@@ -362,10 +362,8 @@ def _conjugation_row_perms(system: BlockSystem, sub: BlockSystem, rows, columns)
     perms = []
     for g in system.group.generators:
         ginv = perm_inv(g)
-        moved_cols = [
-            columns.index(classes.class_of[perm_conj(classes.reps[c], ginv)])
-            for c in columns
-        ]
+        conjugates = [perm_conj(classes.reps[c], ginv) for c in columns]
+        moved_cols = [columns.index(k) for k in classes.classes_of(conjugates)]
         perm = []
         for row in rows:
             moved = tuple(row[pos] for pos in moved_cols)
@@ -442,8 +440,9 @@ def inflation_correspondence(system: BlockSystem, action, qsystem: BlockSystem) 
     # Brauer rows agree only when both systems lift roots of unity from one field
     if qsystem.context.field is not system.context.field:
         raise ValueError("quotient system must be built over the ambient field")
-    qclass_of = qsystem.chartab.classes.class_of
-    images = [qclass_of[action.image(rep)] for rep in system.chartab.classes.reps]
+    images = qsystem.chartab.classes.classes_of(
+        [action.image(rep) for rep in system.chartab.classes.reps]
+    )
     char_map = tuple(
         _inflated_match(qrow, images, system.chartab.rows) for qrow in qsystem.chartab.rows
     )

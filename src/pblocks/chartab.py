@@ -45,7 +45,7 @@ from .linalg import (
     mat_rref,
     mat_solve_left,
 )
-from .perm import ClassData, PermGroup, perm_inv, perm_mul
+from .perm import ClassData, PermGroup
 
 LIFTING_PRIME_CAP = 1_000_000
 
@@ -200,18 +200,16 @@ def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
     by_size = sorted((k for k in range(n) if classes.orders[k] != 1), key=sizes.__getitem__)
     spaces = _split_eigenspaces(F, group.class_matrices(), by_size)
 
-    kstar = [classes.class_of[perm_inv(rep)] for rep in classes.reps]
+    # the argsort of a permutation row is its inverse
+    kstar = classes.classes_of(np.argsort(classes.reps, axis=1))
     inv_sizes = np.array([F.inv(s % r) for s in sizes], dtype=np.int64)
 
-    identity = tuple(range(group.degree))
     power_classes = []
-    for k, rep in enumerate(classes.reps):
-        cur = identity
-        row = []
-        for _ in range(classes.orders[k]):
-            row.append(classes.class_of[cur])
-            cur = perm_mul(cur, rep)
-        power_classes.append(row)
+    for rep, m in zip(classes.reps, classes.orders):
+        powers = [np.arange(group.degree)]
+        for _ in range(m - 1):
+            powers.append(np.array(rep)[powers[-1]])
+        power_classes.append(classes.classes_of(powers))
 
     # one central character per row, scaled to 1 on the identity class
     vecs = np.array([space.data[0].tolist() for space in spaces], dtype=np.int64)
@@ -266,8 +264,8 @@ def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
 def class_fusion(ambient: ClassData, sub: ClassData) -> tuple:
     """Map each class of a subgroup to the ambient class containing it."""
     images = [set() for _ in range(len(sub))]
-    for g, c in sub.class_of.items():
-        images[c].add(ambient.class_of[g])
+    for c, a in zip(sub.labels.tolist(), ambient.classes_of(sub.table.rows)):
+        images[c].add(a)
     for c, targets in enumerate(images):
         if len(targets) != 1:
             raise FusionInconsistent(

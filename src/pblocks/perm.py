@@ -6,21 +6,23 @@ notation is accepted and produced only at the boundary helpers
 perm_from_cycles and perm_to_cycles.
 
 Group order and membership come from a deterministic Schreier-Sims
-stabilizer chain.  Anything that needs the full element list (classes,
-centralizers, coset actions, words in the generators) goes through a
-breadth-first enumeration that is capped, so large groups still answer
-order queries while refusing elementwise work.
+stabilizer chain, which also lists the group: every element is exactly
+one product of transversal elements (Sims 1970; Seress, Permutation Group
+Algorithms, 2003).  The list is capped, so large groups still answer
+order queries while refusing elementwise work (classes, centralizers,
+coset actions, words in the generators).
 
-The enumerated elements are also kept, in lexicographic order, as one
-(|G|, degree) integer array.  Conjugacy classes, class matrices and
-centralizers compose whole columns of it by fancy indexing and map the
-products back to element indices by binary search on byte-row keys.
+The elements are kept, in lexicographic order, as one (|G|, degree)
+integer array.  Classes, class matrices and centralizers compose whole
+columns of it by fancy indexing and map the products back to element
+indices by binary search on byte-row keys.
 
-orbit is the one breadth-first search: the chain's transversals, the
-element enumeration and its words, generated closures, conjugacy classes
-and the block orbits in pblocks.blocks all read its Schreier tree.
-Subgroups built from a closed element set (subgroup, sylow) instead grow
-their closure one generator at a time by Dimino's coset step.
+orbit is the one breadth-first search: the chain's transversals,
+generated closures, the block orbits in pblocks.blocks, and, over element
+indices, the conjugacy classes and the words all read its Schreier tree.
+Subgroups built from a closed element set (subgroup, sylow, the p-subgroup
+sweep) instead grow their closure one generator at a time by Dimino's
+coset step.
 """
 
 from __future__ import annotations
@@ -300,7 +302,12 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class _ElementTable:
-    """The group elements as one (|G|, degree) array in lexicographic order."""
+    """The group elements as one (|G|, degree) array in lexicographic order.
+
+    The rows are the stabilizer chain's transversal products, checked
+    without trusting the chain: distinct rows closed under the generators
+    are exactly the group, so the table length is its order.
+    """
 
     rows: np.ndarray
     keys: np.ndarray
@@ -315,19 +322,49 @@ class _ElementTable:
         return idx
 
 
+def _list_group(chain: dict, generators) -> tuple:
+    """List a group from its stabilizer chain as a checked element table.
+
+    Also returns the closure check's moves: row j times generator i is row moves[i][j].
+    """
+    rows = np.array([chain["identity"]], dtype=np.intp)
+    for t in reversed(chain["trans"]):
+        # row [a, b] is rows[b] times transversal element a
+        rows = np.array(list(t.values()), dtype=np.intp)[:, rows].reshape(-1, rows.shape[1])
+    keys = _row_keys(rows)
+    order = np.argsort(keys)
+    table = _ElementTable(rows[order], keys[order])
+    if (table.keys[1:] == table.keys[:-1]).any():
+        raise RuntimeError("the stabilizer chain lists an element twice")
+    moves = [table.index(np.array(g)[table.rows]) for g in generators]
+    return table, moves
+
+
 # -- group class -------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ClassData:
-    """Conjugacy class bundle: representatives, sizes, orders, and lookup."""
+    """Conjugacy classes: representatives, sizes, orders, and each element's class.
+
+    labels[i] is the class of element i of the table: the orbits of element
+    indices under conjugation, as the words come from right multiplication.
+    """
 
     reps: list
     sizes: list
     orders: list
-    class_of: dict
+    labels: np.ndarray
+    table: _ElementTable
 
     def __len__(self):
         return len(self.reps)
+
+    def classes_of(self, perms) -> list:
+        """Return the class index of each permutation; ValueError if one lies outside the group."""
+        try:
+            return self.labels[self.table.index(np.asarray(perms, dtype=np.intp))].tolist()
+        except RuntimeError:
+            raise ValueError("element does not belong to the group") from None
 
 
 class PermGroup:
@@ -343,9 +380,10 @@ class PermGroup:
                 kept.append(t)
         self.generators = tuple(kept)
         self._chain = None
-        self._parents = None
-        self._elements = None
         self._table = None
+        self._moves = None
+        self._words = None
+        self._elements = None
         self._classes = None
         self._class_matrices = None
 
@@ -370,43 +408,34 @@ class PermGroup:
 
     # -- enumeration
 
-    def _enumerate(self) -> dict:
-        if self._parents is None:
+    def _element_table(self) -> _ElementTable:
+        if self._table is None:
             if self.order() > ENUMERATION_CAP:
                 raise EnumerationRequired(
                     f"order {self.order()} exceeds the enumeration cap {ENUMERATION_CAP}"
                 )
-            parents = orbit(self.identity, self.generators, perm_mul)
-            if len(parents) != self.order():
-                raise RuntimeError("enumeration disagrees with the stabilizer chain")
-            self._parents = parents
-            self._elements = sorted(parents)
-        return self._parents
+            self._table, self._moves = _list_group(self._stabilizer_chain(), self.generators)
+        return self._table
 
     def elements(self) -> list:
         """Return all elements in lexicographic order (identity first)."""
-        self._enumerate()
+        if self._elements is None:
+            self._elements = list(map(tuple, self._element_table().rows.tolist()))
         return self._elements
-
-    def _element_table(self) -> _ElementTable:
-        if self._table is None:
-            rows = np.array(self.elements(), dtype=np.intp)
-            self._table = _ElementTable(rows, _row_keys(rows))
-        return self._table
 
     def word(self, g) -> tuple:
         """Express an element as a tuple of generator indices, applied left to right."""
-        t = _validate_perm(g, self.degree)
-        parents = self._enumerate()
-        if t not in parents:
+        table = self._element_table()
+        if not self.contains(g):
             raise ValueError("element does not belong to the group")
+        if self._words is None:
+            # breadth-first from the identity, element 0, as a tuple search would go
+            self._words = orbit(0, [m.tolist() for m in self._moves], lambda j, m: m[j])
         out = []
-        while True:
-            par, gi = parents[t]
-            if par is None:
-                break
+        i, gi = self._words[int(table.index(np.array([g]))[0])]
+        while i is not None:
             out.append(gi)
-            t = par
+            i, gi = self._words[i]
         return tuple(reversed(out))
 
     # -- structure
@@ -423,26 +452,27 @@ class PermGroup:
     def conjugacy_classes(self) -> ClassData:
         """Return conjugacy classes with lexicographically least representatives."""
         if self._classes is None:
-            els = self.elements()
             table = self._element_table()
             X = table.rows
             conj = []
             for g in self.generators:
                 ga = np.array(g)
-                conj.append(tuple(table.index(ga[X[:, np.argsort(ga)]]).tolist()))
-            class_of = {}
+                conj.append(table.index(ga[X[:, np.argsort(ga)]]).tolist())
+            labels = [-1] * len(X)
             reps = []
             sizes = []
-            for i, x in enumerate(els):
-                if x in class_of:
+            for i in range(len(X)):
+                if labels[i] >= 0:
                     continue
-                idx = len(reps)
-                reps.append(x)
                 members = orbit(i, conj, lambda j, s: s[j])
-                class_of.update((els[j], idx) for j in members)
+                for j in members:
+                    labels[j] = len(reps)
+                reps.append(tuple(X[i].tolist()))
                 sizes.append(len(members))
             orders = [perm_order(r) for r in reps]
-            self._classes = ClassData(reps, sizes, orders, class_of)
+            labels = np.array(labels)
+            labels.flags.writeable = False
+            self._classes = ClassData(reps, sizes, orders, labels, table)
         return self._classes
 
     def class_matrices(self) -> list:
@@ -454,9 +484,9 @@ class PermGroup:
         """
         if self._class_matrices is None:
             data = self.conjugacy_classes()
-            table = self._element_table()
+            table = data.table
             n = len(data)
-            label = np.array([data.class_of[x] for x in self._elements])
+            label = data.labels
             Xinv = np.argsort(table.rows, axis=1)
             consts = np.zeros((n, n, n), dtype=np.int64)
             for k, rep in enumerate(data.reps):
@@ -468,26 +498,19 @@ class PermGroup:
 
     def exponent(self) -> int:
         """Return the least common multiple of all element orders."""
-        data = self.conjugacy_classes()
-        out = 1
-        for n in data.orders:
-            out = math.lcm(out, n)
-        return out
+        return math.lcm(*self.conjugacy_classes().orders)
 
     def centralizer(self, x) -> "PermGroup":
         """Return the centralizer subgroup of an element, the group itself if x is central."""
         t = _validate_perm(x, self.degree)
         data = self.conjugacy_classes()
-        if t not in data.class_of:
-            raise ValueError("element does not belong to the group")
-        if data.sizes[data.class_of[t]] == 1:
+        size = data.sizes[data.classes_of([t])[0]]
+        if size == 1:
             return self
-        X = self._element_table().rows
+        X = data.table.rows
         ta = np.array(t)
-        els = self.elements()
-        cent = [els[i] for i in np.flatnonzero((ta[X] == X[:, ta]).all(axis=1))]
-        H = self.subgroup(cent)
-        if H.order() * data.sizes[data.class_of[t]] != self.order():
+        H = self.subgroup(map(tuple, X[(ta[X] == X[:, ta]).all(axis=1)].tolist()))
+        if H.order() * size != self.order():
             raise RuntimeError("centralizer order fails the orbit count")
         return H
 
@@ -517,29 +540,23 @@ class PermGroup:
         """Return the intersection with another group on the same points."""
         if other.degree != self.degree:
             raise ValueError("intersection needs a common degree")
-        mine = set(self.elements())
-        common = [g for g in other.elements() if g in mine]
-        return self.subgroup(common)
+        return self.subgroup(g for g in other.elements() if self.contains(g))
 
     def sylow(self, p: int) -> "PermGroup":
         """Return a Sylow p-subgroup via deterministic normalizer growth."""
         target = p ** p_valuation(self.order(), p)
         if target == 1:
             return PermGroup(self.degree, [])
-        p_els = [
-            g for g in self.elements()
-            if g != self.identity and is_p_power(perm_order(g), p)
-        ]
+        data = self.conjugacy_classes()
+        p_classes = [k for k, n in enumerate(data.orders) if n > 1 and is_p_power(n, p)]
+        p_els = list(map(tuple, data.table.rows[np.isin(data.labels, p_classes)].tolist()))
         p_set = {self.identity}
         p_gens = []
         while len(p_set) < target:
-            found = None
-            for g in p_els:
-                if g in p_set:
-                    continue
-                if all(perm_conj(s, g) in p_set for s in p_gens):
-                    found = g
-                    break
+            found = next((
+                g for g in p_els
+                if g not in p_set and all(perm_conj(s, g) in p_set for s in p_gens)
+            ), None)
             if found is None:
                 raise RuntimeError("normalizer growth stalled below the Sylow order")
             p_gens.append(found)
@@ -561,13 +578,8 @@ class PermGroup:
             reps.append(g)
             for n in n_els:
                 to_coset[perm_mul(n, g)] = idx
-        k = len(reps)
-        images = [
-            tuple(to_coset[perm_mul(reps[c], s)] for c in range(k))
-            for s in self.generators
-        ]
-        quotient = PermGroup(k, images)
-        return QuotientAction(self, N, quotient, reps, to_coset)
+        images = [tuple(to_coset[perm_mul(r, s)] for r in reps) for s in self.generators]
+        return QuotientAction(self, N, PermGroup(len(reps), images), reps, to_coset)
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -582,9 +594,10 @@ class QuotientAction:
 
     def image(self, g) -> tuple:
         """Map a group element to its coset permutation."""
-        return tuple(
-            self.to_coset[perm_mul(rep, g)] for rep in self.reps
-        )
+        try:
+            return tuple(self.to_coset[perm_mul(rep, g)] for rep in self.reps)
+        except KeyError:
+            raise ValueError("element does not belong to the group") from None
 
     def section(self, q: tuple) -> tuple:
         """Map a quotient element back to its least coset representative."""
@@ -608,10 +621,8 @@ def abelian_p_invariants(P: PermGroup, p: int) -> list:
         cnt = sum(1 for x in els if perm_pow(x, p ** k) == P.identity)
         logs.append(int_log(cnt, p))
     parts_ge = [logs[i] - logs[i - 1] for i in range(1, len(logs))]
-    out = []
-    for i in range(1, (parts_ge[0] if parts_ge else 0) + 1):
-        out.append(sum(1 for d in parts_ge if d >= i))
-    return sorted(out, reverse=True)
+    top = parts_ge[0] if parts_ge else 0
+    return sorted((sum(1 for d in parts_ge if d >= i) for i in range(1, top + 1)), reverse=True)
 
 
 def _all_p_subgroups(P: PermGroup, p: int) -> list:
@@ -626,18 +637,9 @@ def _all_p_subgroups(P: PermGroup, p: int) -> list:
             if len(H) * p > total:
                 continue
             for x in els:
-                if x in H:
+                if x in H or perm_pow(x, p) not in H or any(perm_conj(h, x) not in H for h in H):
                     continue
-                if perm_pow(x, p) not in H:
-                    continue
-                if any(perm_conj(h, x) not in H for h in H):
-                    continue
-                new_set = set(H)
-                cur = x
-                for _ in range(p - 1):
-                    new_set.update(perm_mul(h, cur) for h in H)
-                    cur = perm_mul(cur, x)
-                nxt.add(frozenset(new_set))
+                nxt.add(frozenset(_coset_closure(set(H), [x], P.identity)))
                 if len(found) + len(nxt) > SUBGROUP_SWEEP_CAP:
                     raise CapExceeded("p-subgroup sweep exceeded its cap")
         level = sorted(nxt, key=lambda s: sorted(s))
@@ -652,12 +654,12 @@ def sectional_rank(P: PermGroup, p: int) -> int:
         raise ValueError("sectional rank needs a p-group")
     if size == 1:
         return 0
+    if P.is_abelian():
+        return len(abelian_p_invariants(P, p))
     if size > SECTIONAL_RANK_CAP:
         raise CapExceeded(
             f"group order {size} exceeds the sectional rank cap {SECTIONAL_RANK_CAP}"
         )
-    if P.is_abelian():
-        return len(abelian_p_invariants(P, p))
     best = 0
     for H in _all_p_subgroups(P, p):
         h_els = sorted(H)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pblocks import chartab
@@ -109,7 +110,7 @@ class TestSmallTables:
         tab = character_table(cyclic(4))
         assert tab.degrees == (1, 1, 1, 1)
         i4 = Cyc.root(4)
-        gen_col = tab.classes.class_of[(1, 2, 3, 0)]
+        gen_col = tab.classes.classes_of([(1, 2, 3, 0)])[0]
         col = [row[gen_col] for row in tab.rows]
         seen = {str(v) for v in col}
         assert len(seen) == 4
@@ -340,7 +341,8 @@ class TestFusion:
             [gc.reps[0], gc.reps[1]],
             [1, 5],
             [1, 2],
-            {rep: min(idx, 1) for rep, idx in gc.class_of.items()},
+            np.minimum(gc.labels, 1),
+            gc.table,
         )
         with pytest.raises(FusionInconsistent):
             class_fusion(gc, fake)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from pblocks.errors import CapExceeded, EnumerationRequired, NotAPermutation, NotNormal
+from pblocks.chartab import class_fusion
 from pblocks.perm import (
     PermGroup,
+    _all_p_subgroups,
     _closure,
     abelian_p_invariants,
     orbit,
@@ -200,7 +202,7 @@ def test_class_representatives_are_least():
     data = G.conjugacy_classes()
     els = G.elements()
     for idx, rep in enumerate(data.reps):
-        members = [g for g in els if data.class_of[g] == idx]
+        members = [g for g, c in zip(els, data.labels) if c == idx]
         assert rep == min(members)
         for g in members:
             assert perm_order(g) == data.orders[idx]
@@ -215,7 +217,7 @@ def test_class_lookup_is_conjugation_invariant():
     for _ in range(50):
         g = els[rng.randrange(len(els))]
         h = els[rng.randrange(len(els))]
-        assert data.class_of[perm_conj(g, h)] == data.class_of[g]
+        assert data.classes_of([perm_conj(g, h)]) == data.classes_of([g])
 
 
 def test_class_matrices_computed_once():
@@ -267,9 +269,9 @@ def test_classes_match_brute_force_conjugation(make, order):
     distinct = sorted(set(brute.values()), key=min)
     assert data.reps == [min(c) for c in distinct]
     assert data.sizes == [len(c) for c in distinct]
-    assert set(data.class_of) == set(els)
-    for x in els:
-        assert data.reps[data.class_of[x]] == min(brute[x])
+    assert len(data.labels) == len(els)
+    for x, c in zip(els, data.classes_of(els)):
+        assert data.reps[c] == min(brute[x])
 
 
 @pytest.mark.parametrize("make, order", ORACLE_GROUPS)
@@ -299,6 +301,86 @@ def test_element_table_lookup_rejects_rows_outside_the_group():
     for row in ((0, 2, 1), (2, 1, 0)):
         with pytest.raises(RuntimeError):
             table.index(np.array([row]))
+
+
+def _bfs_tree(G):
+    """Breadth-first Schreier tree of the group under right multiplication by its generators."""
+    tree = {G.identity: None}
+    queue = [G.identity]
+    for x in queue:
+        for i, s in enumerate(G.generators):
+            y = _compose(x, s)
+            if y not in tree:
+                tree[y] = (x, i)
+                queue.append(y)
+    return tree
+
+
+LISTING_GROUPS = ORACLE_GROUPS + [
+    pytest.param(lambda: PermGroup(3, []), 1, id="trivial"),
+    pytest.param(
+        lambda: PermGroup(4, [_cycles(4, (1, 2)), _cycles(4, (1, 2)), _cycles(4, (1, 2, 3, 4))]),
+        24,
+        id="S4-repeated-generators",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, order", LISTING_GROUPS)
+def test_elements_and_words_match_a_tuple_search(make, order):
+    G = make()
+    tree = _bfs_tree(G)
+    assert len(tree) == order
+    assert G.elements() == sorted(tree)
+    for g in G.elements():
+        word = []
+        x = g
+        while tree[x] is not None:
+            x, i = tree[x]
+            word.append(i)
+        assert G.word(g) == tuple(reversed(word))
+
+
+def test_table_build_rejects_a_chain_that_repeats_an_element():
+    G = _sym(3)
+    chain = G._stabilizer_chain()
+    # an extra level whose transversal lists the identity twice doubles every product
+    G._chain = dict(chain, trans=chain["trans"] + [{0: G.identity, 1: G.identity}])
+    with pytest.raises(RuntimeError, match="twice"):
+        G._element_table()
+
+
+def test_table_build_rejects_a_chain_of_a_proper_subgroup():
+    G = _sym(4)
+    G._chain = PermGroup(4, [_cycles(4, (1, 2, 3)), _cycles(4, (2, 3, 4))])._stabilizer_chain()
+    with pytest.raises(RuntimeError, match="not in the element table"):
+        G._element_table()
+
+
+def test_classes_of_rejects_a_non_member():
+    a4 = PermGroup(4, [_cycles(4, (1, 2, 3)), _cycles(4, (2, 3, 4))])
+    data = a4.conjugacy_classes()
+    assert data.classes_of([a4.identity]) == [0]
+    with pytest.raises(ValueError, match="does not belong"):
+        data.classes_of([_cycles(4, (1, 2))])
+    assert not data.labels.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "make_sub",
+    [
+        lambda G: PermGroup(4, [_cycles(4, (1, 2, 3)), _cycles(4, (2, 3, 4))]),
+        lambda G: G.sylow(2),
+    ],
+    ids=["A4", "Sylow-2"],
+)
+def test_class_fusion_matches_brute_force_conjugation(make_sub):
+    G = _sym(4)
+    H = make_sub(G)
+    ambient = G.conjugacy_classes()
+    brute = _brute_classes(G.elements())
+    expected = tuple(ambient.reps.index(min(brute[rep])) for rep in H.conjugacy_classes().reps)
+    assert class_fusion(ambient, H.conjugacy_classes()) == expected
 
 
 def test_centralizer_matches_commuting_elements():
@@ -449,6 +531,15 @@ def test_quotient_of_sym4_by_v4():
         assert act.image(perm_mul(a, b)) == perm_mul(act.image(a), act.image(b))
 
 
+def test_quotient_image_rejects_a_non_member():
+    a4 = PermGroup(4, [_cycles(4, (1, 2, 3)), _cycles(4, (2, 3, 4))])
+    v4 = PermGroup(4, [_cycles(4, (1, 2), (3, 4)), _cycles(4, (1, 3), (2, 4))])
+    act = a4.coset_action(v4)
+    assert act.quotient.order() == 3
+    with pytest.raises(ValueError, match="does not belong"):
+        act.image(_cycles(4, (1, 2)))
+
+
 def test_quotient_by_alternating():
     G = _sym(4)
     a4 = PermGroup(4, [_cycles(4, (1, 2, 3)), _cycles(4, (2, 3, 4))])
@@ -503,7 +594,23 @@ def test_sectional_rank_of_small_two_groups():
 def test_sectional_rank_guards():
     with pytest.raises(ValueError):
         sectional_rank(_sym(3), 2)
-    big = PermGroup(20, [_cycles(20, (2 * i + 1, 2 * i + 2)) for i in range(10)])
+    # D8 x C2^7: order 1024 and not abelian, so only the capped subgroup sweep applies
+    big = PermGroup(18, [_cycles(18, (1, 2, 3, 4)), _cycles(18, (1, 3))]
+                    + [_cycles(18, (2 * i + 5, 2 * i + 6)) for i in range(7)])
     assert big.order() == 1024
+    assert not big.is_abelian()
     with pytest.raises(CapExceeded):
         sectional_rank(big, 2)
+
+
+def test_sectional_rank_of_an_abelian_group_beyond_the_sweep_cap():
+    c2_10 = PermGroup(20, [_cycles(20, (2 * i + 1, 2 * i + 2)) for i in range(10)])
+    assert c2_10.order() == 1024
+    assert sectional_rank(c2_10, 2) == 10
+
+
+def test_p_subgroup_counts():
+    d8 = _sym(4).sylow(2)
+    q8 = PermGroup(8, [(1, 4, 7, 2, 5, 0, 3, 6), (2, 3, 4, 5, 6, 7, 0, 1)])
+    assert len(_all_p_subgroups(d8, 2)) == 10
+    assert len(_all_p_subgroups(q8, 2)) == 6
