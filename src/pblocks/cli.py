@@ -33,10 +33,10 @@ def _load_json(path: str):
 
 
 def _json_int(value) -> int:
-    """Read an integer from JSON, rejecting a number with a fractional part."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    """Read an integer from JSON: an int or an integral float, not a boolean or a string."""
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def _images_to_perm(images) -> tuple:
@@ -111,7 +111,9 @@ def _corpus_from_json(doc) -> tuple:
                 [[_json_int(v) for v in row] for row in obj["rows"]],
                 defect_order=_json_int(obj["defect_order"]),
                 sectional=_json_int(obj["sectional"]),
-                trace_expected=None if obj.get("trace") is None else _json_int(obj["trace"]),
+                # a fixture trace may also be written as a decimal string
+                trace_expected=None if obj.get("trace") is None else _json_int(
+                    int(obj["trace"]) if isinstance(obj["trace"], str) else obj["trace"]),
             )
             for obj in doc["fixtures"]
         ]

@@ -6,7 +6,7 @@ from typing import Callable, Optional
 from .errors import CompositeCharacteristic, ShapeMismatch
 from .ffield import field_create
 from .intmath import factorint, is_prime
-from .perm import PermGroup, perm_from_cycles, perm_mul, verify_normal
+from .perm import PermGroup, perm_from_cycles, verify_normal
 
 
 def prime_factors(n: int) -> tuple:
@@ -188,12 +188,9 @@ def corpus_entry(name: str) -> CorpusEntry:
 
 
 def _center_elements(group: PermGroup) -> list:
-    """List the elements of a group commuting with every generator."""
-    return [
-        g
-        for g in group.elements()
-        if all(perm_mul(g, h) == perm_mul(h, g) for h in group.generators)
-    ]
+    """List the central elements of a group: the representatives of its one-element classes."""
+    data = group.conjugacy_classes()
+    return [rep for rep, size in zip(data.reps, data.sizes) if size == 1]
 
 
 @dataclass(frozen=True, slots=True, eq=False)

@@ -673,14 +673,6 @@ def poly_pow_mod(F: Field, f, e: int, mod) -> list:
     return r
 
 
-def poly_eval(F: Field, f, a: int) -> int:
-    """Evaluate a polynomial at a field element by Horner's rule."""
-    v = 0
-    for c in reversed(f):
-        v = F.add(F.mul(v, a), c)
-    return v
-
-
 def poly_deriv(F: Field, f) -> list:
     """Return the formal derivative of a polynomial."""
     out = []

@@ -98,19 +98,6 @@ def _same_field(A: Mat, B: Mat):
 
 # -- products --------------------------------------------------------------------
 
-def _mat_mul_schoolbook(A: Mat, B: Mat) -> Mat:
-    """Multiply by the scalar triple loop (reference path for tests)."""
-    F = A.field
-    out = np.zeros((A.nrows, B.ncols), dtype=np.int64)
-    for i in range(A.nrows):
-        for j in range(B.ncols):
-            acc = 0
-            for k in range(A.ncols):
-                acc = F.add(acc, F.mul(int(A.data[i, k]), int(B.data[k, j])))
-            out[i, j] = acc
-    return Mat(F, out)
-
-
 def mat_mul(A: Mat, B: Mat) -> Mat:
     """Multiply two matrices."""
     _same_field(A, B)

@@ -13,9 +13,11 @@ order queries while refusing elementwise work (classes, centralizers,
 coset actions, words in the generators).
 
 The elements are kept, in lexicographic order, as one (|G|, degree)
-integer array.  Classes, class matrices and centralizers compose whole
-columns of it by fancy indexing and map the products back to element
-indices by binary search on byte-row keys.
+integer array.  Classes, class matrices, centralizers and cosets compose
+whole columns of it by fancy indexing, map the products back to element
+indices by binary search on byte-row keys, and keep classes and cosets as
+label arrays in table order.  The p-subgroup sweep yields each Frattini
+subgroup as the intersection of the subgroups it reached it from.
 
 orbit is the one breadth-first search: the chain's transversals,
 generated closures, the block orbits in pblocks.blocks, and, over element
@@ -250,11 +252,6 @@ def _chain_contains(chain: dict, g: tuple) -> bool:
     return _sift(chain["base"], chain["trans"], g, 0)[0] == chain["identity"]
 
 
-def _closure(degree: int, gens) -> set:
-    """Return the set of all products of the generators."""
-    return set(orbit(tuple(range(degree)), gens, perm_mul))
-
-
 def _coset_closure(group: set, gens: list, identity: tuple) -> set:
     """Return the elements of <H, gens[-1]>, where H = group is closed and holds gens[:-1].
 
@@ -321,6 +318,13 @@ class _ElementTable:
             raise RuntimeError("a composed permutation is not in the element table")
         return idx
 
+    def lookup(self, rows: np.ndarray) -> np.ndarray:
+        """Map rows given from outside to element indices; ValueError for a non-member."""
+        try:
+            return self.index(rows)
+        except RuntimeError:
+            raise ValueError("element does not belong to the group") from None
+
 
 def _list_group(chain: dict, generators) -> tuple:
     """List a group from its stabilizer chain as a checked element table.
@@ -361,10 +365,7 @@ class ClassData:
 
     def classes_of(self, perms) -> list:
         """Return the class index of each permutation; ValueError if one lies outside the group."""
-        try:
-            return self.labels[self.table.index(np.asarray(perms, dtype=np.intp))].tolist()
-        except RuntimeError:
-            raise ValueError("element does not belong to the group") from None
+        return self.labels[self.table.lookup(np.asarray(perms, dtype=np.intp))].tolist()
 
 
 class PermGroup:
@@ -425,14 +426,13 @@ class PermGroup:
 
     def word(self, g) -> tuple:
         """Express an element as a tuple of generator indices, applied left to right."""
-        table = self._element_table()
-        if not self.contains(g):
-            raise ValueError("element does not belong to the group")
+        t = _validate_perm(g, self.degree)
+        i = int(self._element_table().lookup(np.array([t]))[0])
         if self._words is None:
             # breadth-first from the identity, element 0, as a tuple search would go
             self._words = orbit(0, [m.tolist() for m in self._moves], lambda j, m: m[j])
         out = []
-        i, gi = self._words[int(table.index(np.array([g]))[0])]
+        i, gi = self._words[i]
         while i is not None:
             out.append(gi)
             i, gi = self._words[i]
@@ -568,36 +568,42 @@ class PermGroup:
     def coset_action(self, N: "PermGroup") -> "QuotientAction":
         """Return the action on right cosets of a normal subgroup."""
         verify_normal(self, N)
-        n_els = N.elements()
-        to_coset = {}
-        reps = []
-        for g in self.elements():
-            if g in to_coset:
-                continue
-            idx = len(reps)
-            reps.append(g)
-            for n in n_els:
-                to_coset[perm_mul(n, g)] = idx
-        images = [tuple(to_coset[perm_mul(r, s)] for r in reps) for s in self.generators]
-        return QuotientAction(self, N, PermGroup(len(reps), images), reps, to_coset)
+        table = self._element_table()
+        X = table.rows
+        n_rows = N._element_table().rows
+        labels = np.full(len(X), -1)
+        first = []
+        for i in range(len(X)):
+            if labels[i] < 0:
+                # X[i] is the least element of its coset N g, and n g is g[n]
+                labels[table.index(X[i][n_rows])] = len(first)
+                first.append(i)
+        labels.flags.writeable = False
+        R = X[first]
+        images = [labels[table.index(np.array(s)[R])].tolist() for s in self.generators]
+        reps = list(map(tuple, R.tolist()))
+        return QuotientAction(self, N, PermGroup(len(reps), images), reps, labels)
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class QuotientAction:
-    """Bundle for a right-coset action: quotient group, section, index maps."""
+    """Bundle for a right-coset action: quotient group, section, coset labels.
+
+    reps are the least elements of the cosets, in table order, and
+    labels[i] is the coset of element i of the group's table, so g acts
+    on the cosets as r -> the coset of r g, read off the table.
+    """
 
     group: PermGroup
     normal: PermGroup
     quotient: PermGroup
     reps: list
-    to_coset: dict
+    labels: np.ndarray
 
     def image(self, g) -> tuple:
-        """Map a group element to its coset permutation."""
-        try:
-            return tuple(self.to_coset[perm_mul(rep, g)] for rep in self.reps)
-        except KeyError:
-            raise ValueError("element does not belong to the group") from None
+        """Map a group element to its coset permutation; ValueError outside the group."""
+        rows = np.array(_validate_perm(g, self.group.degree))[np.array(self.reps)]
+        return tuple(self.labels[self.group._element_table().lookup(rows)].tolist())
 
     def section(self, q: tuple) -> tuple:
         """Map a quotient element back to its least coset representative."""
@@ -607,48 +613,71 @@ class QuotientAction:
 # -- p-subgroup invariants ---------------------------------------------------------
 
 def abelian_p_invariants(P: PermGroup, p: int) -> list:
-    """Return the descending exponent type of an abelian p-group."""
+    """Return the descending exponent type of an abelian p-group.
+
+    The number of elements of order dividing p^k is read off the class
+    sizes and orders.
+    """
     size = P.order()
     if not is_p_power(size, p):
         raise ValueError("group order is not a power of p")
     if not P.is_abelian():
         raise ValueError("invariants need an abelian group")
-    els = P.elements()
+    data = P.conjugacy_classes()
     logs = [0]
     k = 0
     while p ** logs[-1] != size:
         k += 1
-        cnt = sum(1 for x in els if perm_pow(x, p ** k) == P.identity)
+        cnt = sum(n for n, m in zip(data.sizes, data.orders) if p ** k % m == 0)
         logs.append(int_log(cnt, p))
     parts_ge = [logs[i] - logs[i - 1] for i in range(1, len(logs))]
     top = parts_ge[0] if parts_ge else 0
     return sorted((sum(1 for d in parts_ge if d >= i) for i in range(1, top + 1)), reverse=True)
 
 
-def _all_p_subgroups(P: PermGroup, p: int) -> list:
-    """Enumerate every subgroup of a p-group as element frozensets."""
+def _all_p_subgroups(P: PermGroup, p: int) -> dict:
+    """Map every subgroup H of a p-group to its Frattini subgroup, both as element frozensets.
+
+    The sweep extends each subgroup H by every x outside it that normalizes
+    H and has x^p in H, and records for each subgroup the intersection of
+    the subgroups it was reached from.  Those are exactly its maximal
+    subgroups: each extension has index p, and a maximal subgroup M of H
+    has index p and is normal, so any x in H but not in M extends M to H.
+    Their intersection is the Frattini subgroup Phi(H) (Huppert, Endliche
+    Gruppen I, 1967, III.3); the trivial group maps to itself.
+    """
     els = sorted(P.elements())
     total = len(els)
-    found = [frozenset({P.identity})]
-    level = [frozenset({P.identity})]
+    trivial = frozenset({P.identity})
+    frattini = {trivial: trivial}
+    level = [trivial]
     while level:
-        nxt = set()
+        parents = {}
         for H in level:
             if len(H) * p > total:
                 continue
+            # every x in an extension K of H extends H to that same K
+            reached = set(H)
             for x in els:
-                if x in H or perm_pow(x, p) not in H or any(perm_conj(h, x) not in H for h in H):
+                if x in reached or perm_pow(x, p) not in H or any(perm_conj(h, x) not in H for h in H):
                     continue
-                nxt.add(frozenset(_coset_closure(set(H), [x], P.identity)))
-                if len(found) + len(nxt) > SUBGROUP_SWEEP_CAP:
+                K = frozenset(_coset_closure(set(H), [x], P.identity))
+                reached |= K
+                parents[K] = parents.get(K, H) & H
+                if len(frattini) + len(parents) > SUBGROUP_SWEEP_CAP:
                     raise CapExceeded("p-subgroup sweep exceeded its cap")
-        level = sorted(nxt, key=lambda s: sorted(s))
-        found.extend(level)
-    return found
+        level = sorted(parents, key=lambda s: sorted(s))
+        for K in level:
+            frattini[K] = parents[K]
+    return frattini
 
 
 def sectional_rank(P: PermGroup, p: int) -> int:
-    """Return the largest minimal generator count over all subgroups."""
+    """Return the largest minimal generator count over all subgroups.
+
+    By the Burnside basis theorem a p-group H needs log_p |H : Phi(H)|
+    generators, with Phi(H) as the p-subgroup sweep records it.
+    """
     size = P.order()
     if not is_p_power(size, p):
         raise ValueError("sectional rank needs a p-group")
@@ -660,14 +689,4 @@ def sectional_rank(P: PermGroup, p: int) -> int:
         raise CapExceeded(
             f"group order {size} exceeds the sectional rank cap {SECTIONAL_RANK_CAP}"
         )
-    best = 0
-    for H in _all_p_subgroups(P, p):
-        h_els = sorted(H)
-        frat_gens = {perm_pow(x, p) for x in h_els}
-        for i, x in enumerate(h_els):
-            for y in h_els[i + 1:]:
-                frat_gens.add(perm_mul(perm_inv(perm_mul(y, x)), perm_mul(x, y)))
-        frat_gens.discard(P.identity)
-        frat = _closure(P.degree, sorted(frat_gens)) if frat_gens else {P.identity}
-        best = max(best, int_log(len(H) // len(frat), p))
-    return best
+    return max(int_log(len(H) // len(phi), p) for H, phi in _all_p_subgroups(P, p).items())

@@ -97,6 +97,16 @@ class TestAnalyze:
         assert main(["analyze", "--group", group_file, "--prime", "2"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("group", [
+        {"name": "C2bool", "degree": 2, "generators": [[2, True]]},
+        {"name": "C2str", "degree": "2", "generators": [["2", "1"]]},
+    ], ids=["boolean", "strings"])
+    def test_boolean_or_string_integer_rejected(self, tmp_path, capsys, group):
+        # these were read as the integers 1 and 2 and analyzed C2
+        group_file = write_json(tmp_path / "c2.json", group)
+        assert main(["analyze", "--group", group_file, "--prime", "2"]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_two_groups_rejected(self, tmp_path, capsys):
         doc = {"groups": [A4_GROUP, dict(A4_GROUP, name="other")]}
         group_file = write_json(tmp_path / "two.json", doc)
@@ -126,6 +136,12 @@ class TestTau:
         cartan = write_json(tmp_path / "c.json", [[2, 1], [1, 2]])
         assert main(["tau", "--cartan", cartan, "--degrees", "1,2,3"]) == 2
         capsys.readouterr()
+
+    def test_rejects_boolean_entry(self, tmp_path, capsys):
+        # true was read as 1 and printed 3/2
+        cartan = write_json(tmp_path / "c.json", {"rows": [[True, 0], [0, 2]]})
+        assert main(["tau", "--cartan", cartan, "--degrees", "1,1"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_rejects_fractional_entry(self, tmp_path, capsys):
         cartan = write_json(tmp_path / "c.json", [[2, 1], [1, 2.5]])
@@ -213,10 +229,16 @@ class TestVerifyCorpus:
         {"groups": [], "fixtures": [dict(KLEIN_FIXTURE, sectional=2.5)]},
         {"groups": [], "fixtures": [dict(KLEIN_FIXTURE, trace=6.5)]},
         {"groups": [], "fixtures": [dict(KLEIN_FIXTURE, rows=[[2, 1, 1], [1, 2.5, 1], [1, 1, 2]])]},
+        {"groups": [dict(S4_GROUP, degree="4")]},
+        {"groups": [dict(S4_GROUP, generators=[[2, True, 3, 4], [2, 3, 4, 1]])]},
+        {"groups": [], "fixtures": [dict(KLEIN_FIXTURE, sectional="2")]},
+        {"groups": [], "fixtures": [dict(KLEIN_FIXTURE, trace=True)]},
     ], ids=["degree", "generator", "primes", "large-string", "large-number", "binding-prime",
-            "fixture-prime", "defect-order", "sectional", "trace", "rows"])
+            "fixture-prime", "defect-order", "sectional", "trace", "rows",
+            "degree-string", "generator-boolean", "sectional-string", "trace-boolean"])
     def test_fractional_or_non_boolean_value_rejected(self, tmp_path, capsys, doc):
-        # these were coerced: primes [2.5] became (2,) and "false" made the entry large
+        # these were coerced: primes [2.5] became (2,), "false" made the entry large,
+        # and "4" and true were read as the integers 4 and 1
         corpus_file = write_json(tmp_path / "bad.json", doc)
         assert main(["verify-corpus", "--corpus", corpus_file]) == 2
         assert "error:" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Tests for permutation groups and their structure algorithms."""
 
+import math
 import random
 
 import numpy as np
@@ -7,10 +8,16 @@ import pytest
 
 from pblocks.errors import CapExceeded, EnumerationRequired, NotAPermutation, NotNormal
 from pblocks.chartab import class_fusion
+from pblocks.corpus import (
+    alternating_group,
+    mathieu_group_11,
+    quaternion_group,
+    special_linear_2_3,
+    special_linear_2_8,
+)
 from pblocks.perm import (
     PermGroup,
     _all_p_subgroups,
-    _closure,
     abelian_p_invariants,
     orbit,
     perm_conj,
@@ -153,6 +160,14 @@ def test_words_reconstruct_elements():
         assert acc == g
 
 
+def test_word_rejects_a_non_member_and_a_wrong_degree():
+    G = _alt5()
+    with pytest.raises(ValueError, match="does not belong"):
+        G.word(_cycles(5, (1, 2)))
+    with pytest.raises(NotAPermutation):
+        G.word((1, 0, 2, 3))
+
+
 @pytest.mark.parametrize(
     "start, act, size",
     [
@@ -244,6 +259,19 @@ def _invert(a):
     for i in range(len(a)):
         out[a[i]] = i
     return tuple(out)
+
+
+def _closure(degree, gens):
+    """All products of the generators, by a breadth-first search over tuples."""
+    known = {tuple(range(degree))}
+    queue = list(known)
+    for x in queue:
+        for s in gens:
+            y = _compose(x, s)
+            if y not in known:
+                known.add(y)
+                queue.append(y)
+    return known
 
 
 def _brute_classes(els):
@@ -540,6 +568,70 @@ def test_quotient_image_rejects_a_non_member():
         act.image(_cycles(4, (1, 2)))
 
 
+def _tuple_coset_action(G, N):
+    """Right cosets N g as a dict from every element tuple to its coset index.
+
+    Returns the least element of each coset, the quotient generators and the
+    map from an element to its coset permutation.
+    """
+    n_els = _closure(N.degree, N.generators)
+    to_coset = {}
+    reps = []
+    for g in sorted(_closure(G.degree, G.generators)):
+        if g not in to_coset:
+            for n in n_els:
+                to_coset[_compose(n, g)] = len(reps)
+            reps.append(g)
+
+    def image(g):
+        return tuple(to_coset[_compose(r, g)] for r in reps)
+
+    return reps, [image(s) for s in G.generators], image
+
+
+def _center_by_tuples(G):
+    return [g for g in _closure(G.degree, G.generators)
+            if all(_compose(g, s) == _compose(s, g) for s in G.generators)]
+
+
+COSET_PAIRS = [
+    pytest.param(
+        lambda: (_sym(4), PermGroup(4, [_cycles(4, (1, 2), (3, 4)), _cycles(4, (1, 3), (2, 4))])),
+        id="S4/V4",
+    ),
+    pytest.param(
+        lambda: (_sym(4), PermGroup(4, [_cycles(4, (1, 2, 3)), _cycles(4, (2, 3, 4))])),
+        id="S4/A4",
+    ),
+    pytest.param(
+        lambda: (special_linear_2_3(),
+                 PermGroup(8, _center_by_tuples(special_linear_2_3()))),
+        id="SL(2,3)/Z",
+    ),
+    pytest.param(lambda: (_sym(7), alternating_group(7)), id="S7/A7"),
+]
+
+
+@pytest.mark.parametrize("make", COSET_PAIRS)
+def test_coset_labels_match_a_tuple_dict(make):
+    G, N = make()
+    reps, gens, image = _tuple_coset_action(G, N)
+    act = G.coset_action(N)
+    assert act.reps == reps
+    assert act.quotient.generators == PermGroup(len(reps), gens).generators
+    assert act.quotient.order() * N.order() == G.order()
+    for g in G.elements():
+        assert act.image(g) == image(g)
+    assert not act.labels.flags.writeable
+
+
+def test_quotient_image_rejects_a_wrong_degree():
+    act = _sym(4).coset_action(PermGroup(4, [_cycles(4, (1, 2, 3)), _cycles(4, (2, 3, 4))]))
+    for bad in ((1, 0, 2), (1, 0, 2, 3, 4)):
+        with pytest.raises(NotAPermutation):
+            act.image(bad)
+
+
 def test_quotient_by_alternating():
     G = _sym(4)
     a4 = PermGroup(4, [_cycles(4, (1, 2, 3)), _cycles(4, (2, 3, 4))])
@@ -555,6 +647,103 @@ def test_non_normal_quotient_raises():
 
 
 # -- p-group invariants ------------------------------------------------------------------
+
+def _power(x, n):
+    out = tuple(range(len(x)))
+    for _ in range(n):
+        out = _compose(out, x)
+    return out
+
+
+def _log(n, p):
+    return round(math.log(n, p))
+
+
+def _frattini_by_closure(degree, H, p):
+    """Phi(H) as the closure of the p-th powers and the commutators of H."""
+    els = sorted(H)
+    gens = {_power(x, p) for x in els}
+    for i, x in enumerate(els):
+        for y in els[i + 1:]:
+            gens.add(_compose(_invert(_compose(y, x)), _compose(x, y)))
+    return _closure(degree, sorted(gens))
+
+
+def _commutator_rank(P, p):
+    """The largest log_p |H : Phi(H)| over the subgroups H, Phi(H) closed by commutators."""
+    return max(_log(len(H) // len(_frattini_by_closure(P.degree, H, p)), p)
+               for H in _all_p_subgroups(P, p))
+
+
+def _invariants_by_power_counts(P, p):
+    """The exponent type from the number of x with x^(p^k) = 1, for each k."""
+    els = _closure(P.degree, P.generators)
+    identity = tuple(range(P.degree))
+    logs = [0]
+    while p ** logs[-1] != len(els):
+        k = len(logs)
+        logs.append(_log(sum(1 for x in els if _power(x, p ** k) == identity), p))
+    steps = [b - a for a, b in zip(logs, logs[1:])]
+    return sorted((sum(1 for d in steps if d >= i) for i in range(1, max(steps) + 1)),
+                  reverse=True)
+
+
+def _p_groups():
+    """(id, group, p, sectional rank) for the p-groups the Frattini route is checked on."""
+    m11 = mathieu_group_11()
+    c12 = PermGroup(7, [_cycles(7, (1, 2, 3), (4, 5, 6, 7))])
+    return [
+        ("Syl2(S4)", _sym(4).sylow(2), 2, 2),
+        ("Syl2(S5)", _sym(5).sylow(2), 2, 2),
+        ("Syl2(S6)", _sym(6).sylow(2), 2, 3),
+        ("Syl2(S7)", _sym(7).sylow(2), 2, 3),
+        ("Syl2(M11)", m11.sylow(2), 2, 2),
+        ("Syl2(SL(2,3))", special_linear_2_3().sylow(2), 2, 2),
+        ("Syl2(PSL(2,7))", _psl27().sylow(2), 2, 2),
+        ("Syl2(SL(2,8))", special_linear_2_8().sylow(2), 2, 3),
+        ("Q8", quaternion_group(), 2, 2),
+        ("Syl2(C12)", c12.sylow(2), 2, 1),
+        ("Syl3(S6)", _sym(6).sylow(3), 3, 2),
+        ("Syl3(S7)", _sym(7).sylow(3), 3, 2),
+        ("Syl3(M11)", m11.sylow(3), 3, 2),
+        ("D16", PermGroup(8, [_cycles(8, tuple(range(1, 9))),
+                              _cycles(8, (2, 8), (3, 7), (4, 6))]), 2, 2),
+        ("C4wrC2", PermGroup(8, [_cycles(8, (1, 2, 3, 4)),
+                                 _cycles(8, (1, 5), (2, 6), (3, 7), (4, 8))]), 2, 3),
+        ("Syl3(S9)", PermGroup(9, [_cycles(9, (1, 2, 3)),
+                                   _cycles(9, (1, 4, 7), (2, 5, 8), (3, 6, 9))]), 3, 3),
+        ("D8xD8", PermGroup(8, [_cycles(8, (1, 2, 3, 4)), _cycles(8, (1, 3)),
+                                _cycles(8, (5, 6, 7, 8)), _cycles(8, (5, 7))]), 2, 4),
+        ("Syl2(S6)xC2", PermGroup(8, [_cycles(8, (1, 2, 3, 4)), _cycles(8, (1, 3)),
+                                      _cycles(8, (5, 6)), _cycles(8, (7, 8))]), 2, 4),
+        ("D8wrC2", PermGroup(8, [_cycles(8, (1, 2, 3, 4)), _cycles(8, (1, 3)),
+                                 _cycles(8, (1, 5), (2, 6), (3, 7), (4, 8))]), 2, 4),
+    ]
+
+
+def test_sectional_rank_matches_the_commutator_closure_rank():
+    for name, P, p, rank in _p_groups():
+        assert (name, sectional_rank(P, p)) == (name, rank)
+        assert (name, _commutator_rank(P, p)) == (name, rank)
+
+
+@pytest.mark.parametrize("make", [lambda: _sym(4).sylow(2), quaternion_group], ids=["D8", "Q8"])
+def test_recorded_frattini_subgroups_match_the_commutator_closure(make):
+    P = make()
+    for H, phi in _all_p_subgroups(P, 2).items():
+        assert phi == _frattini_by_closure(P.degree, H, 2)
+
+
+@pytest.mark.parametrize("degree, cycles, p, invariants", [
+    (6, [(1, 2, 3, 4), (5, 6)], 2, [2, 1]),
+    (6, [(1, 2), (3, 4), (5, 6)], 2, [1, 1, 1]),
+    (8, [tuple(range(1, 9))], 2, [3]),
+    (12, [tuple(range(1, 10)), (10, 11, 12)], 3, [2, 1]),
+], ids=["C4xC2", "C2^3", "C8", "C9xC3"])
+def test_abelian_invariants_match_power_counts(degree, cycles, p, invariants):
+    P = PermGroup(degree, [_cycles(degree, c) for c in cycles])
+    assert abelian_p_invariants(P, p) == _invariants_by_power_counts(P, p) == invariants
+
 
 def test_abelian_invariants():
     c4 = PermGroup(4, [_cycles(4, (1, 2, 3, 4))])
