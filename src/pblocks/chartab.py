@@ -183,8 +183,14 @@ def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
     """Compute the exact ordinary character table of a small group.
 
     The computation is deterministic; ``seed`` is accepted for symmetry
-    with the modular entry points and has no effect.
+    with the modular entry points and has no effect.  Each group object
+    gets one table: it is computed on the first call and kept on the
+    group, the way the group keeps its classes, so later calls return the
+    same object and a group built again from the same generators computes
+    its own.
     """
+    if group._character_table is not None:
+        return group._character_table
     classes = group.conjugacy_classes()
     order = group.order()
     e = group.exponent()
@@ -258,7 +264,8 @@ def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
     if any(x != (1 if i == j else 0) for i, line in enumerate(gram) for j, x in enumerate(line)):
         raise RuntimeError("character rows violate orthogonality")
 
-    return CharacterTable(group, classes, e, r, degrees, rows)
+    group._character_table = CharacterTable(group, classes, e, r, degrees, rows)
+    return group._character_table
 
 
 def class_fusion(ambient: ClassData, sub: ClassData) -> tuple:

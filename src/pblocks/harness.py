@@ -6,14 +6,23 @@ _block_checks; the four per-block bound checks in blocks.check_conjectures,
 named in block_record; the seven fixture verdicts in fixture_checks; and
 each paired-subgroup check in its _check_* function.  build_report folds
 them into the one report that verify-corpus and analyze print.
+
+Inside one run_corpus a block system is computed once per (generators,
+prime) and reused: the corpus analyses and the paired-subgroup scenarios
+get their systems from a per-run memo that run_corpus opens and closes.
+The systems do not depend on the seed, so the report is the same as if
+each were computed again.  Outside a run, every call computes its own.
 """
 
+import contextvars
 import hashlib
 import json
 import math
 import random
 import time
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__
 from .blocks import (
@@ -39,6 +48,21 @@ from .errors import BindingUnsatisfiable, ShapeMismatch
 from .intmath import int_det, is_p_power, p_valuation
 from .modrep import ReductionContext
 from .perm import PermGroup, abelian_p_invariants, perm_mul
+
+
+# (degree, generators, prime) -> BlockSystem, set only while run_corpus runs
+_RUN_SYSTEMS = contextvars.ContextVar("_RUN_SYSTEMS", default=None)
+
+
+def _system(group: PermGroup, p: int, seed: int) -> BlockSystem:
+    """Return the block system of a group at p, from the open run's memo if there is one."""
+    memo = _RUN_SYSTEMS.get()
+    if memo is None:
+        return block_system(group, p, seed=seed)
+    key = (group.degree, group.generators, p)
+    if key not in memo:
+        memo[key] = block_system(group, p, seed=seed)
+    return memo[key]
 
 
 def format_fraction(value) -> str:
@@ -107,7 +131,15 @@ def _positive_definite(rows) -> bool:
 
 
 def fixture_checks(fix: CartanFixture, seed: int = 0, samples: int = 1000) -> dict:
-    """Validate one reference Cartan matrix against its claimed block data."""
+    """Validate one reference Cartan matrix against its claimed block data.
+
+    The Rayleigh sweep draws ``samples`` degree vectors d with entries in
+    1..64 and evaluates every d^T C d and d^T d in one integer product.  It
+    holds when each quotient is at most the trace and below the bound;
+    rayleigh_max is the largest quotient, or 0 when none is positive.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rows = fix.rows
     size = fix.size()
     p = fix.prime
@@ -116,15 +148,15 @@ def fixture_checks(fix: CartanFixture, seed: int = 0, samples: int = 1000) -> di
     det = int_det(rows)
     top = _top_elementary_divisor(rows)
     rng = random.Random(_derive_seed(seed, "fixture", fix.name))
-    rayleigh_ok = True
-    worst = Fraction(0)
-    for _ in range(samples):
-        degrees = [rng.randint(1, 64) for _ in range(size)]
-        value = tau_rayleigh(rows, degrees)
-        if value > worst:
-            worst = value
-        if not (value <= trace and value < bound):
-            rayleigh_ok = False
+    draws = [rng.randint(1, 64) for _ in range(samples * size)]
+    # |d^T C d| <= max |C_ij| size^2 64^2 bounds every partial sum of the product
+    largest = max(abs(v) for row in rows for v in row)
+    kind = np.int64 if largest * size * size * 64 * 64 < 2 ** 63 else object
+    D = np.array(draws, dtype=kind).reshape(samples, size)
+    nums = ((D @ np.array(rows, dtype=kind)) * D).sum(axis=1).tolist()
+    dens = (D * D).sum(axis=1).tolist()
+    rayleigh_ok = all(n <= trace * d and n < bound * d for n, d in zip(nums, dens))
+    worst = max(Fraction(0), *map(Fraction, nums, dens))
     verdicts = {
         "symmetric": all(rows[i][j] == rows[j][i] for i in range(size) for j in range(size)),
         "diagonal_ok": fix.max_diagonal() <= fix.defect_order,
@@ -331,7 +363,7 @@ def _check_sylow_product(gsys: BlockSystem, nsys: BlockSystem) -> dict:
 
 def _on_subsystem(check):
     """Adapt a check of two block systems to take the subgroup and its seed."""
-    return lambda gsys, sub, seed: check(gsys, block_system(sub, gsys.p, seed=seed))
+    return lambda gsys, sub, seed: check(gsys, _system(sub, gsys.p, seed))
 
 
 # scenario kind -> check(ambient system, normal subgroup, subgroup seed)
@@ -354,7 +386,7 @@ def run_scenario(scenario: PairedScenario, seed: int = 0) -> dict:
     check = _SCENARIO_CHECKS.get(scenario.kind)
     if check is None:
         raise ValueError(f"unknown scenario kind {scenario.kind!r}")
-    body = check(block_system(group, p, seed=gseed), sub, nseed)
+    body = check(_system(group, p, gseed), sub, nseed)
     result = {
         "name": scenario.name,
         "kind": scenario.kind,
@@ -486,7 +518,7 @@ def system_violations(name: str, system: BlockSystem, records: list) -> list:
 
 def analyze_group(group: PermGroup, p: int, seed: int = 0, name: str = "group") -> dict:
     """Run the full block pipeline on one group at one prime and package the results."""
-    system = block_system(group, p, seed=seed)
+    system = _system(group, p, seed)
     records = [block_record(system, block) for block in system.blocks]
     verify = verify_system(system)
     violations = system_violations(name, system, records)
@@ -507,7 +539,11 @@ def analyze_group(group: PermGroup, p: int, seed: int = 0, name: str = "group") 
 
 def run_corpus(seed: int = 0, include_large: bool = False, entries=None,
                scenarios=None, fixtures=None) -> dict:
-    """Analyze the corpus, run all scenario and fixture checks, and build the report."""
+    """Analyze the corpus, run all scenario and fixture checks, and build the report.
+
+    The analyses and scenarios share one block system per (generators,
+    prime) for the length of the run.
+    """
     if entries is None:
         entries = DEFAULT_CORPUS
     if scenarios is None:
@@ -517,20 +553,24 @@ def run_corpus(seed: int = 0, include_large: bool = False, entries=None,
     chosen = [entry for entry in entries if include_large or not entry.large]
     timings = {}
     analyses = []
-    for entry in chosen:
-        group = entry.build()
-        for p in entry.target_primes(group):
-            started = time.perf_counter()
-            result = analyze_group(
-                group, p, seed=_derive_seed(seed, entry.name, p), name=entry.name
-            )
-            timings[f"{entry.name}:{p}"] = round(time.perf_counter() - started, 6)
-            analyses.append(result)
     lemma_results = []
-    for scenario in scenarios:
-        started = time.perf_counter()
-        lemma_results.append(run_scenario(scenario, seed=seed))
-        timings[f"scenario:{scenario.name}"] = round(time.perf_counter() - started, 6)
+    token = _RUN_SYSTEMS.set({})
+    try:
+        for entry in chosen:
+            group = entry.build()
+            for p in entry.target_primes(group):
+                started = time.perf_counter()
+                result = analyze_group(
+                    group, p, seed=_derive_seed(seed, entry.name, p), name=entry.name
+                )
+                timings[f"{entry.name}:{p}"] = round(time.perf_counter() - started, 6)
+                analyses.append(result)
+        for scenario in scenarios:
+            started = time.perf_counter()
+            lemma_results.append(run_scenario(scenario, seed=seed))
+            timings[f"scenario:{scenario.name}"] = round(time.perf_counter() - started, 6)
+    finally:
+        _RUN_SYSTEMS.reset(token)
     fixture_results = [fixture_checks(fix, seed=seed) for fix in fixtures]
     return build_report(seed, include_large, [entry.name for entry in chosen], analyses,
                         lemma_results, fixture_results, timings)

@@ -37,6 +37,15 @@ class Mat:
         self.field = field
         self.data = arr
 
+    @classmethod
+    def _fresh(cls, field: Field, arr) -> "Mat":
+        """Wrap an int64 array that a field op has just allocated, without a copy or range check."""
+        arr.setflags(write=False)
+        out = object.__new__(cls)
+        out.field = field
+        out.data = arr
+        return out
+
     @property
     def nrows(self) -> int:
         return self.data.shape[0]
@@ -103,7 +112,7 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
     _same_field(A, B)
     if A.ncols != B.nrows:
         raise ShapeMismatch(f"cannot multiply {A.shape} by {B.shape}")
-    return Mat(A.field, vec_mat(A.field, A.data, B.data))
+    return Mat._fresh(A.field, vec_mat(A.field, A.data, B.data))
 
 
 # most products one vec_mat block holds, unless one inner index alone has more
@@ -139,7 +148,7 @@ def mat_add(A: Mat, B: Mat) -> Mat:
     _same_field(A, B)
     if A.shape != B.shape:
         raise ShapeMismatch(f"cannot add {A.shape} and {B.shape}")
-    return Mat(A.field, A.field.vadd(A.data, B.data))
+    return Mat._fresh(A.field, A.field.vadd(A.data, B.data))
 
 
 def mat_sub(A: Mat, B: Mat) -> Mat:
@@ -147,12 +156,15 @@ def mat_sub(A: Mat, B: Mat) -> Mat:
     _same_field(A, B)
     if A.shape != B.shape:
         raise ShapeMismatch(f"cannot subtract {B.shape} from {A.shape}")
-    return Mat(A.field, A.field.vsub(A.data, B.data))
+    return Mat._fresh(A.field, A.field.vsub(A.data, B.data))
 
 
 def mat_scale(A: Mat, c: int) -> Mat:
-    """Multiply a matrix by a scalar."""
-    return Mat(A.field, A.field.vmul(A.data, np.int64(int(c))))
+    """Multiply a matrix by a scalar, the code of a field element."""
+    c = int(c)
+    if not 0 <= c < A.field.q:
+        raise ShapeMismatch("scalar out of range for the field")
+    return Mat._fresh(A.field, A.field.vmul(A.data, np.int64(c)))
 
 
 def mat_transpose(A: Mat) -> Mat:

@@ -387,6 +387,8 @@ class PermGroup:
         self._elements = None
         self._classes = None
         self._class_matrices = None
+        # filled by chartab.character_table on its first call
+        self._character_table = None
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"

@@ -1,6 +1,8 @@
 """Tests for exact character table computation."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -284,11 +286,10 @@ class TestConsistency:
                     assert total.is_zero()
 
     def test_two_lifting_primes_agree(self, monkeypatch):
-        g = alt5()
-        t1 = character_table(g)
+        t1 = character_table(alt5())
         assert t1.prime == 31
         monkeypatch.setattr(chartab, "lifting_prime", lambda order, exponent: 61)
-        t2 = character_table(g)
+        t2 = character_table(alt5())
         assert t2.prime == 61
         assert t1.degrees == t2.degrees
         for r1, r2 in zip(t1.rows, t2.rows):
@@ -308,6 +309,28 @@ class TestConsistency:
         monkeypatch.setattr(random, "Random", refuse)
         assert character_table(sym(5), seed=3).degrees == (1, 1, 4, 4, 5, 5, 6)
         assert character_table(projective_special_linear_2_7()).degrees == (1, 3, 3, 6, 7, 8)
+
+
+class TestTableKeptOnGroup:
+    def test_same_group_same_table(self):
+        g = sym(4)
+        assert character_table(g) is character_table(g, seed=5)
+
+    def test_rebuilt_group_gets_its_own_equal_table(self):
+        t1 = character_table(sym(4))
+        t2 = character_table(sym(4), seed=99)
+        assert t1 is not t2
+        assert t1.degrees == t2.degrees
+        for r1, r2 in zip(t1.rows, t2.rows):
+            assert all(a == b for a, b in zip(r1, r2))
+
+    def test_table_does_not_keep_its_group_alive(self):
+        g = alt5()
+        assert character_table(g).group is g
+        group = weakref.ref(g)
+        del g
+        gc.collect()
+        assert group() is None
 
 
 class TestFusion:

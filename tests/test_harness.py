@@ -3,10 +3,13 @@
 import dataclasses
 import functools
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from pblocks import harness
 from pblocks.blocks import block_system
 from pblocks.corpus import (
     DEFAULT_SCENARIOS,
@@ -22,6 +25,7 @@ from pblocks.corpus import (
 )
 from pblocks.errors import BindingUnsatisfiable, ShapeMismatch
 from pblocks.harness import (
+    _derive_seed,
     _positive_definite,
     _top_elementary_divisor,
     analyze_group,
@@ -159,6 +163,52 @@ class TestPositiveDefinite:
 
     def test_indefinite(self):
         assert not _positive_definite(((1, 2), (2, 1)))
+
+
+def rayleigh_oracle(fix, seed, samples=1000):
+    """Sample the Rayleigh quotient one degree vector and one tau_rayleigh at a time."""
+    rng = random.Random(_derive_seed(seed, "fixture", fix.name))
+    ok = True
+    worst = Fraction(0)
+    for _ in range(samples):
+        value = tau_rayleigh(fix.rows, [rng.randint(1, 64) for _ in range(fix.size())])
+        worst = max(worst, value)
+        ok = ok and value <= fix.trace() and value < fix.bound()
+    return ok, format_fraction(worst)
+
+
+def sweep_of(fix, seed):
+    result = fixture_checks(fix, seed=seed)
+    return result["rayleigh_ok"], result["rayleigh_max"]
+
+
+class TestRayleighSweep:
+    @pytest.mark.parametrize("seed", [0, 1, 123])
+    def test_fixtures_match_the_loop(self, seed):
+        for fix in FIXTURES:
+            assert sweep_of(fix, seed) == rayleigh_oracle(fix, seed), fix.name
+
+    def test_value_equal_to_trace_and_bound(self):
+        # every quotient is 4: at most the trace 4, but not below the bound 2^0 * 4
+        fix = CartanFixture("one", "", 2, [[4]], defect_order=4, sectional=0)
+        assert sweep_of(fix, 0) == rayleigh_oracle(fix, 0) == (False, "4/1")
+
+    def test_no_positive_value_reads_zero(self):
+        fix = CartanFixture("negative", "", 2, [[-1]], defect_order=1, sectional=0)
+        assert sweep_of(fix, 0) == rayleigh_oracle(fix, 0) == (True, "0/1")
+
+    @pytest.mark.parametrize("entry", [2 ** 49 - 1, 2 ** 49, 2 ** 60])
+    def test_large_entries_stay_exact(self, entry):
+        # 2^49 - 1 is the largest entry of a 2 x 2 matrix the int64 product
+        # takes; at 2^60 nearly every d^T C d overflows int64
+        fix = CartanFixture("big", "", 2, [[entry, entry], [entry, entry]],
+                            defect_order=2, sectional=0)
+        assert sweep_of(fix, 3) == rayleigh_oracle(fix, 3)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_rejects_an_empty_sweep(self, samples):
+        with pytest.raises(ValueError):
+            fixture_checks(FIXTURES[0], samples=samples)
 
 
 class TestFixtureChecks:
@@ -455,6 +505,52 @@ class TestRunCorpus:
                             trace_expected=24)
         report = run_corpus(seed=0, entries=(), scenarios=(), fixtures=(bad,))
         assert report_passed(report) is False
+
+
+@pytest.fixture
+def system_calls(monkeypatch):
+    """Record the (generators, prime) of every block system the harness computes."""
+    calls = []
+
+    def counting(group, p, seed=0, context=None):
+        calls.append((group.generators, p))
+        return block_system(group, p, seed=seed, context=context)
+
+    monkeypatch.setattr(harness, "block_system", counting)
+    return calls
+
+
+class TestSystemsPerRun:
+    def test_run_computes_each_system_once(self, system_calls):
+        scenarios = [s for s in DEFAULT_SCENARIOS if s.name.endswith("-S3")]
+        run_corpus(seed=2, entries=SMALL_ENTRIES[:1], scenarios=scenarios)
+        # S3 at 2 and 3 for the corpus and both scenarios, then C3 at 2 and 3
+        assert len(system_calls) == 4
+        assert set(Counter(system_calls).values()) == {1}
+
+    def test_no_sharing_outside_a_run(self, system_calls):
+        scenario = scenario_by_kind("stabilizer_induction_tau")
+        assert run_scenario(scenario, seed=1) == run_scenario(scenario, seed=1)
+        assert len(system_calls) == 4
+        assert set(Counter(system_calls).values()) == {2}
+
+    def test_memo_closed_after_a_failed_run(self, system_calls, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("analysis failed")
+
+        monkeypatch.setattr(harness, "analyze_group", fail)
+        with pytest.raises(RuntimeError):
+            run_corpus(seed=0, entries=SMALL_ENTRIES, scenarios=())
+        assert harness._RUN_SYSTEMS.get() is None
+        run_scenario(scenario_by_kind("stabilizer_induction_tau"), seed=0)
+        run_scenario(scenario_by_kind("stabilizer_induction_tau"), seed=0)
+        assert set(Counter(system_calls).values()) == {2}
+
+    def test_scenarios_in_a_run_match_their_own_runs(self, system_calls):
+        entries = [corpus_entry(name) for name in ("S3", "A4", "SL(2,3)", "S4")]
+        report = run_corpus(seed=4, entries=entries)
+        assert set(Counter(system_calls).values()) == {1}
+        assert report["lemmas"] == [run_scenario(s, seed=4) for s in DEFAULT_SCENARIOS]
 
 
 class TestRendering:

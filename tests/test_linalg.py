@@ -89,6 +89,39 @@ def test_entry_range_checked():
         Mat(field_create(3), [[0, -1]])
 
 
+def test_scalar_range_checked():
+    for F in (field_create(3), field_create(2, 4), field_create(3, 11)):
+        for c in (-1, F.q):
+            with pytest.raises(ShapeMismatch):
+                mat_scale(Mat.identity(F, 2), c)
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (2, 4), (3, 2), (2, 17), (3, 11)])
+def test_kernel_results_are_fresh_and_read_only(p, m):
+    F = field_create(p, m)
+    rng = random.Random(p * 100 + m)
+    A = _random_mat(F, 3, 3, rng)
+    B = _random_mat(F, 3, 3, rng)
+    identity = Mat.identity(F, 3)
+    results = [
+        (mat_mul(A, B), (A, B)),
+        (mat_mul(A, identity), (A, identity)),
+        (mat_mul(identity, A), (identity, A)),
+        (mat_add(A, B), (A, B)),
+        (mat_add(A, Mat.zeros(F, 3, 3)), (A,)),
+        (mat_sub(A, B), (A, B)),
+        (mat_sub(A, Mat.zeros(F, 3, 3)), (A,)),
+        (mat_scale(A, 1), (A,)),
+        (mat_scale(A, 0), (A,)),
+    ]
+    for C, inputs in results:
+        assert C.data.dtype == np.int64 and C.data.ndim == 2
+        assert not C.data.flags.writeable
+        assert not any(np.shares_memory(C.data, X.data) for X in inputs)
+    assert mat_mul(A, identity) == A == mat_scale(A, 1)
+    assert mat_sub(A, Mat.zeros(F, 3, 3)) == A
+
+
 def test_shape_guards():
     F = field_create(5)
     A = Mat.zeros(F, 2, 3)
