@@ -12,7 +12,6 @@ from pblocks.corpus import (
     alternating_group,
     symmetric_group,
 )
-from pblocks.modrep import ReductionContext
 from pblocks.perm import PermGroup, perm_from_cycles, perm_mul
 
 
@@ -58,10 +57,7 @@ def inflation_story():
          if all(perm_mul(g, h) == perm_mul(h, g) for h in group.generators)]
     )
     action = group.coset_action(center)
-    qsys = block_system(
-        action.quotient, 2,
-        context=ReductionContext(action.quotient, 2, field=gsys.context.field),
-    )
+    qsys = block_system(action.quotient, 2)
     char_map, ibr_map = inflation_correspondence(gsys, action, qsys)
     print(f"  quotient is A4 (order {action.quotient.order()}),"
           f" center has order {center.order()}")

@@ -12,7 +12,6 @@ from .blocks import (
     check_conjectures,
     covered_blocks,
     induced_block,
-    induced_brauer_values,
     inflation_correspondence,
 )
 from .chartab import CharacterTable, character_table, class_fusion, lifting_prime
@@ -24,7 +23,6 @@ from .corpus import (
     CorpusEntry,
     PairedScenario,
     corpus_entry,
-    fixture,
     prime_factors,
 )
 from .cyclotomic import Cyc, cyc_to_field
@@ -38,7 +36,6 @@ from .harness import (
     report_passed,
     run_corpus,
     run_scenario,
-    scenario_suite,
     tau_rayleigh,
     verify_system,
 )

@@ -156,15 +156,17 @@ class BlockSystem:
         return self.blocks[0]
 
 
-def block_system(group, p: int, seed: int = 0, context=None) -> BlockSystem:
-    """Compute the block decomposition of the group algebra in characteristic p."""
+def block_system(group, p: int, seed: int = 0) -> BlockSystem:
+    """Compute the block decomposition of the group algebra in characteristic p.
+
+    Characters are reduced with the Brauer table's ReductionContext(group, p).
+    """
     if not is_prime(p):
         raise CompositeCharacteristic(f"characteristic {p} is not prime")
     tab = character_table(group)
     classes = tab.classes
-    if context is None:
-        context = ReductionContext(group, p)
-    btab = brauer_table(group, p, seed=seed, context=context)
+    btab = brauer_table(group, p, seed=seed)
+    context = btab.context
     order = group.order()
 
     lambdas = [
@@ -451,25 +453,6 @@ def inflation_correspondence(system: BlockSystem, action, qsystem: BlockSystem) 
         _inflated_match(qrow, regular, system.brauer.rows) for qrow in qsystem.brauer.rows
     )
     return char_map, ibr_map
-
-
-def induced_brauer_values(system: BlockSystem, sub: BlockSystem, j: int) -> tuple:
-    """Induce a subgroup Brauer character to the ambient regular classes."""
-    fusion = class_fusion(system.chartab.classes, sub.chartab.classes)
-    aclasses = system.chartab.classes
-    sclasses = sub.chartab.classes
-    aorder = system.group.order()
-    sorder = sub.group.order()
-    row = sub.brauer.rows[j]
-    values = []
-    for k in system.regular:
-        cent = aorder // aclasses.sizes[k]
-        acc = Cyc.zero(1)
-        for pos, c in enumerate(sub.regular):
-            if fusion[c] == k:
-                acc = acc + row[pos] * Fraction(cent * sclasses.sizes[c], sorder)
-        values.append(acc)
-    return tuple(values)
 
 
 def brauer_restriction_multiplicities(system: BlockSystem, sub: BlockSystem) -> tuple:

@@ -111,9 +111,7 @@ def _corpus_from_json(doc) -> tuple:
                 [[_json_int(v) for v in row] for row in obj["rows"]],
                 defect_order=_json_int(obj["defect_order"]),
                 sectional=_json_int(obj["sectional"]),
-                # a fixture trace may also be written as a decimal string
-                trace_expected=None if obj.get("trace") is None else _json_int(
-                    int(obj["trace"]) if isinstance(obj["trace"], str) else obj["trace"]),
+                trace_expected=None if obj.get("trace") is None else _json_int(obj["trace"]),
             )
             for obj in doc["fixtures"]
         ]

@@ -337,11 +337,3 @@ FIXTURES = (
         sectional=2,
     ),
 )
-
-
-def fixture(name: str) -> CartanFixture:
-    """Look up a fixture by name."""
-    for fix in FIXTURES:
-        if fix.name == name:
-            return fix
-    raise ValueError(f"unknown fixture {name!r}")

@@ -7,11 +7,12 @@ named in block_record; the seven fixture verdicts in fixture_checks; and
 each paired-subgroup check in its _check_* function.  build_report folds
 them into the one report that verify-corpus and analyze print.
 
-Inside one run_corpus a block system is computed once per (generators,
-prime) and reused: the corpus analyses and the paired-subgroup scenarios
-get their systems from a per-run memo that run_corpus opens and closes.
-The systems do not depend on the seed, so the report is the same as if
-each were computed again.  Outside a run, every call computes its own.
+Every block system, a scenario's quotient included, comes from _system.
+Inside one run_corpus it is computed once per (generators, prime) and
+reused: the corpus analyses and the paired-subgroup scenarios get their
+systems from a per-run memo that run_corpus opens and closes.  The
+systems do not depend on the seed, so the report is the same as if each
+were computed again.  Outside a run, every call computes its own.
 """
 
 import contextvars
@@ -46,7 +47,6 @@ from .corpus import (
 from .chartab import class_gram
 from .errors import BindingUnsatisfiable, ShapeMismatch
 from .intmath import int_det, is_p_power, p_valuation
-from .modrep import ReductionContext
 from .perm import PermGroup, abelian_p_invariants, perm_mul
 
 
@@ -130,16 +130,15 @@ def _positive_definite(rows) -> bool:
     return True
 
 
-def fixture_checks(fix: CartanFixture, seed: int = 0, samples: int = 1000) -> dict:
+def fixture_checks(fix: CartanFixture, seed: int = 0) -> dict:
     """Validate one reference Cartan matrix against its claimed block data.
 
-    The Rayleigh sweep draws ``samples`` degree vectors d with entries in
-    1..64 and evaluates every d^T C d and d^T d in one integer product.  It
+    The Rayleigh sweep draws 1000 degree vectors d with entries in 1..64
+    and evaluates every d^T C d and d^T d in one integer product.  It
     holds when each quotient is at most the trace and below the bound;
     rayleigh_max is the largest quotient, or 0 when none is positive.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    samples = 1000
     rows = fix.rows
     size = fix.size()
     p = fix.prime
@@ -233,13 +232,8 @@ def _check_central_scaling(gsys: BlockSystem, sub: PermGroup, seed: int) -> dict
         if any(perm_mul(x, g) != perm_mul(g, x) for g in group.generators):
             raise BindingUnsatisfiable("subgroup is not central in the ambient group")
     action = group.coset_action(sub)
-    quotient = action.quotient
-    qsys = block_system(
-        quotient,
-        p,
-        seed=seed,
-        context=ReductionContext(quotient, p, field=gsys.context.field),
-    )
+    # Z is a central p-group, so G/Z has the p'-exponent, and so the field, of G
+    qsys = _system(action.quotient, p, seed)
     char_map, ibr_map = inflation_correspondence(gsys, action, qsys)
     comparisons = []
     scaled = True
@@ -396,13 +390,6 @@ def run_scenario(scenario: PairedScenario, seed: int = 0) -> dict:
     }
     result.update(body)
     return result
-
-
-def scenario_suite(scenarios=None, seed: int = 0) -> list:
-    """Run every paired-subgroup scenario."""
-    if scenarios is None:
-        scenarios = DEFAULT_SCENARIOS
-    return [run_scenario(scenario, seed=seed) for scenario in scenarios]
 
 
 def block_record(system: BlockSystem, block) -> dict:

@@ -1,10 +1,13 @@
 """Modular representations of small permutation groups.
 
 A module is stored as the list of matrices by which the group generators
-act on row vectors over a fixed splitting field of characteristic p.
+act on row vectors over a splitting field of characteristic p.  The
+pipeline works over GF(p^m), where m is the order of p modulo the
+p'-part of the group exponent (ReductionContext); no caller chooses it.
 The chop certifies composition factors with Norton's test on eigenvalues
 of random algebra elements, which settles irreducibility over a splitting
-field; a module that is simple but not absolutely simple ends in
+field; a module that is simple but not absolutely simple, or any module
+left undecided after RANDOM_ELEMENT_BUDGET elements, ends in
 RandomBudgetExceeded.  As Holt and Rees state the test, it spins one
 vector of each eigenspace (the nucleus) and, when that eigenspace is a
 line, one vector of the matching eigenspace of the transpose.  A random
@@ -50,7 +53,6 @@ from .linalg import (
 from .perm import ClassData, PermGroup
 
 RANDOM_ELEMENT_BUDGET = 200
-BURNSIDE_DIM_CAP = 64
 TENSOR_DIM_CAP = 4096
 
 
@@ -60,21 +62,25 @@ def p_regular_indices(classes: ClassData, p: int) -> list:
 
 
 class ReductionContext:
-    """Fixed splitting field data for reducing character values mod p."""
+    """Splitting field data for reducing character values of a group mod p.
+
+    The field is GF(p^m), where m is the order of p modulo the p'-part of
+    the group exponent: the smallest field of characteristic p holding
+    every root of unity a p-regular element can have.  It is a function of
+    (group, p) alone, and field_create caches it, so two groups with the
+    same p'-exponent, such as a group and its quotient by a central
+    p-subgroup, share one field object; no caller chooses it.
+    """
 
     __slots__ = ("p", "exponent", "eprime", "m", "field", "w", "zeta")
 
-    def __init__(self, group: PermGroup, p: int, field=None):
+    def __init__(self, group: PermGroup, p: int):
         self.p = p
         self.exponent = group.exponent()
         p_part = p ** p_valuation(self.exponent, p)
         self.eprime = e = self.exponent // p_part
         self.m = multiplicative_order(p, e)
-        if field is None:
-            field = field_create(p, self.m)
-        elif (field.q - 1) % e or field.p != p:
-            raise ValueError("supplied field does not contain the needed roots of unity")
-        self.field = field
+        self.field = field = field_create(p, self.m)
         self.w = field.root_of_unity(e)
         # the image of a primitive exponent-th root: zeta ** p_part == w,
         # and its p-part maps to one
@@ -124,12 +130,6 @@ def perm_module(group: PermGroup, field) -> GModule:
             arr[i, j] = 1
         mats.append(Mat(field, arr))
     return GModule(group, field, mats)
-
-
-def trivial_module(group: PermGroup, field) -> GModule:
-    """Return the one dimensional trivial module."""
-    one = Mat.identity(field, 1)
-    return GModule(group, field, [one] * len(group.generators))
 
 
 def tensor_module(a: GModule, b: GModule) -> GModule:
@@ -262,13 +262,6 @@ def _random_element(rng: random.Random, modules) -> list:
 
 # -- the chop ---------------------------------------------------------------------
 
-def _algebra_is_full(module: GModule) -> bool:
-    """Decide irreducibility by closing the generated algebra (splitting field)."""
-    n = module.dim
-    eye = Mat.identity(module.field, n).data.reshape(-1)
-    return _spin(module.field, [M.data for M in module.mats], eye).dim == n * n
-
-
 def _chop_step(module: GModule, rng: random.Random):
     """Return a proper invariant row space, or None when the module is simple.
 
@@ -293,8 +286,6 @@ def _chop_step(module: GModule, rng: random.Random):
                 if span.dim == n:
                     return None
                 return mat_rref(mat_right_kernel(span.basis()))
-    if n <= BURNSIDE_DIM_CAP and _algebra_is_full(module):
-        return None
     raise RandomBudgetExceeded(
         f"chop undecided after {RANDOM_ELEMENT_BUDGET} random algebra elements"
     )
@@ -456,12 +447,10 @@ def brauer_value(module: GModule, g, order: int, context: ReductionContext) -> C
     return root_sum(order, counts)
 
 
-def brauer_table(group: PermGroup, p: int, seed: int = 0,
-                 context: ReductionContext | None = None) -> BrauerTable:
-    """Compute the sorted Brauer character table at the prime p."""
+def brauer_table(group: PermGroup, p: int, seed: int = 0) -> BrauerTable:
+    """Compute the sorted Brauer character table at p over ReductionContext(group, p)."""
     classes = group.conjugacy_classes()
-    if context is None:
-        context = ReductionContext(group, p)
+    context = ReductionContext(group, p)
     regular = tuple(p_regular_indices(classes, p))
     simples = simple_modules(group, context, seed=seed)
 

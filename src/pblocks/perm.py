@@ -2,8 +2,7 @@
 
 Permutations on 0-based points are tuples of images, and products apply
 left to right: perm_mul(a, b) maps i to b[a[i]].  One-based cycle
-notation is accepted and produced only at the boundary helpers
-perm_from_cycles and perm_to_cycles.
+notation is accepted only at the boundary helper perm_from_cycles.
 
 Group order and membership come from a deterministic Schreier-Sims
 stabilizer chain, which also lists the group: every element is exactly
@@ -117,24 +116,6 @@ def perm_from_cycles(degree: int, cycles) -> tuple:
         for i, c in enumerate(pts):
             images[c - 1] = pts[(i + 1) % len(pts)] - 1
     return tuple(images)
-
-
-def perm_to_cycles(a: tuple) -> list:
-    """Write a permutation as 1-based cycles, shortest points first."""
-    seen = [False] * len(a)
-    out = []
-    for i in range(len(a)):
-        if seen[i] or a[i] == i:
-            seen[i] = True
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j + 1)
-            j = a[j]
-        out.append(tuple(cyc))
-    return out
 
 
 def orbit(start, gens, act) -> dict:

@@ -11,10 +11,10 @@ import pytest
 
 from pblocks.blocks import block_system
 from pblocks.corpus import (
+    DEFAULT_SCENARIOS,
     FIXTURES,
     CartanFixture,
     alternating_group,
-    fixture,
     special_linear_2_8,
 )
 from pblocks.harness import (
@@ -22,10 +22,11 @@ from pblocks.harness import (
     render_report,
     report_json,
     run_corpus,
-    scenario_suite,
+    run_scenario,
 )
 from pblocks.perm import abelian_p_invariants
 
+FIXTURE = {fix.name: fix for fix in FIXTURES}
 KLEIN_A = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
 KLEIN_B = [[4, 2, 2], [2, 2, 1], [2, 1, 2]]
 
@@ -121,11 +122,11 @@ def test_criterion_3_sl28_principal_block():
 
 def test_criterion_4_fixture_suite():
     started = time.perf_counter()
-    j1 = fixture_checks(fixture("J1"), seed=0)
+    j1 = fixture_checks(FIXTURE["J1"], seed=0)
     assert j1["max_diagonal"] == 8
     assert j1["trace"] == 24
     assert j1["rayleigh_ok"]
-    co3 = fixture_checks(fixture("Co3"), seed=0)
+    co3 = fixture_checks(FIXTURE["Co3"], seed=0)
     assert co3["max_diagonal"] == 8
     assert co3["trace"] == 22
     assert co3["rayleigh_ok"]
@@ -133,7 +134,7 @@ def test_criterion_4_fixture_suite():
         result = fixture_checks(fix, seed=0)
         assert result["samples"] == 1000
         assert result["holds"], fix.name
-    rows = [list(row) for row in fixture("J1").rows]
+    rows = [list(row) for row in FIXTURE["J1"].rows]
     rows[0][0] += 1
     mutated = CartanFixture("J1-mutant", "", 2, rows, defect_order=8, sectional=3,
                             trace_expected=24)
@@ -145,7 +146,8 @@ def test_criterion_4_fixture_suite():
 
 def test_criterion_5_paired_subgroup_suites():
     started = time.perf_counter()
-    results = {item["kind"]: item for item in scenario_suite(seed=0)}
+    suite = [run_scenario(scenario, seed=0) for scenario in DEFAULT_SCENARIOS]
+    results = {item["kind"]: item for item in suite}
     assert len(results) == 5
     for item in results.values():
         assert item["holds"], item["kind"]

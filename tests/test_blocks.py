@@ -20,10 +20,9 @@ from pblocks.blocks import (
     check_conjectures,
     covered_blocks,
     induced_block,
-    induced_brauer_values,
     inflation_correspondence,
 )
-from pblocks.chartab import character_table, lifting_prime
+from pblocks.chartab import character_table, class_fusion, lifting_prime
 from pblocks.corpus import corpus_entry
 from pblocks.cyclotomic import Cyc, cyc_to_field
 from pblocks.errors import CompositeCharacteristic, ReductionInconsistent
@@ -31,7 +30,7 @@ from pblocks.ffield import field_create
 from pblocks.intmath import factorint
 from pblocks.intmath import int_det as _int_det
 from pblocks.linalg import Mat, mat_rank
-from pblocks.modrep import GModule, ReductionContext, brauer_table, module_iso
+from pblocks.modrep import GModule, brauer_table, module_iso
 from pblocks.perm import (
     PermGroup,
     abelian_p_invariants,
@@ -459,9 +458,7 @@ class TestInflation:
         action = group.coset_action(Z)
         quotient = action.quotient
         assert quotient.order() == 12
-        qsys = block_system(
-            quotient, 2, context=ReductionContext(quotient, 2, field=gsys.context.field)
-        )
+        qsys = block_system(quotient, 2)
         char_map, ibr_map = inflation_correspondence(gsys, action, qsys)
         for qi, gi in enumerate(char_map):
             assert qsys.chartab.degrees[qi] == gsys.chartab.degrees[gi]
@@ -485,10 +482,7 @@ class TestInflation:
             if all(perm_mul(g, h) == perm_mul(h, g) for h in group.generators)
         ]
         action = group.coset_action(group.subgroup(center))
-        qsys = block_system(
-            action.quotient, 2,
-            context=ReductionContext(action.quotient, 2, field=gsys.context.field),
-        )
+        qsys = block_system(action.quotient, 2)
         _, ibr_map = inflation_correspondence(gsys, action, qsys)
         assert sorted(ibr_map) == list(range(len(gsys.brauer.simples)))
         for qj, j in enumerate(ibr_map):
@@ -501,18 +495,38 @@ class TestInflation:
                 assert (module_iso(simple, lifted) is not None) == (other == j)
 
     def test_field_mismatch_rejected(self):
+        # A5 at p = 2 is over GF(16), the quotient of SL(2,3) by its centre over GF(4)
         group = sl23()
-        gsys = block_system(group, 2)
         center = [
             g
             for g in group.elements()
             if all(perm_mul(g, h) == perm_mul(h, g) for h in group.generators)
         ]
         action = group.coset_action(group.subgroup(center))
-        big = ReductionContext(action.quotient, 2, field=field_create(2, 4))
-        qsys = block_system(action.quotient, 2, context=big)
+        qsys = block_system(action.quotient, 2)
+        other = block_system(alt5(), 2)
+        assert (other.context.field.q, qsys.context.field.q) == (16, 4)
         with pytest.raises(ValueError):
-            inflation_correspondence(gsys, action, qsys)
+            inflation_correspondence(other, action, qsys)
+
+
+def induced_brauer_values(system, sub, j: int) -> tuple:
+    """Induce a subgroup Brauer character to the ambient regular classes."""
+    fusion = class_fusion(system.chartab.classes, sub.chartab.classes)
+    aclasses = system.chartab.classes
+    sclasses = sub.chartab.classes
+    aorder = system.group.order()
+    sorder = sub.group.order()
+    row = sub.brauer.rows[j]
+    values = []
+    for k in system.regular:
+        cent = aorder // aclasses.sizes[k]
+        acc = Cyc.zero(1)
+        for pos, c in enumerate(sub.regular):
+            if fusion[c] == k:
+                acc = acc + row[pos] * Fraction(cent * sclasses.sizes[c], sorder)
+        values.append(acc)
+    return tuple(values)
 
 
 class TestBrauerInduction:

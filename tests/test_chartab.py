@@ -295,13 +295,6 @@ class TestConsistency:
         for r1, r2 in zip(t1.rows, t2.rows):
             assert all(a == b for a, b in zip(r1, r2))
 
-    def test_seed_does_not_change_table(self):
-        g = sym(4)
-        t1 = character_table(g, seed=0)
-        t2 = character_table(g, seed=99)
-        for r1, r2 in zip(t1.rows, t2.rows):
-            assert all(a == b for a, b in zip(r1, r2))
-
     def test_table_makes_no_random_draw(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("character_table created a random generator")

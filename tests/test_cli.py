@@ -243,12 +243,12 @@ class TestVerifyCorpus:
         assert main(["verify-corpus", "--corpus", corpus_file]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_fixture_trace_as_string_is_read_as_int(self, tmp_path, capsys):
+    def test_fixture_trace_as_string_rejected(self, tmp_path, capsys):
+        # read like every other JSON integer: "6" is not 6, as "2" is not a sectional rank
         fix = dict(KLEIN_FIXTURE, trace="6")
-        corpus_file = write_json(tmp_path / "ok.json", {"groups": [], "fixtures": [fix]})
-        assert main(["verify-corpus", "--corpus", corpus_file]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["fixtures"][0]["trace_ok"] is True
+        corpus_file = write_json(tmp_path / "bad.json", {"groups": [], "fixtures": [fix]})
+        assert main(["verify-corpus", "--corpus", corpus_file]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_fixture_prime_below_two_rejected(self, tmp_path, capsys):
         doc = {

@@ -14,7 +14,6 @@ from pblocks.corpus import (
     corpus_entry,
     cyclic_group,
     dihedral_group,
-    fixture,
     klein_four_group,
     mathieu_group_11,
     prime_factors,
@@ -28,6 +27,14 @@ from pblocks.corpus import (
 )
 from pblocks.errors import CompositeCharacteristic, NotNormal, ShapeMismatch
 from pblocks.harness import SCENARIO_KINDS, fixture_checks
+
+
+def fixture(name: str) -> CartanFixture:
+    """Look up a fixture by name."""
+    for fix in FIXTURES:
+        if fix.name == name:
+            return fix
+    raise ValueError(f"unknown fixture {name!r}")
 from pblocks.perm import PermGroup, abelian_p_invariants, perm_from_cycles, perm_order
 
 EXPECTED_ORDERS = {

@@ -19,7 +19,6 @@ from pblocks.corpus import (
     PairedScenario,
     alternating_group,
     corpus_entry,
-    fixture,
     projective_special_linear_2_7,
     symmetric_group,
 )
@@ -39,12 +38,12 @@ from pblocks.harness import (
     report_passed,
     run_corpus,
     run_scenario,
-    scenario_suite,
     system_violations,
     tau_rayleigh,
     verify_system,
 )
 
+FIXTURE = {fix.name: fix for fix in FIXTURES}
 KLEIN_A = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
 
 SMALL_ENTRIES = (
@@ -146,12 +145,12 @@ class TestElementaryDivisor:
         assert _top_elementary_divisor(((1, 0, 0), (0, 2, 0), (0, 0, 4))) == 4
 
     def test_klein_fixtures(self):
-        assert _top_elementary_divisor(fixture("klein-A4-type").rows) == 4
-        assert _top_elementary_divisor(fixture("klein-A5-type").rows) == 4
+        assert _top_elementary_divisor(FIXTURE["klein-A4-type"].rows) == 4
+        assert _top_elementary_divisor(FIXTURE["klein-A5-type"].rows) == 4
 
     def test_large_fixtures(self):
-        assert _top_elementary_divisor(fixture("J1").rows) == 8
-        assert _top_elementary_divisor(fixture("Co3").rows) == 8
+        assert _top_elementary_divisor(FIXTURE["J1"].rows) == 8
+        assert _top_elementary_divisor(FIXTURE["Co3"].rows) == 8
 
     def test_singular(self):
         assert _top_elementary_divisor(((1, 1), (1, 1))) == 0
@@ -165,12 +164,12 @@ class TestPositiveDefinite:
         assert not _positive_definite(((1, 2), (2, 1)))
 
 
-def rayleigh_oracle(fix, seed, samples=1000):
+def rayleigh_oracle(fix, seed):
     """Sample the Rayleigh quotient one degree vector and one tau_rayleigh at a time."""
     rng = random.Random(_derive_seed(seed, "fixture", fix.name))
     ok = True
     worst = Fraction(0)
-    for _ in range(samples):
+    for _ in range(1000):
         value = tau_rayleigh(fix.rows, [rng.randint(1, 64) for _ in range(fix.size())])
         worst = max(worst, value)
         ok = ok and value <= fix.trace() and value < fix.bound()
@@ -205,11 +204,6 @@ class TestRayleighSweep:
                             defect_order=2, sectional=0)
         assert sweep_of(fix, 3) == rayleigh_oracle(fix, 3)
 
-    @pytest.mark.parametrize("samples", [0, -3])
-    def test_rejects_an_empty_sweep(self, samples):
-        with pytest.raises(ValueError):
-            fixture_checks(FIXTURES[0], samples=samples)
-
 
 class TestFixtureChecks:
     def test_all_fixtures_hold(self):
@@ -218,13 +212,13 @@ class TestFixtureChecks:
             assert result["holds"], fix.name
 
     def test_reported_values(self):
-        result = fixture_checks(fixture("J1"))
+        result = fixture_checks(FIXTURE["J1"])
         assert result["trace"] == 24
         assert result["max_diagonal"] == 8
         assert result["bound"] == 64
         assert result["top_elementary_divisor"] == 8
         assert result["samples"] == 1000
-        co3 = fixture_checks(fixture("Co3"))
+        co3 = fixture_checks(FIXTURE["Co3"])
         assert co3["trace"] == 22
 
     def test_rayleigh_max_within_bounds(self):
@@ -251,19 +245,20 @@ class TestFixtureChecks:
                         sectional=fix.sectional,
                         trace_expected=fix.trace_expected,
                     )
-                    result = fixture_checks(mutated, samples=25)
+                    result = fixture_checks(mutated)
                     assert not result["holds"], (fix.name, i, j)
 
     def test_seed_changes_samples_not_verdict(self):
-        base = fixture_checks(fixture("Co3"), seed=0)
-        other = fixture_checks(fixture("Co3"), seed=123)
+        base = fixture_checks(FIXTURE["Co3"], seed=0)
+        other = fixture_checks(FIXTURE["Co3"], seed=123)
         assert base["holds"] and other["holds"]
         assert base["rayleigh_max"] != other["rayleigh_max"]
 
 
 class TestScenarioSuite:
     def test_all_hold(self):
-        for result in scenario_suite():
+        for scenario in DEFAULT_SCENARIOS:
+            result = run_scenario(scenario)
             assert result["holds"], result["name"]
 
     def test_stabilizer_induction_values(self):
@@ -499,7 +494,7 @@ class TestRunCorpus:
         )
 
     def test_corrupted_fixture_fails_run(self):
-        rows = [list(row) for row in fixture("J1").rows]
+        rows = [list(row) for row in FIXTURE["J1"].rows]
         rows[0][0] += 1
         bad = CartanFixture("J1-corrupt", "", 2, rows, defect_order=8, sectional=3,
                             trace_expected=24)
@@ -512,9 +507,9 @@ def system_calls(monkeypatch):
     """Record the (generators, prime) of every block system the harness computes."""
     calls = []
 
-    def counting(group, p, seed=0, context=None):
+    def counting(group, p, seed=0):
         calls.append((group.generators, p))
-        return block_system(group, p, seed=seed, context=context)
+        return block_system(group, p, seed=seed)
 
     monkeypatch.setattr(harness, "block_system", counting)
     return calls
@@ -545,6 +540,21 @@ class TestSystemsPerRun:
         run_scenario(scenario_by_kind("stabilizer_induction_tau"), seed=0)
         run_scenario(scenario_by_kind("stabilizer_induction_tau"), seed=0)
         assert set(Counter(system_calls).values()) == {2}
+
+    def test_central_quotient_system_built_once_in_a_run(self, system_calls, monkeypatch):
+        requested = []
+        memoised = harness._system
+
+        def recording(group, p, seed):
+            requested.append((group.degree, p))
+            return memoised(group, p, seed)
+
+        monkeypatch.setattr(harness, "_system", recording)
+        central = scenario_by_kind("central_quotient_scaling")
+        run_corpus(seed=0, entries=(), scenarios=[central, central], fixtures=())
+        # SL(2,3) on 8 points and its quotient on the 12 cosets of the centre
+        assert Counter(requested) == {(8, 2): 2, (12, 2): 2}
+        assert sorted(Counter(system_calls).values()) == [1, 1]
 
     def test_scenarios_in_a_run_match_their_own_runs(self, system_calls):
         entries = [corpus_entry(name) for name in ("S3", "A4", "SL(2,3)", "S4")]

@@ -1,14 +1,13 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports or defines is used outside the tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).parent.parent
 SOURCES = sorted(
-    path
-    for path in (Path(__file__).parent.parent / "src" / "pblocks").glob("*.py")
-    if path.name != "__init__.py"
+    path for path in (ROOT / "src" / "pblocks").glob("*.py") if path.name != "__init__.py"
 )
 
 
@@ -37,27 +36,35 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unreferenced_private_names(sources: dict) -> list:
-    """Return the top-level _name functions and classes no library module references.
+def _references(node, strings: bool = False) -> set:
+    """Return the names, attributes and imported names under a node, and its strings if asked."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.Name, ast.Attribute, ast.alias)):
+            out.add(getattr(sub, "id", None) or getattr(sub, "attr", None) or sub.name)
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
+    return out
 
-    sources maps a module name to its source text.  A reference is a name,
-    an attribute or an imported name anywhere outside the definition itself.
+
+def unreferenced_names(sources: dict, private: bool, elsewhere=frozenset()) -> list:
+    """Return the top-level functions and classes of one kind that nothing references.
+
+    sources maps a module name to its source text.  private picks the
+    _name definitions, otherwise the public ones.  A reference is a name,
+    an attribute or an imported name anywhere outside the definition
+    itself, or a member of elsewhere.
     """
     defined = []
-    used = set()
+    used = set(elsewhere)
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            private = (
+            names = _references(node)
+            if (
                 isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and node.name.startswith("_")
+                and node.name.startswith("_") == private
                 and not node.name.startswith("__")
-            )
-            names = {
-                getattr(sub, "id", None) or getattr(sub, "attr", None) or getattr(sub, "name", None)
-                for sub in ast.walk(node)
-                if isinstance(sub, (ast.Name, ast.Attribute, ast.alias))
-            }
-            if private:
+            ):
                 defined.append((module, node.name))
                 names.discard(node.name)
             used |= names
@@ -69,9 +76,27 @@ def test_private_name_checker_flags_a_test_only_helper():
         "a": "def _kept():\n    return 1\n\n\ndef _alone(n):\n    return _alone(n - 1)\n",
         "b": "from .a import _kept\n\n\nclass _Used:\n    pass\n\n\nx = _Used()\n",
     }
-    assert unreferenced_private_names(sources) == ["a._alone"]
+    assert unreferenced_names(sources, private=True) == ["a._alone"]
+
+
+def test_public_name_checker_counts_references_elsewhere():
+    sources = {"a": "def kept():\n    return 1\n\n\ndef named():\n    return kept()\n",
+               "b": "def alone(n):\n    return alone(n - 1)\n"}
+    assert unreferenced_names(sources, private=False) == ["a.named", "b.alone"]
+    assert unreferenced_names(sources, private=False, elsewhere={"named"}) == ["b.alone"]
 
 
 def test_every_private_name_is_used_in_the_library():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
-    assert unreferenced_private_names(sources) == []
+    assert unreferenced_names(sources, private=True) == []
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a name only tests (or the package's own exports) reach belongs in the
+    # tests; perfbench names the functions it traces in strings
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    elsewhere = set()
+    for folder, strings in (("demos", False), ("perfbench", True)):
+        for path in (ROOT / folder).rglob("*.py"):
+            elsewhere |= _references(ast.parse(path.read_text(encoding="utf-8")), strings)
+    assert unreferenced_names(sources, private=False, elsewhere=elsewhere) == []

@@ -26,9 +26,26 @@ from pblocks.perm import (
     perm_mul,
     perm_order,
     perm_pow,
-    perm_to_cycles,
     sectional_rank,
 )
+
+
+def perm_to_cycles(a: tuple) -> list:
+    """Write a permutation as 1-based cycles, shortest points first."""
+    seen = [False] * len(a)
+    out = []
+    for i in range(len(a)):
+        if seen[i] or a[i] == i:
+            seen[i] = True
+            continue
+        cyc = []
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            cyc.append(j + 1)
+            j = a[j]
+        out.append(tuple(cyc))
+    return out
 
 
 def _cycles(degree, *cycles):
