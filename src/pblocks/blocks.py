@@ -26,7 +26,7 @@ from .errors import (
 from .ffield import field_create
 from .intmath import int_det, is_p_power, is_prime, p_valuation
 from .linalg import Mat, mat_mul, mat_rank, mat_solve_left
-from .modrep import BrauerTable, ReductionContext, brauer_table
+from .modrep import BrauerTable, brauer_table
 from .perm import PermGroup, orbit, perm_conj, perm_inv, sectional_rank
 
 
@@ -141,7 +141,6 @@ class BlockSystem:
     p: int
     chartab: CharacterTable
     brauer: BrauerTable
-    context: ReductionContext
     blocks: tuple
     decomposition: tuple
     regular: tuple
@@ -281,7 +280,6 @@ def block_system(group, p: int, seed: int = 0) -> BlockSystem:
         p=p,
         chartab=tab,
         brauer=btab,
-        context=context,
         blocks=tuple(blocks),
         decomposition=dec,
         regular=regular,
@@ -322,7 +320,7 @@ def _ambient_lambda(system: BlockSystem, sub: BlockSystem, block: Block) -> tupl
     for ci in block.chars[:2]:
         rows.append(
             _reduced_lambda(
-                sub.chartab.rows[ci], sub.chartab.degrees[ci], classes, system.context
+                sub.chartab.rows[ci], sub.chartab.degrees[ci], classes, system.brauer.context
             )
         )
     if len(set(rows)) != 1:
@@ -336,7 +334,7 @@ def induced_block(system: BlockSystem, sub: BlockSystem, block: Block):
     """Induce a subgroup block to the ambient group, returning (block, values)."""
     fusion = class_fusion(system.chartab.classes, sub.chartab.classes)
     lam = _ambient_lambda(system, sub, block)
-    field = system.context.field
+    field = system.brauer.context.field
     induced = [0] * len(system.chartab.classes.reps)
     for c, target in enumerate(fusion):
         induced[target] = field.add(induced[target], lam[c])
@@ -440,7 +438,7 @@ def inflation_correspondence(system: BlockSystem, action, qsystem: BlockSystem) 
     simple module up to isomorphism.
     """
     # Brauer rows agree only when both systems lift roots of unity from one field
-    if qsystem.context.field is not system.context.field:
+    if qsystem.brauer.context.field is not system.brauer.context.field:
         raise ValueError("quotient system must be built over the ambient field")
     images = qsystem.chartab.classes.classes_of(
         [action.image(rep) for rep in system.chartab.classes.reps]

@@ -18,9 +18,20 @@ fills, once, exp/log tables to multiply by, where zero has the logarithm
 2(q - 1), and, in odd characteristic, Zech logarithms to add by, indexed
 by log b - log a + 2(q - 1); in characteristic 2 they add by XOR.
 
+Sums of many products use packed digits in odd characteristic table
+fields (Dumas, Gautier and Pernet, ISSAC 2002; Dumas, Fousse and Salvy,
+J. Symbolic Comput. 46, 2011): the base-p digits of a code sit in one
+int64 at bit offsets w i, with w = 63 // m, so adding packed codes adds
+all their digits at once.  A digit of a sum of at most
+R = (2^w - 1) // (p - 1) packed codes is at most 2^w - 1, so no digit
+carries into the next and the top one stays below bit 63; longer sums
+are reduced mod p every R terms or fewer, and each output entry is
+unpacked once at the end.
+
 Scalar operations take and return plain ints.  Vectorized operations
 (vadd, vsub, vneg, vmul, vsum) take and return numpy int64 arrays of
-element codes and broadcast like the corresponding numpy ufuncs.
+element codes and broadcast like the corresponding numpy ufuncs; vdot
+takes two 2-D code arrays and returns their matrix product.
 
 Polynomials over a field are lists of element codes, constant term first,
 with no trailing zeros; the zero polynomial is the empty list.
@@ -40,6 +51,9 @@ FIELD_SIZE_CAP = 1 << 24
 TABLE_SIZE_CAP = 1 << 16
 ROOT_SCAN_CAP = 4096
 EDF_DRAW_BUDGET = 200
+
+# most products one block of Field.vdot holds, unless one inner index alone has more
+_PRODUCT_BLOCK = 2 ** 14
 
 
 # -- low level code arithmetic -------------------------------------------------
@@ -108,7 +122,9 @@ class Field:
     """Finite field of order q = p^m with integer element codes 0..q-1.
 
     Each backend supplies its own add, neg, mul and inv and their vectorized
-    forms; this base class derives the rest from those.
+    forms vadd, vneg, vmul and vsum; this base class derives the rest from
+    those: sub, div, pow, vsub, and vdot, the product of two code matrices,
+    which the prime and table backends replace with faster ones.
     """
 
     kind = "abstract"
@@ -223,6 +239,23 @@ class Field:
         """Sum a code array along an axis (all axes when axis is None)."""
         raise NotImplementedError
 
+    def vdot(self, A, B):
+        """Return the product of two 2-D code arrays.
+
+        The inner index is split into blocks: each block's entrywise
+        products A[i, k] B[k, j] are one vmul and their sum over k one vsum,
+        and the block sums are added in turn.  So no transient array holds
+        more than max(2^14, rows x cols) products, and an inner dimension of
+        0 gives the zero matrix (the sum over an empty block).
+        """
+        rows, inner = A.shape
+        step = max(1, _PRODUCT_BLOCK // max(1, rows * B.shape[1]))
+        out = self.vsum(self.vmul(A[:, :step, None], B[None, :step, :]), axis=1)
+        for k in range(step, inner, step):
+            part = self.vsum(self.vmul(A[:, k:k + step, None], B[None, k:k + step, :]), axis=1)
+            out = self.vadd(out, part)
+        return out
+
     def __eq__(self, other):
         return isinstance(other, Field) and (self.p, self.m) == (other.p, other.m)
 
@@ -288,6 +321,12 @@ class _PrimeField(Field):
         """Sum a code array along an axis (all axes when axis is None)."""
         return np.asarray(A, np.int64).sum(axis=axis) % self.p
 
+    def vdot(self, A, B):
+        """Return the product of two 2-D code arrays; numpy's where int64 cannot overflow."""
+        if A.shape[1] * (self.p - 1) ** 2 < 2 ** 62:
+            return A @ B % self.p
+        return Field.vdot(self, A, B)
+
 
 class _TableField(Field):
     """Extension field on exp/log and Zech tables, for orders up to 2^16.
@@ -301,8 +340,17 @@ class _TableField(Field):
     table holds, at d + 2 (q - 1) for d = log b - log a, d if a = 0, 0 if
     b = 0 and Z(d mod (q - 1)) otherwise, so a + b is
     exp[log a + zech[d + 2 (q - 1)]] with no index below 0.  Negation is
-    one more table, and vsum adds digits read from a q x m digit table.
-    All tables are computed once by a generic field on the same modulus.
+    one more table.  Sums of many terms, in vsum and vdot, add packed codes:
+    the q-entry packed table holds each code's base-p digits at bit offsets
+    w i, w = 63 // m, and the packed exp table is the packed table read at
+    exp, so a product's packed code is one gather at log a + log b.  The
+    digits of a sum of at most R = (2^w - 1) // (p - 1) packed codes are
+    each at most R (p - 1) <= 2^w - 1, so no digit carries into the next,
+    and the top digit ends below bit w m <= 63, so the int64 stays
+    non-negative.  Before a sum would exceed R terms it is renormalised
+    (unpacked, each digit reduced mod p, and packed again), and each output
+    entry is unpacked once.  All tables are computed once by a generic
+    field on the same modulus.
     """
 
     kind = "table"
@@ -336,12 +384,17 @@ class _TableField(Field):
             self._build_additive_tables(exp)
 
     def _build_additive_tables(self, exp_np):
-        """Build the digit, negation and Zech tables of an odd characteristic."""
+        """Build the packed-digit, negation and Zech tables of an odd characteristic."""
         raw = self._raw
         q1 = self.q - 1
         codes = np.arange(self.q, dtype=np.int64)
+        w = 63 // self.m
         self._pw = raw._pw
-        self._digits = raw._to_digits(codes)
+        self._shifts = w * np.arange(self.m, dtype=np.int64)
+        self._mask = (1 << w) - 1
+        self._carry_free = self._mask // (self.p - 1)
+        self._packed = (raw._to_digits(codes) << self._shifts).sum(axis=-1)
+        self._packed_exp = self._packed[self._exp_np]
         neg = raw.vneg(codes)
         if not np.array_equal(neg[neg], codes):
             raise RuntimeError("negation table is not an involution")
@@ -356,7 +409,7 @@ class _TableField(Field):
         self._zech_np = zech
         self._neg_l = neg.tolist()
         self._zech_l = zech.tolist()
-        for table in (self._pw, self._digits, neg, zech):
+        for table in (self._pw, self._shifts, self._packed, self._packed_exp, neg, zech):
             table.setflags(write=False)
 
     def add(self, a, b):
@@ -412,10 +465,47 @@ class _TableField(Field):
         A = np.asarray(A, np.int64)
         if self.p == 2:
             return np.bitwise_xor.reduce(A, axis=axis)
-        D = self._digits[A]
-        if axis is None:
-            return int((D.reshape(-1, self.m).sum(axis=0) % self.p) @ self._pw)
-        return (D.sum(axis=axis % A.ndim) % self.p) @ self._pw
+        P = self._packed[A.reshape(-1) if axis is None else np.moveaxis(A, axis, 0)]
+        step = self._carry_free - 1
+        sums = (P[k:k + step].sum(axis=0) for k in range(0, len(P), step))
+        out = self._fold(P.shape[1:], sums, step)
+        return int(out) if axis is None else out
+
+    def vdot(self, A, B):
+        """Return the product of two 2-D code arrays.
+
+        In characteristic 2 it is the base class's blocked sum, whose vsum
+        is one XOR reduce.  In odd characteristic each block of products is
+        one gather from the packed exp table and one int64 sum over the
+        block, with fewer than R terms and at most max(2^14, rows x cols)
+        products to a block.
+        """
+        if self.p == 2:
+            return Field.vdot(self, A, B)
+        rows, inner = A.shape
+        cols = B.shape[1]
+        la = self._log_np[A]
+        lb = self._log_np[B]
+        step = max(1, min(self._carry_free - 1, _PRODUCT_BLOCK // max(1, rows * cols)))
+        sums = (self._packed_exp[la[:, k:k + step, None] + lb[None, k:k + step, :]].sum(axis=1)
+                for k in range(0, inner, step))
+        return self._fold((rows, cols), sums, step)
+
+    def _fold(self, shape, sums, terms):
+        """Add packed sums of at most terms < R codes each, renormalising as needed, and unpack."""
+        acc = np.zeros(shape, np.int64)
+        held = 0
+        for S in sums:
+            if held + terms > self._carry_free:
+                acc = self._packed[self._unpack(acc)]
+                held = 1
+            acc = acc + S
+            held += terms
+        return self._unpack(acc)
+
+    def _unpack(self, S):
+        """Return the codes of an array of packed digit sums, each digit reduced mod p."""
+        return (((S[..., None] >> self._shifts) & self._mask) % self.p) @ self._pw
 
 
 class _GenericField(Field):

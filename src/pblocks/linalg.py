@@ -7,10 +7,11 @@ v with v M = c v.  Elimination routines use one vectorized full-matrix
 update per pivot, with the pivot chosen as the first nonzero entry.  The
 characteristic polynomial runs the Hessenberg recurrence on coefficient
 rows, with one vector op per term.  Every product, including the sums
-inside the recurrence and the spin, goes through vec_mat: numpy's integer
-product on prime fields where it cannot overflow, and otherwise one vmul
-and one vsum per block of the inner index, with blocks small enough that
-no transient array holds more than max(2^14, rows x cols) products.
+inside the Hessenberg reduction, the recurrence and the spin, goes through
+the field's vdot: numpy's integer product on prime fields where it cannot
+overflow, packed digit sums on odd characteristic table fields, and
+otherwise one vmul and one vsum per block of the inner index.  No
+transient array holds more than max(2^14, rows x cols) products.
 """
 
 from __future__ import annotations
@@ -112,35 +113,7 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
     _same_field(A, B)
     if A.ncols != B.nrows:
         raise ShapeMismatch(f"cannot multiply {A.shape} by {B.shape}")
-    return Mat._fresh(A.field, vec_mat(A.field, A.data, B.data))
-
-
-# most products one vec_mat block holds, unless one inner index alone has more
-_PRODUCT_BLOCK = 2 ** 14
-
-
-def vec_mat(F: Field, A, B):
-    """Return the product of two 2-D code arrays over F.
-
-    A prime field whose int64 dot products cannot overflow uses numpy's
-    integer product.  Otherwise the inner index is split into blocks: each
-    block's entrywise products A[i, k] B[k, j] are one vmul and their sum
-    over k one vsum, and the block sums are added in turn.  So no transient
-    array holds more than max(2^14, rows x cols) products, and an inner
-    dimension of 0 gives the zero matrix (the sum over an empty block).
-    """
-    rows, inner = A.shape
-    if F.kind == "prime" and inner * (F.p - 1) ** 2 < 2 ** 62:
-        return A @ B % F.p
-    step = max(1, _PRODUCT_BLOCK // max(1, rows * B.shape[1]))
-
-    def block(k):
-        return F.vsum(F.vmul(A[:, k:k + step, None], B[None, k:k + step, :]), axis=1)
-
-    out = block(0)
-    for k in range(step, inner, step):
-        out = F.vadd(out, block(k))
-    return out
+    return Mat._fresh(A.field, A.field.vdot(A.data, B.data))
 
 
 def mat_add(A: Mat, B: Mat) -> Mat:
@@ -305,7 +278,7 @@ def _hessenberg(A: Mat):
         factors = F.vmul(H[j + 2:, j], np.int64(inv))
         if factors.any():
             H[j + 2:, :] = F.vsub(H[j + 2:, :], F.vmul(factors[:, None], H[j + 1:j + 2, :]))
-            contrib = F.vsum(F.vmul(H[:, j + 2:], factors[None, :]), axis=1)
+            contrib = F.vdot(H[:, j + 2:], factors[:, None])[:, 0]
             H[:, j + 1] = F.vadd(H[:, j + 1], contrib)
     return H
 
@@ -315,7 +288,7 @@ def mat_charpoly(A: Mat) -> list:
 
     The polynomials p_k of the leading blocks of the Hessenberg form H are
     the rows of one array (Cohen, 2.2.9): p_k = x p_(k-1) minus, over j < k,
-    H[j, k-1] H[j+1, j] ... H[k-1, k-2] p_j, one vec_mat per step.
+    H[j, k-1] H[j+1, j] ... H[k-1, k-2] p_j, one vdot per step.
     """
     if A.nrows != A.ncols:
         raise ShapeMismatch("characteristic polynomial needs a square matrix")
@@ -330,5 +303,5 @@ def mat_charpoly(A: Mat) -> list:
         prods = np.append(F.vmul(prods, sub[k - 1]), 1)
         c = F.vmul(H[:k, k - 1], prods)
         P[k, 1:k + 1] = P[k - 1, :k]
-        P[k, :k] = F.vsub(P[k, :k], vec_mat(F, c[None, :], P[:k, :k])[0])
+        P[k, :k] = F.vsub(P[k, :k], F.vdot(c[None, :], P[:k, :k])[0])
     return P[n].tolist()

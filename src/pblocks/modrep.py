@@ -48,7 +48,6 @@ from .linalg import (
     mat_rref,
     mat_scale,
     mat_transpose,
-    vec_mat,
 )
 from .perm import ClassData, PermGroup
 
@@ -166,7 +165,7 @@ class _Span:
 
     The rows are one array, and the column of each row's pivot is zero in
     every other row.  A new row is therefore reduced by subtracting its
-    pivot entries times the stored rows, one vec_mat, and its own pivot
+    pivot entries times the stored rows, one vdot, and its own pivot
     column is cleared from the stored rows by one outer product.  Each
     row's first nonzero entry is its pivot: a new row is zero at every old
     pivot, and clearing its pivot column from an old row subtracts a
@@ -188,7 +187,7 @@ class _Span:
         """Insert a row unless it lies in the span; return whether it was new."""
         F = self.field
         row = np.asarray(row, dtype=np.int64)
-        res = F.vsub(row, vec_mat(F, row[None, self.pivots], self.rows)[0])
+        res = F.vsub(row, F.vdot(row[None, self.pivots], self.rows)[0])
         support = np.flatnonzero(res)
         if support.size == 0:
             return False
@@ -228,7 +227,7 @@ def _spin(field, mats_data: list, seed_row) -> _Span:
         for M in mats_data:
             if span.dim == width:
                 return span
-            span.add(vec_mat(field, v.reshape(-1, len(M)), M).reshape(-1))
+            span.add(field.vdot(v.reshape(-1, len(M)), M).reshape(-1))
         i += 1
     return span
 

@@ -295,11 +295,11 @@ class TestCentralCharacterCheck:
             raise AssertionError("the central character check created a random generator")
 
         monkeypatch.setattr(random, "Random", refuse)
-        _check_central_characters(system.group, lambdas, system.context.field)
+        _check_central_characters(system.group, lambdas, system.brauer.context.field)
 
     def test_every_altered_entry_is_caught(self):
         system = block_system(sym(5), 3)
-        field = system.context.field
+        field = system.brauer.context.field
         lambdas = [block.lambda_row for block in system.blocks]
         for b, lam in enumerate(lambdas):
             for k in range(len(lam)):
@@ -488,7 +488,7 @@ class TestInflation:
         for qj, j in enumerate(ibr_map):
             qmodule = qsys.brauer.simples[qj]
             lifted = GModule(
-                group, gsys.context.field,
+                group, gsys.brauer.context.field,
                 [qmodule.image(action.image(g)) for g in group.generators],
             )
             for other, simple in enumerate(gsys.brauer.simples):
@@ -505,7 +505,7 @@ class TestInflation:
         action = group.coset_action(group.subgroup(center))
         qsys = block_system(action.quotient, 2)
         other = block_system(alt5(), 2)
-        assert (other.context.field.q, qsys.context.field.q) == (16, 4)
+        assert (other.brauer.context.field.q, qsys.brauer.context.field.q) == (16, 4)
         with pytest.raises(ValueError):
             inflation_correspondence(other, action, qsys)
 

@@ -190,6 +190,7 @@ VEC_FIELDS = [
     (2, 1), (3, 1), (65537, 1),
     (2, 2), (3, 2), (2, 6), (3, 6), (2, 16),
     (2, 17), (3, 11), (2, 20),
+    (7, 3), (5, 6), (3, 10),
 ]
 
 
@@ -244,6 +245,57 @@ def test_vector_ops_broadcast():
     for i in range(5):
         for j in range(4):
             assert int(outer[i, j]) == F.mul(int(col[i, 0]), int(row[0, j]))
+
+
+# -- packed digits of odd table fields ---------------------------------------------
+
+PACKED_FIELDS = [(3, 2), (3, 6), (7, 3), (5, 6), (3, 10)]
+
+
+@pytest.mark.parametrize("p, m", PACKED_FIELDS)
+def test_packed_table_round_trips_every_code(p, m):
+    F = field_create(p, m)
+    assert F.kind == "table"
+    codes = np.arange(F.q, dtype=np.int64)
+    assert F._unpack(F._packed).tolist() == codes.tolist()
+    # digit i of a code sits at bit offset w i, w = 63 // m
+    w = 63 // m
+    for a in (0, 1, p - 1, p, F.q // 2, F.q - 1):
+        assert int(F._packed[a]) == sum(c << (w * i) for i, c in enumerate(F.to_coeffs(a)))
+
+
+@pytest.mark.parametrize("p, m", PACKED_FIELDS)
+def test_a_packed_sum_of_R_top_codes_neither_carries_nor_turns_negative(p, m):
+    # q - 1 has every digit p - 1, the largest a sum can meet
+    F = field_create(p, m)
+    R = F._carry_free
+    assert R >= 31
+    total = R * int(F._packed[F.q - 1])
+    assert total < 2 ** 63
+    digits = [(total >> int(shift)) & F._mask for shift in F._shifts]
+    assert digits == [R * (p - 1)] * m
+
+
+@pytest.mark.parametrize("p, m", [(5, 6), (3, 10)])
+def test_vsum_along_an_axis_longer_than_the_carry_bound(p, m):
+    F = field_create(p, m)
+    n = 3 * F._carry_free + 7
+    rng = random.Random(p * m)
+    M = np.array([[rng.randrange(F.q) for _ in range(3)] for _ in range(n)], dtype=np.int64)
+    M[:, 0] = F.q - 1
+
+    def fold(values):
+        acc = 0
+        for v in values:
+            acc = F.add(acc, int(v))
+        return acc
+
+    want = [fold(M[:, j]) for j in range(3)]
+    assert F.vsum(M, axis=0).tolist() == want
+    assert F.vsum(M.T, axis=1).tolist() == want
+    assert F.vsum(M.T, axis=-1).tolist() == want
+    assert F.vsum(M) == fold(M.ravel())
+    assert F.vsum(M[:, 0]) == F.from_coeffs([n * (p - 1) % p] * m)
 
 
 # -- additive ops against a coefficient oracle -----------------------------------

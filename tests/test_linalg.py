@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from pblocks import linalg
+from pblocks import ffield
 from pblocks.errors import ShapeMismatch
 from pblocks.ffield import (
     field_create,
@@ -149,7 +149,7 @@ def test_product_matches_schoolbook():
             assert mat_mul(A, B) == _mat_mul_schoolbook(A, B)
 
 
-EDGE_FIELDS = [(2, 1), (101, 1), (2, 2), (3, 6), (2, 17), (3, 11)]
+EDGE_FIELDS = [(2, 1), (101, 1), (2, 2), (3, 6), (7, 3), (5, 6), (3, 10), (2, 17), (3, 11)]
 
 
 @pytest.mark.parametrize("p, m", EDGE_FIELDS)
@@ -163,10 +163,45 @@ def test_product_edge_shapes_match_schoolbook(p, m):
         A = _random_mat(F, rows, inner, rng)
         B = _random_mat(F, inner, cols, rng)
         if inner and rows * cols:
-            assert rows * inner * cols > linalg._PRODUCT_BLOCK
+            assert rows * inner * cols > ffield._PRODUCT_BLOCK
         got = mat_mul(A, B)
         assert got.shape == (rows, cols)
         assert got == _mat_mul_schoolbook(A, B)
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (7, 3), (5, 6), (3, 10)])
+def test_product_of_top_digit_terms_past_the_carry_bound(p, m):
+    # every term is 1 (q - 1), whose digits are all p - 1: the packed sums
+    # of an odd table field sit at their bound before each renormalisation
+    F = field_create(p, m)
+    inner = 1900
+    A = Mat(F, np.ones((2, inner), dtype=np.int64))
+    B = Mat(F, np.full((inner, 3), F.q - 1, dtype=np.int64))
+    want = F.from_coeffs([inner * (p - 1) % p] * m)
+    assert mat_mul(A, B) == Mat(F, np.full((2, 3), want, dtype=np.int64))
+
+
+def test_prime_product_past_the_int64_bound_takes_the_blocked_sum(monkeypatch):
+    # the largest prime below the field size cap: inner (p - 1)^2 >= 2^62,
+    # so numpy's product is not trusted and the base class's blocked sum runs
+    p = 16777213
+    F = field_create(p)
+    assert F.kind == "prime" and 16400 * (p - 1) ** 2 >= 2 ** 62
+    calls = []
+    blocked = ffield.Field.vdot
+
+    def counted(self, A, B):
+        calls.append(A.shape)
+        return blocked(self, A, B)
+
+    monkeypatch.setattr(ffield.Field, "vdot", counted)
+    rng = random.Random(16400)
+    A = [[rng.randrange(p - 2 ** 12, p) for _ in range(16400)] for _ in range(2)]
+    B = [[rng.randrange(p - 2 ** 12, p) for _ in range(3)] for _ in range(16400)]
+    got = mat_mul(Mat(F, A), Mat(F, B))
+    assert calls == [(2, 16400)]
+    want = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)] for row in A]
+    assert got.data.tolist() == want
 
 
 @pytest.mark.parametrize("p, m", EDGE_FIELDS)
