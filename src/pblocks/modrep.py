@@ -13,8 +13,10 @@ vector of each eigenspace (the nucleus) and, when that eigenspace is a
 line, one vector of the matching eigenspace of the transpose.  A random
 element is a combination of generator words with no scalar term, since
 theta + cI has the eigenspaces of theta with every root shifted by c.  A
-tensor closure collects all simple modules, and Brauer character values
-are read off as exact cyclotomic sums of eigenvalue multiplicities: a
+tensor closure collects all simple modules: the chop hands it each factor
+as soon as that factor is certified, and the chop of the product that
+yields the last missing simple ends there.  Brauer character values are
+read off as exact cyclotomic sums of eigenvalue multiplicities: a
 p-regular element acts diagonalizably, so the multiplicities are those of
 the roots of one characteristic polynomial.
 
@@ -286,12 +288,19 @@ def _chop_step(module: GModule, rng: random.Random):
                     return None
                 return mat_rref(mat_right_kernel(span.basis()))
     raise RandomBudgetExceeded(
-        f"chop undecided after {RANDOM_ELEMENT_BUDGET} random algebra elements"
+        f"chop of a {n}-dimensional module over GF({F.q}) undecided after "
+        f"{RANDOM_ELEMENT_BUDGET} random algebra elements"
     )
 
 
-def composition_factors(module: GModule, seed: int = 0) -> list:
-    """Return the composition factors of a module, with multiplicity."""
+def composition_factors(module: GModule, seed: int = 0, *, stop=None) -> list:
+    """Return the composition factors of a module, with multiplicity.
+
+    stop, if given, is called on each factor as soon as the chop certifies
+    it.  Once it returns True the chop ends and returns the factors so far,
+    a prefix of the full list for the same seed, since the chop's draws
+    come from its own seed alone.
+    """
     rng = random.Random(seed)
     stack = [module]
     out = []
@@ -300,6 +309,8 @@ def composition_factors(module: GModule, seed: int = 0) -> list:
         step = _chop_step(cur, rng)
         if step is None:
             out.append(cur)
+            if stop is not None and stop(cur):
+                break
             continue
         stack.append(sub_module(cur, *step))
         stack.append(quotient_module(cur, *step))
@@ -351,23 +362,27 @@ def module_iso(a: GModule, b: GModule, seed: int = 0):
 
 
 def simple_modules(group: PermGroup, context: ReductionContext, seed: int = 0) -> list:
-    """Return all simple modules in characteristic p by tensor closure."""
+    """Return all simple modules in characteristic p by tensor closure.
+
+    Each factor is registered as the chop certifies it, and the chop that
+    completes the list stops there.  The chop draws from its own seed, and
+    the closure's draws come in the same order as if every product were
+    chopped in full, so the modules found do not depend on the stop.
+    """
     target = len(p_regular_indices(group.conjugacy_classes(), context.p))
     rng = random.Random(seed)
     found = []
 
-    def register(candidate: GModule) -> None:
-        for known in found:
-            if known.dim == candidate.dim and module_iso(
-                known, candidate, seed=rng.randrange(2 ** 32)
-            ) is not None:
-                return
-        found.append(candidate)
+    def register(candidate: GModule) -> bool:
+        """Keep a factor unless a known simple matches it; return whether all are found."""
+        if all(known.dim != candidate.dim
+               or module_iso(known, candidate, seed=rng.randrange(2 ** 32)) is None
+               for known in found):
+            found.append(candidate)
+        return len(found) == target
 
-    for factor in composition_factors(perm_module(group, context.field),
-                                      seed=rng.randrange(2 ** 32)):
-        register(factor)
-
+    composition_factors(perm_module(group, context.field),
+                        seed=rng.randrange(2 ** 32), stop=register)
     processed = set()
     while len(found) < target:
         candidates = [
@@ -378,17 +393,15 @@ def simple_modules(group: PermGroup, context: ReductionContext, seed: int = 0) -
         ]
         if not candidates:
             raise ClosureStalled(
-                f"found {len(found)} of {target} simple modules before the "
-                "tensor closure ran out of products",
+                f"found {len(found)} of {target} simple modules of a group of order "
+                f"{group.order()} at p = {context.p} before the tensor closure ran "
+                f"out of products of dimension at most {TENSOR_DIM_CAP}",
                 partial=found,
             )
         _, i, j = min(candidates)
         processed.add((i, j))
-        product = tensor_module(found[i], found[j])
-        for factor in composition_factors(product, seed=rng.randrange(2 ** 32)):
-            register(factor)
-            if len(found) == target:
-                break
+        composition_factors(tensor_module(found[i], found[j]),
+                            seed=rng.randrange(2 ** 32), stop=register)
     return found
 
 

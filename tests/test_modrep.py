@@ -7,11 +7,12 @@ import pytest
 
 from pblocks.corpus import corpus_entry, cyclic_group, special_linear_2_8
 from pblocks.cyclotomic import Cyc
-from pblocks.errors import NotSemisimpleElement, RandomBudgetExceeded
+from pblocks.errors import ClosureStalled, NotSemisimpleElement, RandomBudgetExceeded
 from pblocks.ffield import field_create
 from pblocks.linalg import Mat, mat_inv, mat_mul, mat_rank, mat_rref, mat_scale, mat_sub
 from pblocks import modrep
 from pblocks.modrep import (
+    TENSOR_DIM_CAP,
     BrauerTable,
     GModule,
     ReductionContext,
@@ -237,8 +238,55 @@ class TestChop:
         g = PermGroup(3, [perm_from_cycles(3, [(1, 2, 3)])])
         F = field_create(2)
         module = GModule(g, F, [Mat(F, [[0, 1], [1, 1]])])
-        with pytest.raises(RandomBudgetExceeded):
+        with pytest.raises(RandomBudgetExceeded, match="2-dimensional module over GF\\(2\\)"):
             composition_factors(module)
+
+
+def _same_modules(a: list, b: list) -> bool:
+    """Return whether two module lists have equal generator matrices, in order."""
+    return len(a) == len(b) and all(
+        x.dim == y.dim and all(np.array_equal(M.data, N.data) for M, N in zip(x.mats, y.mats))
+        for x, y in zip(a, b)
+    )
+
+
+class TestChopStop:
+    @staticmethod
+    def square_of_alt5_four():
+        # 4 x 4 over GF(4) has nine composition factors
+        g = alt5()
+        F = ReductionContext(g, 2).field
+        four = next(m for m in composition_factors(perm_module(g, F)) if m.dim == 4)
+        return tensor_module(four, four)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_the_list_ends_at_the_first_factor_stop_accepts(self, seed):
+        module = self.square_of_alt5_four()
+        full = composition_factors(module, seed=seed)
+        assert len(full) == 9
+        for k in range(1, len(full) + 1):
+            seen = []
+
+            def stop(factor):
+                seen.append(factor)
+                return len(seen) == k
+
+            out = composition_factors(module, seed=seed, stop=stop)
+            assert [id(m) for m in out] == [id(m) for m in seen]
+            assert _same_modules(out, full[:k])
+
+    def test_a_stop_that_always_accepts_returns_one_factor(self):
+        module = self.square_of_alt5_four()
+        out = composition_factors(module, seed=3, stop=lambda factor: True)
+        assert _same_modules(out, composition_factors(module, seed=3)[:1])
+
+    def test_no_stop_chops_in_full(self):
+        module = self.square_of_alt5_four()
+        seen = []
+        out = composition_factors(module, seed=2, stop=lambda factor: seen.append(factor))
+        assert [id(m) for m in out] == [id(m) for m in seen]
+        assert _same_modules(out, composition_factors(module, seed=2, stop=None))
+        assert sorted(m.dim for m in out) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
 
 
 class TestOneSpin:
@@ -410,6 +458,75 @@ class TestSimpleModules:
         g = special_linear_2_8()
         simples = simple_modules(g, ReductionContext(g, 3))
         assert sorted(m.dim for m in simples) == [1, 7, 9, 9, 9]
+
+
+def _full_chop_closure(group, context, seed):
+    """Return the simple modules as a tensor closure that chops every product in full."""
+    target = len(p_regular_indices(group.conjugacy_classes(), context.p))
+    rng = random.Random(seed)
+    found = []
+
+    def register(candidate):
+        for known in found:
+            if known.dim == candidate.dim and module_iso(
+                known, candidate, seed=rng.randrange(2 ** 32)
+            ) is not None:
+                return
+        found.append(candidate)
+
+    for factor in composition_factors(perm_module(group, context.field),
+                                      seed=rng.randrange(2 ** 32)):
+        register(factor)
+    processed = set()
+    while len(found) < target:
+        _, i, j = min(
+            (found[i].dim * found[j].dim, i, j)
+            for i in range(len(found))
+            for j in range(i, len(found))
+            if (i, j) not in processed and found[i].dim * found[j].dim <= TENSOR_DIM_CAP
+        )
+        processed.add((i, j))
+        for factor in composition_factors(tensor_module(found[i], found[j]),
+                                          seed=rng.randrange(2 ** 32)):
+            register(factor)
+            if len(found) == target:
+                break
+    return found
+
+
+class TestClosureStop:
+    @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "SL(2,8)"])
+    def test_same_simples_as_a_full_chop_in_fewer_steps(self, name, monkeypatch):
+        entry = corpus_entry(name)
+        g = entry.build()
+        steps = []
+        chop_step = modrep._chop_step
+
+        def counting_step(module, rng):
+            steps[-1] += 1
+            return chop_step(module, rng)
+
+        monkeypatch.setattr(modrep, "_chop_step", counting_step)
+        saved = 0
+        for p in entry.target_primes(g):
+            ctx = ReductionContext(g, p)
+            for seed in range(2):
+                steps.append(0)
+                reference = _full_chop_closure(g, ctx, seed)
+                steps.append(0)
+                simples = simple_modules(g, ctx, seed=seed)
+                assert _same_modules(simples, reference), (p, seed)
+                assert steps[-1] <= steps[-2], (p, seed)
+                saved += steps[-2] - steps[-1]
+        assert saved > 0
+
+    @pytest.mark.parametrize("p, dims", [(2, [1, 4]), (3, [1, 4]), (5, [1, 3])])
+    def test_capped_closure_stalls_with_the_factors_found(self, p, dims, monkeypatch):
+        monkeypatch.setattr(modrep, "TENSOR_DIM_CAP", 4)
+        g = alt5()
+        with pytest.raises(ClosureStalled, match=f"order 60 at p = {p} ") as caught:
+            simple_modules(g, ReductionContext(g, p))
+        assert sorted(m.dim for m in caught.value.partial) == dims
 
 
 class TestBrauerTable:
