@@ -12,26 +12,29 @@ RandomBudgetExceeded.  As Holt and Rees state the test, it spins one
 vector of each eigenspace (the nucleus) and, when that eigenspace is a
 line, one vector of the matching eigenspace of the transpose.  A random
 element is a combination of generator words with no scalar term, since
-theta + cI has the eigenspaces of theta with every root shifted by c.  A
-tensor closure collects all simple modules: the chop hands it each factor
-as soon as that factor is certified, and the chop of the product that
-yields the last missing simple ends there.  Brauer character values are
-read off as exact cyclotomic sums of eigenvalue multiplicities: a
-p-regular element acts diagonalizably, so the multiplicities are those of
-the roots of one characteristic polynomial.
+theta + cI has the eigenspaces of theta with every root shifted by c.
+Each certified factor keeps its witness: the element, the root and the
+nucleus vector.  A tensor closure collects all simple modules: each piece
+of a chop is first compared with the simples found so far, so a known
+factor costs one witness test and no chop step, and the chop of the
+product that yields the last missing simple ends there.  Brauer character
+values are read off as exact cyclotomic sums of eigenvalue multiplicities:
+a p-regular element acts diagonalizably, so the multiplicities are those
+of the roots of one characteristic polynomial.
 
 One spin closes a vector under the generators and returns its span, kept
 in reduced echelon form as one array, so that each new row is reduced and
 each old row cleared by a fixed number of whole-array field calls.
-module_iso spins a pair (v_a, v_b) of matching eigenvectors in the direct
-sum a + b; by Schur's lemma that span is the graph of an isomorphism
-a -> b or all of a + b.
+module_iso evaluates the witness element of one module on the other and
+spins the pair (v_a, v_b) of their eigenvectors in the direct sum a + b;
+by Schur's lemma that span is the graph of an isomorphism a -> b or all
+of a + b.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,11 +98,15 @@ class ReductionContext:
 # -- modules -------------------------------------------------------------------
 
 class GModule:
-    """Action of the group generators on row vectors over a finite field."""
+    """Action of the group generators on row vectors over a finite field.
 
-    __slots__ = ("group", "field", "mats", "dim")
+    witness is the Witness that certified the module simple, when the chop
+    returned it, and None otherwise.
+    """
 
-    def __init__(self, group: PermGroup, field, mats):
+    __slots__ = ("group", "field", "mats", "dim", "witness")
+
+    def __init__(self, group: PermGroup, field, mats, witness=None):
         mats = tuple(mats)
         if len(mats) != len(group.generators):
             raise ValueError("need exactly one matrix per group generator")
@@ -110,6 +117,7 @@ class GModule:
         self.field = field
         self.mats = mats
         self.dim = dims.pop() if dims else 1
+        self.witness = witness
 
     def image(self, g) -> Mat:
         """Return the matrix by which a group element acts."""
@@ -236,46 +244,62 @@ def _spin(field, mats_data: list, seed_row) -> _Span:
 
 # -- random algebra elements ----------------------------------------------------
 
-def _random_element(rng: random.Random, modules) -> list:
-    """Draw one random element of the generated matrix algebra.
+@dataclass(frozen=True, slots=True, eq=False)
+class Witness:
+    """The algebra element, root and vector by which a module was found simple.
 
-    The element is evaluated on each of the modules, which share their field
-    and generator count; one matrix per module is returned.
+    theta is the sum of coeffs[i] times the product of the generators in
+    words[i].  On the module, the kernel of theta - root is the line
+    through vector, and vector spins the whole module.
     """
-    F = modules[0].field
-    num_gens = len(modules[0].mats)
-    terms = []
+
+    words: tuple
+    coeffs: tuple
+    root: int
+    vector: np.ndarray
+
+
+def _draw_element(rng: random.Random, module: GModule) -> tuple:
+    """Draw the words and coefficients of a random element of a module's algebra."""
+    num_gens = len(module.mats)
+    words = []
     if num_gens:
         for _ in range(rng.randint(2, 4)):
-            terms.append(tuple(rng.randrange(num_gens) for _ in range(rng.randint(1, 3))))
-    coeffs = [rng.randrange(1, F.q) for _ in terms]
-    out = []
-    for module in modules:
-        total = Mat.zeros(F, module.dim, module.dim)
-        for word, c in zip(terms, coeffs):
-            prod = module.mats[word[0]]
-            for gi in word[1:]:
-                prod = mat_mul(prod, module.mats[gi])
-            total = mat_add(total, mat_scale(prod, c))
-        out.append(total)
-    return out
+            words.append(tuple(rng.randrange(num_gens) for _ in range(rng.randint(1, 3))))
+    return tuple(words), tuple(rng.randrange(1, module.field.q) for _ in words)
+
+
+def _element(module: GModule, words: tuple, coeffs: tuple) -> Mat:
+    """Return the matrix of an algebra element, given by words and coefficients, on a module."""
+    F = module.field
+    total = Mat.zeros(F, module.dim, module.dim)
+    for word, c in zip(words, coeffs):
+        prod = module.mats[word[0]]
+        for gi in word[1:]:
+            prod = mat_mul(prod, module.mats[gi])
+        total = mat_add(total, mat_scale(prod, c))
+    return total
 
 
 # -- the chop ---------------------------------------------------------------------
 
 def _chop_step(module: GModule, rng: random.Random):
-    """Return a proper invariant row space, or None when the module is simple.
+    """Return a proper invariant row space, or the Witness of a simple module.
 
     The space is returned as mat_rref returns it: (basis, pivots) in reduced
-    echelon form.
+    echelon form.  A 1-dimensional module is simple, and any element is a
+    witness for it, with its one entry as the root.
     """
     n = module.dim
-    if n == 1:
-        return None
     F = module.field
+    if n == 1:
+        words, coeffs = _draw_element(rng, module)
+        root = int(_element(module, words, coeffs).data[0, 0])
+        return Witness(words, coeffs, root, np.ones(1, dtype=np.int64))
     mats_data = [M.data for M in module.mats]
     for _ in range(RANDOM_ELEMENT_BUDGET):
-        [theta] = _random_element(rng, [module])
+        words, coeffs = _draw_element(rng, module)
+        theta = _element(module, words, coeffs)
         for lam in poly_roots(F, mat_charpoly(theta)):
             nucleus = mat_eigenspace(theta, lam)
             span = _spin(F, mats_data, nucleus.data[0])
@@ -285,7 +309,7 @@ def _chop_step(module: GModule, rng: random.Random):
                 co_nucleus = mat_eigenspace(mat_transpose(theta), lam)
                 span = _spin(F, [d.T.copy() for d in mats_data], co_nucleus.data[0])
                 if span.dim == n:
-                    return None
+                    return Witness(words, coeffs, lam, nucleus.data[0])
                 return mat_rref(mat_right_kernel(span.basis()))
     raise RandomBudgetExceeded(
         f"chop of a {n}-dimensional module over GF({F.q}) undecided after "
@@ -293,96 +317,111 @@ def _chop_step(module: GModule, rng: random.Random):
     )
 
 
-def composition_factors(module: GModule, seed: int = 0, *, stop=None) -> list:
+def composition_factors(module: GModule, seed: int = 0, *, known=None, stop=None) -> list:
     """Return the composition factors of a module, with multiplicity.
 
-    stop, if given, is called on each factor as soon as the chop certifies
-    it.  Once it returns True the chop ends and returns the factors so far,
-    a prefix of the full list for the same seed, since the chop's draws
-    come from its own seed alone.
+    Every factor carries its Witness.  Each piece of the chop draws from
+    its own rng, and a split seeds the rngs of its submodule and quotient
+    from its own, so a piece's draws depend only on its place in the chop.
+
+    known, if given, is a list of factors that this function returned.
+    Each piece is first compared by module_iso with the known simples of
+    its dimension; a match is a factor, with the witness carried over by
+    the isomorphism, and takes no chop step.  A factor the chop certifies
+    is new and is appended to known.  A match is simple, so it is a leaf
+    of the chop, and the factors are those of the chop without known.
+
+    stop, if given, is called on each factor as soon as it is found.  Once
+    it returns True the chop ends and returns the factors so far, a prefix
+    of the full list for the same seed.
     """
-    rng = random.Random(seed)
-    stack = [module]
+    stack = [(module, random.Random(seed))]
     out = []
     while stack:
-        cur = stack.pop()
-        step = _chop_step(cur, rng)
-        if step is None:
-            out.append(cur)
-            if stop is not None and stop(cur):
+        cur, rng = stack.pop()
+        factor = None
+        for simple in known or ():
+            bridge = module_iso(simple, cur) if simple.dim == cur.dim else None
+            if bridge is not None:
+                w = simple.witness
+                moved = cur.field.vdot(w.vector[None, :], bridge.data)[0]
+                factor = GModule(cur.group, cur.field, cur.mats, replace(w, vector=moved))
                 break
-            continue
-        stack.append(sub_module(cur, *step))
-        stack.append(quotient_module(cur, *step))
+        if factor is None:
+            step = _chop_step(cur, rng)
+            if not isinstance(step, Witness):
+                for piece in (sub_module(cur, *step), quotient_module(cur, *step)):
+                    stack.append((piece, random.Random(rng.randrange(2 ** 32))))
+                continue
+            factor = GModule(cur.group, cur.field, cur.mats, step)
+            if known is not None:
+                known.append(factor)
+        out.append(factor)
+        if stop is not None and stop(factor):
+            break
     return out
 
 
 def module_iso(a: GModule, b: GModule, seed: int = 0):
     """Return an intertwining matrix between two simple modules, or None.
 
-    A random algebra element with a one-dimensional eigenspace gives an
-    eigenvector v_a in a and v_b in b.  The spin of (v_a, v_b) in a + b
-    projects onto both simple modules, so by Schur's lemma it is either
-    all of a + b or the graph of the isomorphism taking v_a to v_b; its
-    reduced basis is then [I | bridge].
+    The witness of a gives an element theta, a root lam and the vector v_a
+    spanning the kernel of theta(a) - lam; a module that the chop did not
+    return is certified by one chop step drawing from seed, and a
+    reducible one raises ValueError.  If a and b are isomorphic,
+    the kernel of theta(b) - lam is a line too, through some v_b, so
+    otherwise they are not.  The spin of (v_a, v_b) in a + b projects onto
+    both simple modules, so by Schur's lemma it is either all of a + b or
+    the graph of the isomorphism taking v_a to v_b; its reduced basis is
+    then [I | bridge].  With a witness this takes one evaluation of theta,
+    one eigenspace and one spin, and no charpoly or draw.
     """
     if a.dim != b.dim or a.field != b.field or len(a.mats) != len(b.mats):
         return None
     F = a.field
     n = a.dim
+    witness = a.witness
+    if witness is None:
+        witness = _chop_step(a, random.Random(seed))
+        if not isinstance(witness, Witness):
+            raise ValueError("module_iso needs a simple first module, and this one is reducible")
+    ker_b = mat_eigenspace(_element(b, witness.words, witness.coeffs), witness.root)
+    if ker_b.nrows != 1:
+        return None
     zero = np.zeros((n, n), dtype=np.int64)
     pair = [np.block([[Ma.data, zero], [zero, Mb.data]]) for Ma, Mb in zip(a.mats, b.mats)]
-    rng = random.Random(seed)
-    for _ in range(RANDOM_ELEMENT_BUDGET):
-        theta_a, theta_b = _random_element(rng, [a, b])
-        charpoly = mat_charpoly(theta_a)
-        if charpoly != mat_charpoly(theta_b):
+    span = _spin(F, pair, np.concatenate([witness.vector, ker_b.data[0]]))
+    if span.dim != n:
+        return None
+    graph, pivots = span.echelon()
+    if pivots != tuple(range(n)):
+        raise RuntimeError("pair spin is not a graph: the modules are not simple")
+    bridge = Mat(F, graph.data[:, n:])
+    for Ma, Mb in zip(a.mats, b.mats):
+        if mat_mul(Ma, bridge) != mat_mul(bridge, Mb):
             return None
-        for lam in poly_roots(F, charpoly):
-            ker_a = mat_eigenspace(theta_a, lam)
-            ker_b = mat_eigenspace(theta_b, lam)
-            if ker_a.nrows != ker_b.nrows:
-                return None
-            if ker_a.nrows != 1:
-                continue
-            span = _spin(F, pair, np.concatenate([ker_a.data[0], ker_b.data[0]]))
-            if span.dim != n:
-                return None
-            graph, pivots = span.echelon()
-            if pivots != tuple(range(n)):
-                raise RuntimeError("pair spin is not a graph: the modules are not simple")
-            bridge = Mat(F, graph.data[:, n:])
-            for Ma, Mb in zip(a.mats, b.mats):
-                if mat_mul(Ma, bridge) != mat_mul(bridge, Mb):
-                    return None
-            return bridge
-    raise RandomBudgetExceeded(
-        f"module comparison undecided after {RANDOM_ELEMENT_BUDGET} elements"
-    )
+    return bridge
 
 
 def simple_modules(group: PermGroup, context: ReductionContext, seed: int = 0) -> list:
     """Return all simple modules in characteristic p by tensor closure.
 
-    Each factor is registered as the chop certifies it, and the chop that
-    completes the list stops there.  The chop draws from its own seed, and
-    the closure's draws come in the same order as if every product were
-    chopped in full, so the modules found do not depend on the stop.
+    The found list is the known list of every chop, so a factor already
+    found costs one witness test and no chop step, and the chop that
+    completes the list stops there.  The draws of a piece depend only on
+    its place in its chop, so the modules found, matrix for matrix, are
+    those of a closure that chops every product in full and keeps each
+    factor that module_iso matches with no earlier one.
     """
     target = len(p_regular_indices(group.conjugacy_classes(), context.p))
     rng = random.Random(seed)
     found = []
 
-    def register(candidate: GModule) -> bool:
-        """Keep a factor unless a known simple matches it; return whether all are found."""
-        if all(known.dim != candidate.dim
-               or module_iso(known, candidate, seed=rng.randrange(2 ** 32)) is None
-               for known in found):
-            found.append(candidate)
+    def complete(factor: GModule) -> bool:
         return len(found) == target
 
     composition_factors(perm_module(group, context.field),
-                        seed=rng.randrange(2 ** 32), stop=register)
+                        seed=rng.randrange(2 ** 32), known=found, stop=complete)
     processed = set()
     while len(found) < target:
         candidates = [
@@ -401,7 +440,7 @@ def simple_modules(group: PermGroup, context: ReductionContext, seed: int = 0) -
         _, i, j = min(candidates)
         processed.add((i, j))
         composition_factors(tensor_module(found[i], found[j]),
-                            seed=rng.randrange(2 ** 32), stop=register)
+                            seed=rng.randrange(2 ** 32), known=found, stop=complete)
     return found
 
 

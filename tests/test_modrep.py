@@ -9,7 +9,16 @@ from pblocks.corpus import corpus_entry, cyclic_group, special_linear_2_8
 from pblocks.cyclotomic import Cyc
 from pblocks.errors import ClosureStalled, NotSemisimpleElement, RandomBudgetExceeded
 from pblocks.ffield import field_create
-from pblocks.linalg import Mat, mat_inv, mat_mul, mat_rank, mat_rref, mat_scale, mat_sub
+from pblocks.linalg import (
+    Mat,
+    mat_eigenspace,
+    mat_inv,
+    mat_mul,
+    mat_rank,
+    mat_rref,
+    mat_scale,
+    mat_sub,
+)
 from pblocks import modrep
 from pblocks.modrep import (
     TENSOR_DIM_CAP,
@@ -17,6 +26,7 @@ from pblocks.modrep import (
     GModule,
     ReductionContext,
     _Span,
+    _element,
     _spin,
     brauer_table,
     brauer_value,
@@ -240,6 +250,8 @@ class TestChop:
         module = GModule(g, F, [Mat(F, [[0, 1], [1, 1]])])
         with pytest.raises(RandomBudgetExceeded, match="2-dimensional module over GF\\(2\\)"):
             composition_factors(module)
+        with pytest.raises(RandomBudgetExceeded, match="2-dimensional module over GF\\(2\\)"):
+            module_iso(module, module)
 
 
 def _same_modules(a: list, b: list) -> bool:
@@ -320,12 +332,9 @@ class TestOneSpin:
         assert c != 0
         assert bridge == Mat(F, F.vmul(np.int64(c), X.data))
 
-    def test_distinct_linears_are_rejected_by_the_pair_spin(self, monkeypatch):
-        g = alt4()
-        F = ReductionContext(g, 2).field
-        factors = composition_factors(perm_module(g, F))
-        triv = trivial_module(g, F)
-        a, b = [m for m in factors if module_iso(m, triv, seed=1) is None]
+    @staticmethod
+    def counting_spins(monkeypatch) -> list:
+        """Record (width, dimension) of every spin module_iso runs."""
         spins = []
 
         def counting_spin(field, mats_data, seed_row):
@@ -334,10 +343,139 @@ class TestOneSpin:
             return span
 
         monkeypatch.setattr(modrep, "_spin", counting_spin)
-        for seed in range(16):
-            assert module_iso(a, b, seed=seed) is None
-        # a pair spin in a + b of width 2 that filled the whole space
-        assert spins and all(s == (2, 2) for s in spins)
+        return spins
+
+    @staticmethod
+    def witness_nullity(a, b) -> int:
+        """Return the nullity of theta(b) - root for the witness of a."""
+        w = a.witness
+        return mat_eigenspace(_element(b, w.words, w.coeffs), w.root).nrows
+
+    def test_a_witness_root_that_is_no_eigenvalue_on_b_rejects_without_a_spin(self, monkeypatch):
+        g = alt4()
+        F = ReductionContext(g, 2).field
+        triv = trivial_module(g, F)
+        a, b = [m for m in composition_factors(perm_module(g, F)) if module_iso(m, triv) is None]
+        assert self.witness_nullity(a, b) == 0
+        spins = self.counting_spins(monkeypatch)
+        assert module_iso(a, b) is None
+        assert spins == []
+
+    @pytest.mark.parametrize("build, seed, swap", [(alt4, 1, True), (alt5, 1, False)])
+    def test_a_witness_line_on_b_is_rejected_by_the_pair_spin(self, build, seed, swap, monkeypatch):
+        # two non-isomorphic simples: the A4 linears, or A5's two 2-dimensional
+        # simples at p = 2, seeded so that the witness element of a has a
+        # one-dimensional root eigenspace on b as well
+        g = build()
+        ctx = ReductionContext(g, 2)
+        if build is alt4:
+            triv = trivial_module(g, ctx.field)
+            factors = composition_factors(perm_module(g, ctx.field), seed=seed)
+            a, b = [m for m in factors if module_iso(m, triv) is None]
+        else:
+            a, b = [m for m in simple_modules(g, ctx, seed=seed) if m.dim == 2]
+        if swap:
+            a, b = b, a
+        assert self.witness_nullity(a, b) == 1
+        spins = self.counting_spins(monkeypatch)
+        assert module_iso(a, b) is None
+        assert spins == [(2 * a.dim, 2 * a.dim)]
+
+
+def _psl27_three_times_eight():
+    """Return 3 x 8 for PSL(2,7) over GF(64), whose seven factors hold five 3s."""
+    g = corpus_entry("PSL(2,7)").build()
+    simples = simple_modules(g, ReductionContext(g, 2))
+    three = next(m for m in simples if m.dim == 3)
+    eight = next(m for m in simples if m.dim == 8)
+    return tensor_module(three, eight)
+
+
+PRODUCTS = [
+    pytest.param(TestChopStop.square_of_alt5_four, id="A5-4x4"),
+    pytest.param(_psl27_three_times_eight, id="PSL27-3x8"),
+]
+
+
+class TestWitness:
+    @pytest.mark.parametrize("product", PRODUCTS)
+    @pytest.mark.parametrize("with_known", [False, True])
+    def test_every_factor_carries_its_witness(self, product, with_known):
+        # with known, repeated factors are matched, and their witness is carried over
+        module = product()
+        F = module.field
+        for factor in composition_factors(module, seed=1, known=[] if with_known else None):
+            w = factor.witness
+            kernel = mat_eigenspace(_element(factor, w.words, w.coeffs), w.root)
+            assert kernel.nrows == 1
+            assert w.vector.any() and mat_rank(Mat(F, np.vstack([kernel.data, w.vector]))) == 1
+            assert _spin(F, [M.data for M in factor.mats], w.vector).dim == factor.dim
+
+    @pytest.mark.parametrize("product", PRODUCTS)
+    def test_known_gives_the_same_factors_in_fewer_steps(self, product, monkeypatch):
+        module = product()
+        steps = []
+        chop_step = modrep._chop_step
+
+        def counting_step(module, rng):
+            steps[-1] += 1
+            return chop_step(module, rng)
+
+        monkeypatch.setattr(modrep, "_chop_step", counting_step)
+        for seed in range(2):
+            steps.append(0)
+            full = composition_factors(module, seed=seed)
+            steps.append(0)
+            known = []
+            factors = composition_factors(module, seed=seed, known=known)
+            assert _same_modules(factors, full)
+            assert steps[-1] < steps[-2]
+            # the certified factors, pairwise non-isomorphic, in the order found
+            assert [id(m) for m in factors if any(m is k for k in known)] == [id(k) for k in known]
+            assert len(known) < len(factors)
+
+    def test_module_iso_with_a_witness_draws_nothing(self, monkeypatch):
+        g = alt5()
+        F = ReductionContext(g, 2).field
+        simple = next(m for m in composition_factors(perm_module(g, F)) if m.dim == 4)
+        X = Mat(F, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]])
+        moved = GModule(g, F, [mat_mul(mat_mul(mat_inv(X), M), X) for M in simple.mats])
+        calls = {"draws": 0, "charpolys": 0}
+        draw, charpoly = modrep._draw_element, modrep.mat_charpoly
+
+        def counting_draw(rng, module):
+            calls["draws"] += 1
+            return draw(rng, module)
+
+        def counting_charpoly(A):
+            calls["charpolys"] += 1
+            return charpoly(A)
+
+        monkeypatch.setattr(modrep, "_draw_element", counting_draw)
+        monkeypatch.setattr(modrep, "mat_charpoly", counting_charpoly)
+        assert module_iso(simple, moved) is not None
+        assert calls == {"draws": 0, "charpolys": 0}
+        # a module the chop did not return draws its element
+        assert module_iso(moved, simple) is not None
+        assert calls["draws"] > 0 and calls["charpolys"] > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_reducible_piece_of_a_known_dimension_is_never_matched(self, seed):
+        # 1 + 1 has A5's 2-dimensional simples' dimension, but every algebra
+        # element acts on it as a scalar, so no root eigenspace is a line
+        g = alt5()
+        ctx = ReductionContext(g, 2)
+        known = simple_modules(g, ctx, seed=seed)
+        double = GModule(g, ctx.field, [Mat.identity(ctx.field, 2)] * len(g.generators))
+        twos = [m for m in known if m.dim == 2]
+        assert len(twos) == 2
+        assert all(module_iso(simple, double) is None for simple in twos)
+        with pytest.raises(ValueError, match="reducible"):
+            module_iso(double, twos[0])
+        before = list(known)
+        factors = composition_factors(double, seed=seed, known=known)
+        assert [m.dim for m in factors] == [1, 1]
+        assert known == before
 
 
 def _row_space(F, rows, width: int) -> Mat:
@@ -468,9 +606,7 @@ def _full_chop_closure(group, context, seed):
 
     def register(candidate):
         for known in found:
-            if known.dim == candidate.dim and module_iso(
-                known, candidate, seed=rng.randrange(2 ** 32)
-            ) is not None:
+            if known.dim == candidate.dim and module_iso(known, candidate) is not None:
                 return
         found.append(candidate)
 
@@ -506,7 +642,15 @@ class TestClosureStop:
             steps[-1] += 1
             return chop_step(module, rng)
 
+        chops = []
+        chop = modrep.composition_factors
+
+        def recording_chop(module, seed=0, **kwargs):
+            chops.append(chop(module, seed, **kwargs))
+            return chops[-1]
+
         monkeypatch.setattr(modrep, "_chop_step", counting_step)
+        monkeypatch.setattr(modrep, "composition_factors", recording_chop)
         saved = 0
         for p in entry.target_primes(g):
             ctx = ReductionContext(g, p)
@@ -516,6 +660,8 @@ class TestClosureStop:
                 steps.append(0)
                 simples = simple_modules(g, ctx, seed=seed)
                 assert _same_modules(simples, reference), (p, seed)
+                # the last chop ends at the factor that completes the list
+                assert chops[-1][-1] is simples[-1], (p, seed)
                 assert steps[-1] <= steps[-2], (p, seed)
                 saved += steps[-2] - steps[-1]
         assert saved > 0
