@@ -17,7 +17,9 @@ Each certified factor keeps its witness: the element, the root and the
 nucleus vector.  A tensor closure collects all simple modules: each piece
 of a chop is first compared with the simples found so far, so a known
 factor costs one witness test and no chop step, and the chop of the
-product that yields the last missing simple ends there.  Brauer character
+product that yields the last missing simple ends there.  A square V x V
+is split along 0 -> Alt^2 V -> V x V -> Sym^2 V -> 0, exact in every
+characteristic, before its two halves are chopped.  Brauer character
 values are read off as exact cyclotomic sums of eigenvalue multiplicities:
 a p-regular element acts diagonalizably, so the multiplicities are those
 of the roots of one characteristic polynomial.
@@ -155,11 +157,25 @@ def sub_module(module: GModule, B: Mat, pivots: tuple) -> GModule:
     return GModule(module.group, module.field, mats)
 
 
+def _alternating_square(field, n: int) -> tuple:
+    """Return the alternating tensors of V x V, dim V = n, as mat_rref returns them.
+
+    Row (a, b), a < b, is e_a x e_b - e_b x e_a.  Its pivot a*n + b is its
+    first nonzero entry and is zero in every other row, so the rows in the
+    order of (a, b) are in reduced echelon form.
+    """
+    a, b = np.triu_indices(n, 1)
+    rows = np.zeros((len(a), n * n), dtype=np.int64)
+    rows[np.arange(len(a)), a * n + b] = 1
+    rows[np.arange(len(a)), b * n + a] = field.neg(1)
+    return Mat(field, rows), tuple(int(k) for k in a * n + b)
+
+
 def quotient_module(module: GModule, B: Mat, pivots: tuple) -> GModule:
     """Return the action on the quotient by an invariant row space in reduced echelon form."""
-    n = module.dim
     F = module.field
-    others = [j for j in range(n) if j not in set(pivots)]
+    taken = set(pivots)
+    others = [j for j in range(module.dim) if j not in taken]
     mats = []
     for M in module.mats:
         rows = M.data[others, :]
@@ -408,10 +424,14 @@ def simple_modules(group: PermGroup, context: ReductionContext, seed: int = 0) -
 
     The found list is the known list of every chop, so a factor already
     found costs one witness test and no chop step, and the chop that
-    completes the list stops there.  The draws of a piece depend only on
-    its place in its chop, so the modules found, matrix for matrix, are
-    those of a closure that chops every product in full and keeps each
-    factor that module_iso matches with no earlier one.
+    completes the list stops there.  A square V x V with dim V > 1 is
+    chopped as its alternating tensors Alt^2 V and then, if simples are
+    still missing, as the quotient Sym^2 V, each with its own seed; the
+    factors of V x V are those of the two together.  The draws of a piece
+    depend only on its place in its chop, so the modules found, matrix for
+    matrix, are those of a closure that chops every product (or both
+    halves of a square) in full and keeps each factor that module_iso
+    matches with no earlier one.
     """
     target = len(p_regular_indices(group.conjugacy_classes(), context.p))
     rng = random.Random(seed)
@@ -439,8 +459,13 @@ def simple_modules(group: PermGroup, context: ReductionContext, seed: int = 0) -
             )
         _, i, j = min(candidates)
         processed.add((i, j))
-        composition_factors(tensor_module(found[i], found[j]),
-                            seed=rng.randrange(2 ** 32), known=found, stop=complete)
+        pieces = [tensor_module(found[i], found[j])]
+        if i == j and found[i].dim > 1:
+            alternating = _alternating_square(context.field, found[i].dim)
+            pieces = [sub_module(pieces[0], *alternating), quotient_module(pieces[0], *alternating)]
+        for piece in pieces:
+            if len(found) < target:
+                composition_factors(piece, seed=rng.randrange(2 ** 32), known=found, stop=complete)
     return found
 
 

@@ -26,6 +26,7 @@ from pblocks.modrep import (
     GModule,
     ReductionContext,
     _Span,
+    _alternating_square,
     _element,
     _spin,
     brauer_table,
@@ -566,6 +567,79 @@ class TestSpan:
             assert _row_space(F, span.rows, 2 * n) == _closure_oracle(F, doubled, pair)
 
 
+def _square_pieces(square: GModule, n: int) -> list:
+    """Return Alt^2 V and Sym^2 V of a square V x V, dim V = n."""
+    B, pivots = _alternating_square(square.field, n)
+    return [sub_module(square, B, pivots), quotient_module(square, B, pivots)]
+
+
+def _a_simple(g, p, dim):
+    """Return a simple module of the given dimension and its reduction context."""
+    ctx = ReductionContext(g, p)
+    return next(m for m in simple_modules(g, ctx) if m.dim == dim), ctx
+
+
+class TestSquareSplit:
+    @pytest.mark.parametrize("build, p, n", [
+        pytest.param(alt5, 2, 4, id="A5-4-mod2"),
+        pytest.param(alt5, 3, 4, id="A5-4-mod3"),
+        pytest.param(lambda: corpus_entry("PSL(2,7)").build(), 2, 3, id="PSL27-3-mod2"),
+    ])
+    def test_the_alternating_tensors_are_invariant(self, build, p, n):
+        V, ctx = _a_simple(build(), p, n)
+        F = ctx.field
+        B, pivots = _alternating_square(F, n)
+        assert B.nrows == n * (n - 1) // 2
+        R, rref_pivots = mat_rref(B)
+        assert R == B and tuple(rref_pivots) == pivots
+        for M in tensor_module(V, V).mats:
+            assert mat_rank(Mat(F, np.vstack([B.data, mat_mul(B, M).data]))) == B.nrows
+        alt, sym2 = _square_pieces(tensor_module(V, V), n)
+        assert (alt.dim, sym2.dim) == (n * (n - 1) // 2, n * (n + 1) // 2)
+
+    @staticmethod
+    def brauer_rows(factors, ctx) -> list:
+        classes = factors[0].group.conjugacy_classes()
+        return sorted(
+            tuple(brauer_value(m, classes.reps[k], classes.orders[k], ctx).sort_key(ctx.exponent)
+                  for k in p_regular_indices(classes, ctx.p))
+            for m in factors
+        )
+
+    @pytest.mark.parametrize("p, count", [(2, 9), (3, 6)])
+    def test_the_square_has_the_factors_of_its_two_pieces(self, p, count):
+        # 0 -> Alt^2 V -> V x V -> Sym^2 V -> 0 is exact in every characteristic
+        V, ctx = _a_simple(alt5(), p, 4)
+        square = tensor_module(V, V)
+        whole = composition_factors(square, seed=1)
+        split = [m for piece in _square_pieces(square, 4) for m in composition_factors(piece, seed=1)]
+        assert len(whole) == count
+        assert self.brauer_rows(whole, ctx) == self.brauer_rows(split, ctx)
+
+    def test_a_square_of_a_linear_module_is_chopped_whole(self, monkeypatch):
+        # D8's permutation module at p = 3 holds three of its five simples,
+        # so the closure starts with the square of the trivial module
+        g = corpus_entry("D8").build()
+        tensors, chopped = [], []
+        tensor, chop = modrep.tensor_module, modrep.composition_factors
+
+        def recording_tensor(a, b):
+            tensors.append((a, b, tensor(a, b)))
+            return tensors[-1][2]
+
+        def recording_chop(module, seed=0, **kwargs):
+            chopped.append(module)
+            return chop(module, seed, **kwargs)
+
+        monkeypatch.setattr(modrep, "tensor_module", recording_tensor)
+        monkeypatch.setattr(modrep, "composition_factors", recording_chop)
+        simple_modules(g, ReductionContext(g, 3))
+        a, b, product = tensors[0]
+        assert a is b and a.dim == 1
+        assert chopped[1] is product
+        assert all(m.dim > 0 for m in chopped)
+
+
 class TestSimpleModules:
     def test_sym3_mod2(self):
         g = sym(3)
@@ -599,7 +673,10 @@ class TestSimpleModules:
 
 
 def _full_chop_closure(group, context, seed):
-    """Return the simple modules as a tensor closure that chops every product in full."""
+    """Return the simple modules as a tensor closure that chops every product in full.
+
+    A square V x V of dimension n > 1 is chopped as Alt^2 V and then Sym^2 V.
+    """
     target = len(p_regular_indices(group.conjugacy_classes(), context.p))
     rng = random.Random(seed)
     found = []
@@ -622,11 +699,16 @@ def _full_chop_closure(group, context, seed):
             if (i, j) not in processed and found[i].dim * found[j].dim <= TENSOR_DIM_CAP
         )
         processed.add((i, j))
-        for factor in composition_factors(tensor_module(found[i], found[j]),
-                                          seed=rng.randrange(2 ** 32)):
-            register(factor)
+        pieces = [tensor_module(found[i], found[j])]
+        if i == j and found[i].dim > 1:
+            pieces = _square_pieces(pieces[0], found[i].dim)
+        for piece in pieces:
             if len(found) == target:
                 break
+            for factor in composition_factors(piece, seed=rng.randrange(2 ** 32)):
+                register(factor)
+                if len(found) == target:
+                    break
     return found
 
 
