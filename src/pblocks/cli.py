@@ -71,6 +71,8 @@ def _corpus_from_json(doc) -> tuple:
     subgroups = {}
     for obj in doc.get("normal_subgroups", []):
         name = str(obj["name"])
+        if name in subgroups:
+            raise ValueError(f"duplicate normal subgroup name {name!r}")
         parent_name = str(obj["parent"])
         if parent_name not in groups:
             raise ValueError(f"normal subgroup {name!r} names unknown parent {parent_name!r}")

@@ -153,12 +153,10 @@ class CorpusEntry:
         """Construct a fresh copy of the group."""
         return self.builder()
 
-    def target_primes(self, group: Optional[PermGroup] = None) -> tuple:
-        """List the primes this entry is analyzed at, defaulting to all divisors of the order."""
+    def target_primes(self, group: PermGroup) -> tuple:
+        """List the primes this entry is analyzed at, by default all divisors of the order."""
         if self.primes is not None:
             return self.primes
-        if group is None:
-            group = self.build()
         return prime_factors(group.order())
 
 

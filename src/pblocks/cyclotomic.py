@@ -207,10 +207,6 @@ class Cyc:
                         out[j] += a * c
         return _make(conductor, out, self._den)
 
-    def is_zero(self) -> bool:
-        """Test whether the value is zero."""
-        return not any(self._num)
-
     def as_rational(self):
         """Return the value as a Fraction when it is rational, else None."""
         if any(self._num[1:]):
@@ -235,10 +231,9 @@ class Cyc:
             return self
         return self.galois(self.conductor - 1)
 
-    def sort_key(self, conductor: int | None = None) -> tuple:
-        """Return a deterministic comparison key at a common conductor."""
-        v = self.lift(conductor) if conductor else self
-        return v.coords
+    def sort_key(self, conductor: int) -> tuple:
+        """Return a deterministic comparison key at a common conductor, a multiple of this one."""
+        return self.lift(conductor).coords
 
     # -- arithmetic
 

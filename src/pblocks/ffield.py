@@ -123,7 +123,7 @@ class Field:
 
     Each backend supplies its own add, neg, mul and inv and their vectorized
     forms vadd, vneg, vmul and vsum; this base class derives the rest from
-    those: sub, div, pow, vsub, and vdot, the product of two code matrices,
+    those: sub, pow, vsub, and vdot, the product of two code matrices,
     which the prime and table backends replace with faster ones.
     """
 
@@ -152,10 +152,6 @@ class Field:
     def inv(self, a: int) -> int:
         """Return the multiplicative inverse of a."""
         raise NotImplementedError
-
-    def div(self, a: int, b: int) -> int:
-        """Return a / b."""
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         """Return a raised to the integer power e."""
@@ -189,35 +185,6 @@ class Field:
         if n < 1 or (self.q - 1) % n:
             raise ValueError(f"no element of order {n} in {self!r}")
         return self.pow(self.primitive, (self.q - 1) // n)
-
-    def element_order(self, a: int) -> int:
-        """Return the multiplicative order of a nonzero element."""
-        if int(a) == 0:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        order = self.q - 1
-        for ell in factorint(order):
-            while order % ell == 0 and self.pow(a, order // ell) == 1:
-                order //= ell
-        return order
-
-    def to_coeffs(self, a: int) -> tuple:
-        """Return the base-p coefficient tuple encoded by element code a."""
-        a = int(a)
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
-    def from_coeffs(self, coeffs) -> int:
-        """Return the element code encoding the given base-p coefficients."""
-        coeffs = list(coeffs)
-        if len(coeffs) > self.m:
-            raise ValueError("coefficient list longer than the field degree")
-        code = 0
-        for c in reversed(coeffs):
-            code = code * self.p + int(c) % self.p
-        return code
 
     def vadd(self, A, B):
         """Return the elementwise sum of two code arrays."""

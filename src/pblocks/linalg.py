@@ -84,18 +84,6 @@ class Mat:
             and bool(np.array_equal(self.data, other.data))
         )
 
-    def __matmul__(self, other):
-        return mat_mul(self, other)
-
-    def __add__(self, other):
-        return mat_add(self, other)
-
-    def __sub__(self, other):
-        return mat_sub(self, other)
-
-    def __neg__(self):
-        return Mat(self.field, self.field.vneg(self.data))
-
     def __repr__(self):
         return f"Mat({self.field!r}, {self.nrows}x{self.ncols})"
 

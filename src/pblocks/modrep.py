@@ -78,15 +78,14 @@ class ReductionContext:
     p-subgroup, share one field object; no caller chooses it.
     """
 
-    __slots__ = ("p", "exponent", "eprime", "m", "field", "w", "zeta")
+    __slots__ = ("p", "exponent", "eprime", "field", "w", "zeta")
 
     def __init__(self, group: PermGroup, p: int):
         self.p = p
         self.exponent = group.exponent()
         p_part = p ** p_valuation(self.exponent, p)
         self.eprime = e = self.exponent // p_part
-        self.m = multiplicative_order(p, e)
-        self.field = field = field_create(p, self.m)
+        self.field = field = field_create(p, multiplicative_order(p, e))
         self.w = field.root_of_unity(e)
         # the image of a primitive exponent-th root: zeta ** p_part == w,
         # and its p-part maps to one
@@ -123,13 +122,17 @@ class GModule:
 
     def image(self, g) -> Mat:
         """Return the matrix by which a group element acts."""
-        word = self.group.word(g)
-        if not word:
-            return Mat.identity(self.field, self.dim)
-        acc = self.mats[word[0]]
-        for i in word[1:]:
-            acc = mat_mul(acc, self.mats[i])
-        return acc
+        return _word_product(self, self.group.word(g))
+
+
+def _word_product(module: GModule, word) -> Mat:
+    """Return the product of a module's generator matrices along a word of their indices."""
+    if not word:
+        return Mat.identity(module.field, module.dim)
+    acc = module.mats[word[0]]
+    for i in word[1:]:
+        acc = mat_mul(acc, module.mats[i])
+    return acc
 
 
 def perm_module(group: PermGroup, field) -> GModule:
@@ -290,10 +293,7 @@ def _element(module: GModule, words: tuple, coeffs: tuple) -> Mat:
     F = module.field
     total = Mat.zeros(F, module.dim, module.dim)
     for word, c in zip(words, coeffs):
-        prod = module.mats[word[0]]
-        for gi in word[1:]:
-            prod = mat_mul(prod, module.mats[gi])
-        total = mat_add(total, mat_scale(prod, c))
+        total = mat_add(total, mat_scale(_word_product(module, word), c))
     return total
 
 
@@ -378,29 +378,28 @@ def composition_factors(module: GModule, seed: int = 0, *, known=None, stop=None
     return out
 
 
-def module_iso(a: GModule, b: GModule, seed: int = 0):
+def module_iso(a: GModule, b: GModule):
     """Return an intertwining matrix between two simple modules, or None.
 
-    The witness of a gives an element theta, a root lam and the vector v_a
-    spanning the kernel of theta(a) - lam; a module that the chop did not
-    return is certified by one chop step drawing from seed, and a
-    reducible one raises ValueError.  If a and b are isomorphic,
+    a must carry its Witness, as every factor composition_factors returns
+    does; any other first module raises ValueError, so chop a module
+    first to compare it (a simple one is its own single factor).  The
+    witness gives an element theta, a root lam and the vector v_a
+    spanning the kernel of theta(a) - lam.  If a and b are isomorphic,
     the kernel of theta(b) - lam is a line too, through some v_b, so
     otherwise they are not.  The spin of (v_a, v_b) in a + b projects onto
     both simple modules, so by Schur's lemma it is either all of a + b or
     the graph of the isomorphism taking v_a to v_b; its reduced basis is
-    then [I | bridge].  With a witness this takes one evaluation of theta,
-    one eigenspace and one spin, and no charpoly or draw.
+    then [I | bridge].  This takes one evaluation of theta, one eigenspace
+    and one spin, and no charpoly or draw.
     """
+    witness = a.witness
+    if witness is None:
+        raise ValueError("module_iso needs a first module with a witness; chop it first")
     if a.dim != b.dim or a.field != b.field or len(a.mats) != len(b.mats):
         return None
     F = a.field
     n = a.dim
-    witness = a.witness
-    if witness is None:
-        witness = _chop_step(a, random.Random(seed))
-        if not isinstance(witness, Witness):
-            raise ValueError("module_iso needs a simple first module, and this one is reducible")
     ker_b = mat_eigenspace(_element(b, witness.words, witness.coeffs), witness.root)
     if ker_b.nrows != 1:
         return None

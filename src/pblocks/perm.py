@@ -208,7 +208,6 @@ def _schreier_sims(degree: int, generators) -> dict:
         "identity": identity,
         "base": base,
         "trans": trans,
-        "strong": strong,
         "order": order,
     }
 
@@ -511,20 +510,6 @@ class PermGroup:
             raise ValueError("element set is not closed under composition")
         return PermGroup(self.degree, gens)
 
-    def is_normal(self, H: "PermGroup") -> bool:
-        """Test whether a subgroup H is normal in this group."""
-        try:
-            verify_normal(self, H)
-        except NotNormal:
-            return False
-        return True
-
-    def intersection(self, other: "PermGroup") -> "PermGroup":
-        """Return the intersection with another group on the same points."""
-        if other.degree != self.degree:
-            raise ValueError("intersection needs a common degree")
-        return self.subgroup(g for g in other.elements() if self.contains(g))
-
     def sylow(self, p: int) -> "PermGroup":
         """Return a Sylow p-subgroup via deterministic normalizer growth."""
         target = p ** p_valuation(self.order(), p)
@@ -570,7 +555,7 @@ class PermGroup:
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class QuotientAction:
-    """Bundle for a right-coset action: quotient group, section, coset labels.
+    """Bundle for a right-coset action: quotient group, coset representatives, coset labels.
 
     reps are the least elements of the cosets, in table order, and
     labels[i] is the coset of element i of the group's table, so g acts
@@ -587,10 +572,6 @@ class QuotientAction:
         """Map a group element to its coset permutation; ValueError outside the group."""
         rows = np.array(_validate_perm(g, self.group.degree))[np.array(self.reps)]
         return tuple(self.labels[self.group._element_table().lookup(rows)].tolist())
-
-    def section(self, q: tuple) -> tuple:
-        """Map a quotient element back to its least coset representative."""
-        return self.reps[q[0]]
 
 
 # -- p-subgroup invariants ---------------------------------------------------------

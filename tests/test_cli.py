@@ -233,12 +233,18 @@ class TestVerifyCorpus:
         {"groups": [dict(S4_GROUP, generators=[[2, True, 3, 4], [2, 3, 4, 1]])]},
         {"groups": [], "fixtures": [dict(KLEIN_FIXTURE, sectional="2")]},
         {"groups": [], "fixtures": [dict(KLEIN_FIXTURE, trace=True)]},
+        dict(S4_CORPUS, normal_subgroups=[
+            {"name": "N", "parent": "S4", "generators": [[2, 1, 4, 3], [3, 4, 1, 2]]},
+            dict(S4_CORPUS["normal_subgroups"][0], name="N"),
+        ], lemma_bindings=[dict(S4_CORPUS["lemma_bindings"][0], subgroup="N")]),
     ], ids=["degree", "generator", "primes", "large-string", "large-number", "binding-prime",
             "fixture-prime", "defect-order", "sectional", "trace", "rows",
-            "degree-string", "generator-boolean", "sectional-string", "trace-boolean"])
+            "degree-string", "generator-boolean", "sectional-string", "trace-boolean",
+            "duplicate-subgroup-name"])
     def test_fractional_or_non_boolean_value_rejected(self, tmp_path, capsys, doc):
         # these were coerced: primes [2.5] became (2,), "false" made the entry large,
-        # and "4" and true were read as the integers 4 and 1
+        # and "4" and true were read as the integers 4 and 1; of two normal
+        # subgroups named N (V4, then A4), the binding ran on the last
         corpus_file = write_json(tmp_path / "bad.json", doc)
         assert main(["verify-corpus", "--corpus", corpus_file]) == 2
         assert "error:" in capsys.readouterr().err

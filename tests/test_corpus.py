@@ -148,9 +148,9 @@ class TestDefaultCorpus:
         assert large == ["M11"]
 
     def test_target_primes(self):
-        assert corpus_entry("S3").target_primes() == (2, 3)
-        assert corpus_entry("A5").target_primes() == (2, 3, 5)
-        assert corpus_entry("M11").target_primes() == (2,)
+        for name, primes in (("S3", (2, 3)), ("A5", (2, 3, 5)), ("M11", (2,))):
+            entry = corpus_entry(name)
+            assert entry.target_primes(entry.build()) == primes
 
     def test_lookup_unknown(self):
         with pytest.raises(ValueError):
@@ -162,7 +162,7 @@ class TestDefaultCorpus:
 
     def test_custom_entry_prime_override(self):
         entry = CorpusEntry("S3-odd", lambda: symmetric_group(3), primes=(3,))
-        assert entry.target_primes() == (3,)
+        assert entry.target_primes(entry.build()) == (3,)
 
 
 class TestNormality:

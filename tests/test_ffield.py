@@ -72,12 +72,28 @@ def test_primitive_elements():
     assert field_create(2, 16).primitive == 3
 
 
+def _to_coeffs(F, a) -> tuple:
+    """Return the base-p digits of an element code, lowest first: its polynomial coefficients."""
+    a = int(a)
+    out = []
+    for _ in range(F.m):
+        out.append(a % F.p)
+        a //= F.p
+    return tuple(out)
+
+
+def _from_coeffs(F, coeffs) -> int:
+    """Return the element code whose base-p digits are the given coefficients mod p."""
+    code = 0
+    for c in reversed(list(coeffs)):
+        code = code * F.p + int(c) % F.p
+    return code
+
+
 def test_coeff_roundtrip():
     F = field_create(3, 4)
     for a in range(F.q):
-        assert F.from_coeffs(F.to_coeffs(a)) == a
-    with pytest.raises(ValueError):
-        F.from_coeffs([1, 1, 1, 1, 1])
+        assert _from_coeffs(F, _to_coeffs(F, a)) == a
 
 
 # -- field axioms ------------------------------------------------------------
@@ -121,7 +137,6 @@ def test_identities_and_inverses():
             assert F.add(a, F.neg(a)) == 0
             if a:
                 assert F.mul(a, F.inv(a)) == 1
-                assert F.div(a, a) == 1
         with pytest.raises(ZeroDivisionError):
             F.inv(0)
 
@@ -146,14 +161,14 @@ def test_unit_group_exponent():
             assert F.pow(a, F.q - 1) == 1
 
 
-def test_element_order_counts():
-    # the unit group of GF(16) is cyclic of order 15
-    F = field_create(2, 4)
-    counts = {}
-    for a in range(1, F.q):
-        d = F.element_order(a)
-        counts[d] = counts.get(d, 0) + 1
-    assert counts == {1: 1, 3: 2, 5: 4, 15: 8}
+def _unit_order(F, a) -> int:
+    """Return the multiplicative order of a unit: q - 1 divided by each prime while a's power is 1."""
+    order = F.q - 1
+    primes = [d for d in range(2, order + 1) if order % d == 0 and all(d % e for e in range(2, d))]
+    for ell in primes:
+        while order % ell == 0 and F.pow(a, order // ell) == 1:
+            order //= ell
+    return order
 
 
 def test_ninth_field_unit_orders():
@@ -163,7 +178,7 @@ def test_ninth_field_unit_orders():
     w = F.root_of_unity(8)
     assert w == F.primitive
     assert F.pow(w, 4) == 2
-    assert F.element_order(w) == 8
+    assert _unit_order(F, w) == 8
     with pytest.raises(ValueError):
         F.root_of_unity(5)
 
@@ -171,7 +186,7 @@ def test_ninth_field_unit_orders():
 def test_root_of_unity_orders():
     F = field_create(2, 6)
     for n in (1, 3, 7, 9, 21, 63):
-        assert F.element_order(F.root_of_unity(n)) == n
+        assert _unit_order(F, F.root_of_unity(n)) == n
 
 
 def test_negative_powers():
@@ -261,7 +276,7 @@ def test_packed_table_round_trips_every_code(p, m):
     # digit i of a code sits at bit offset w i, w = 63 // m
     w = 63 // m
     for a in (0, 1, p - 1, p, F.q // 2, F.q - 1):
-        assert int(F._packed[a]) == sum(c << (w * i) for i, c in enumerate(F.to_coeffs(a)))
+        assert int(F._packed[a]) == sum(c << (w * i) for i, c in enumerate(_to_coeffs(F, a)))
 
 
 @pytest.mark.parametrize("p, m", PACKED_FIELDS)
@@ -295,7 +310,7 @@ def test_vsum_along_an_axis_longer_than_the_carry_bound(p, m):
     assert F.vsum(M.T, axis=1).tolist() == want
     assert F.vsum(M.T, axis=-1).tolist() == want
     assert F.vsum(M) == fold(M.ravel())
-    assert F.vsum(M[:, 0]) == F.from_coeffs([n * (p - 1) % p] * m)
+    assert F.vsum(M[:, 0]) == _from_coeffs(F, [n * (p - 1)] * m)
 
 
 # -- additive ops against a coefficient oracle -----------------------------------
@@ -304,8 +319,8 @@ def _coeff_combo(F, terms):
     """Return the code of sum(sign * a) over (sign, a) terms, coefficient-wise mod p."""
     acc = [0] * F.m
     for sign, a in terms:
-        acc = [(x + sign * y) % F.p for x, y in zip(acc, F.to_coeffs(a))]
-    return F.from_coeffs(acc)
+        acc = [(x + sign * y) % F.p for x, y in zip(acc, _to_coeffs(F, a))]
+    return _from_coeffs(F, acc)
 
 
 def _oracle_pairs(F, rng, exhaustive):
@@ -381,8 +396,8 @@ def test_table_construction_rejects_a_misplaced_zech_sentinel():
 def _long_division_mul(F, a, b):
     """Multiply two codes by convolving digits and reducing by long division."""
     p, m = F.p, F.m
-    ad = F.to_coeffs(a)
-    bd = F.to_coeffs(b)
+    ad = _to_coeffs(F, a)
+    bd = _to_coeffs(F, b)
     conv = [0] * (2 * m - 1)
     for i in range(m):
         for j in range(m):

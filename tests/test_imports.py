@@ -47,28 +47,37 @@ def _references(node, strings: bool = False) -> set:
     return out
 
 
-def unreferenced_names(sources: dict, private: bool, elsewhere=frozenset()) -> list:
-    """Return the top-level functions and classes of one kind that nothing references.
+def unreferenced_names(sources: dict, private: bool, elsewhere=frozenset(), methods=False) -> list:
+    """Return the definitions of one kind that nothing references.
 
     sources maps a module name to its source text.  private picks the
-    _name definitions, otherwise the public ones.  A reference is a name,
-    an attribute or an imported name anywhere outside the definition
-    itself, or a member of elsewhere.
+    _name definitions, otherwise the public ones.  methods picks the
+    non-dunder methods of top-level classes, named Class.method, in place
+    of the top-level functions and classes.  A reference is a name, an
+    attribute or an imported name anywhere outside the definition itself,
+    or a member of elsewhere; a method is matched by its name alone.
     """
     defined = []
     used = set(elsewhere)
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            names = _references(node)
-            if (
-                isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and node.name.startswith("_") == private
-                and not node.name.startswith("__")
-            ):
-                defined.append((module, node.name))
-                names.discard(node.name)
-            used |= names
-    return sorted(f"{module}.{name}" for module, name in defined if name not in used)
+            parts = [("", node)]
+            if methods and isinstance(node, ast.ClassDef):
+                header = node.bases + node.keywords + node.decorator_list
+                parts = [(f"{node.name}.", part) for part in header + node.body]
+            for prefix, part in parts:
+                names = _references(part)
+                if (
+                    isinstance(part, (ast.FunctionDef, ast.ClassDef))
+                    and bool(prefix) == methods
+                    and part.name.startswith("_") == private
+                    and not part.name.startswith("__")
+                ):
+                    defined.append((module, prefix, part.name))
+                    names.discard(part.name)
+                used |= names
+    return sorted(f"{module}.{prefix}{name}" for module, prefix, name in defined
+                  if name not in used)
 
 
 def test_private_name_checker_flags_a_test_only_helper():
@@ -86,17 +95,40 @@ def test_public_name_checker_counts_references_elsewhere():
     assert unreferenced_names(sources, private=False, elsewhere={"named"}) == ["b.alone"]
 
 
+def test_method_checker_flags_a_method_only_its_own_body_calls():
+    sources = {"a": "class K:\n    def __init__(self):\n        self.kept()\n\n"
+                    "    def kept(self):\n        return 1\n\n"
+                    "    def alone(self, n):\n        return self.alone(n - 1)\n\n"
+                    "    def _helper(self):\n        return 2\n\n\n"
+                    "def alone_too():\n    return 3\n"}
+    assert unreferenced_names(sources, private=False, methods=True) == ["a.K.alone"]
+    assert unreferenced_names(sources, private=True, methods=True) == ["a.K._helper"]
+    assert unreferenced_names(sources, private=False, methods=True, elsewhere={"alone"}) == []
+
+
 def test_every_private_name_is_used_in_the_library():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
     assert unreferenced_names(sources, private=True) == []
 
 
-def test_every_public_name_is_used_outside_the_tests():
-    # a name only tests (or the package's own exports) reach belongs in the
-    # tests; perfbench names the functions it traces in strings
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+def _outside_the_tests() -> set:
+    """Return what the demos and perfbench reference; perfbench names what it traces in strings."""
     elsewhere = set()
     for folder, strings in (("demos", False), ("perfbench", True)):
         for path in (ROOT / folder).rglob("*.py"):
             elsewhere |= _references(ast.parse(path.read_text(encoding="utf-8")), strings)
-    assert unreferenced_names(sources, private=False, elsewhere=elsewhere) == []
+    return elsewhere
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a name only tests (or the package's own exports) reach belongs in the tests
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unreferenced_names(sources, private=False, elsewhere=_outside_the_tests()) == []
+
+
+@pytest.mark.parametrize("private", [False, True], ids=["public", "private"])
+def test_every_method_is_used_outside_the_tests(private):
+    # the rule of the two tests above, applied to the methods of library classes
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    elsewhere = frozenset() if private else _outside_the_tests()
+    assert unreferenced_names(sources, private, elsewhere, methods=True) == []

@@ -177,7 +177,8 @@ def test_product_of_top_digit_terms_past_the_carry_bound(p, m):
     inner = 1900
     A = Mat(F, np.ones((2, inner), dtype=np.int64))
     B = Mat(F, np.full((inner, 3), F.q - 1, dtype=np.int64))
-    want = F.from_coeffs([inner * (p - 1) % p] * m)
+    # each digit of the sum is inner (p - 1) mod p
+    want = sum(inner * (p - 1) % p * p ** i for i in range(m))
     assert mat_mul(A, B) == Mat(F, np.full((2, 3), want, dtype=np.int64))
 
 
