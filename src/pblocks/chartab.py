@@ -210,13 +210,6 @@ def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
     kstar = classes.classes_of(np.argsort(classes.reps, axis=1))
     inv_sizes = np.array([F.inv(s % r) for s in sizes], dtype=np.int64)
 
-    power_classes = []
-    for rep, m in zip(classes.reps, classes.orders):
-        powers = [np.arange(group.degree)]
-        for _ in range(m - 1):
-            powers.append(np.array(rep)[powers[-1]])
-        power_classes.append(classes.classes_of(powers))
-
     # one central character per row, scaled to 1 on the identity class
     vecs = np.array([space.data[0].tolist() for space in spaces], dtype=np.int64)
     if not vecs[:, 0].all():
@@ -245,8 +238,8 @@ def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
         powers = np.array([F.pow(zinv, t) for t in range(m)], dtype=np.int64)
         dft[m] = powers[np.outer(steps, steps) % m]
     columns = []
-    for k, m in enumerate(classes.orders):
-        mults = chi_mod[:, power_classes[k]] @ dft[m] % r * F.inv(m % r) % r
+    for m, power_classes in zip(classes.orders, classes.power_map):
+        mults = chi_mod[:, power_classes] @ dft[m] % r * F.inv(m % r) % r
         if (mults > deg[:, None]).any():
             raise RuntimeError("eigenvalue multiplicity exceeds the degree")
         if (mults.sum(axis=1) != deg).any():

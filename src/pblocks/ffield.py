@@ -441,18 +441,26 @@ class _TableField(Field):
     def vdot(self, A, B):
         """Return the product of two 2-D code arrays.
 
-        In characteristic 2 it is the base class's blocked sum, whose vsum
-        is one XOR reduce.  In odd characteristic each block of products is
-        one gather from the packed exp table and one int64 sum over the
-        block, with fewer than R terms and at most max(2^14, rows x cols)
-        products to a block.
+        The logarithms of A and B are looked up once, and the inner index
+        is split into blocks of at most max(2^14, rows x cols) products.  In
+        characteristic 2 each block is one gather from the exp table and one
+        XOR reduce over the block.  In odd characteristic it is one gather
+        from the packed exp table and one int64 sum, with fewer than R terms
+        to a block.
         """
-        if self.p == 2:
-            return Field.vdot(self, A, B)
         rows, inner = A.shape
         cols = B.shape[1]
         la = self._log_np[A]
         lb = self._log_np[B]
+        if self.p == 2:
+            la = la[:, :, None]
+            step = max(1, _PRODUCT_BLOCK // max(1, rows * cols))
+            # an inner dimension of 0 gives the zero matrix: XOR over an empty axis
+            exp = self._exp_np
+            out = np.bitwise_xor.reduce(exp[la[:, :step] + lb[:step]], axis=1)
+            for k in range(step, inner, step):
+                out ^= np.bitwise_xor.reduce(exp[la[:, k:k + step] + lb[k:k + step]], axis=1)
+            return out
         step = max(1, min(self._carry_free - 1, _PRODUCT_BLOCK // max(1, rows * cols)))
         sums = (self._packed_exp[la[:, k:k + step, None] + lb[None, k:k + step, :]].sum(axis=1)
                 for k in range(0, inner, step))

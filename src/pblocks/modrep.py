@@ -22,7 +22,10 @@ is split along 0 -> Alt^2 V -> V x V -> Sym^2 V -> 0, exact in every
 characteristic, before its two halves are chopped.  Brauer character
 values are read off as exact cyclotomic sums of eigenvalue multiplicities:
 a p-regular element acts diagonalizably, so the multiplicities are those
-of the roots of one characteristic polynomial.
+of the roots of one characteristic polynomial.  If g has multiplicity c_j
+at w_m^j, then g^a has c_j at w_m^(ja), so the table takes one charpoly
+per class that no class of larger order powers to, at the member whose
+word is shortest, and reads every other class along the class power map.
 
 One spin closes a vector under the generators and returns its span, kept
 in reduced echelon form as one array, so that each new row is reduced and
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from math import gcd
 
 import numpy as np
 
@@ -487,19 +491,20 @@ class BrauerTable:
         return len(self.rows)
 
 
-def brauer_value(module: GModule, g, order: int, context: ReductionContext) -> Cyc:
-    """Return the Brauer character value of a module at a p-regular element.
+def brauer_value(module: GModule, g, order: int, context: ReductionContext) -> list:
+    """Return the eigenvalue multiplicities of a module at a p-regular element.
 
-    The element's order n is prime to p, so x^n - 1 is separable and its
-    action is diagonalizable: the multiplicity of each root w_n^j in the
-    characteristic polynomial is the dimension of its eigenspace.  One
-    charpoly is therefore enough, and the multiplicities come from
-    repeated division by x - w_n^j; the value is their root_sum.  If they
-    add up to less than the dimension, the module does not act as a group
-    of that order would.
+    Entry j counts the root w_n^j, n the element's order, so the Brauer
+    character value is root_sum(n, multiplicities).  The order is prime to
+    p, so x^n - 1 is separable and the element acts diagonalizably: the
+    multiplicity of each root in the characteristic polynomial is the
+    dimension of its eigenspace.  One charpoly is therefore enough, and the
+    multiplicities come from repeated division by x - w_n^j.  If they add
+    up to less than the dimension, the module does not act as a group of
+    that order would.
     """
     if order == 1:
-        return Cyc.rational(module.dim)
+        return [module.dim]
     if context.eprime % order:
         raise ValueError("element order is not prime to the characteristic")
     F = context.field
@@ -519,22 +524,52 @@ def brauer_value(module: GModule, g, order: int, context: ReductionContext) -> C
             f"action of an order {order} element is not diagonalizable "
             f"over the {order}-th roots of unity"
         )
-    return root_sum(order, counts)
+    return counts
+
+
+def _power_value(counts: list, a: int) -> Cyc:
+    """Return the Brauer character value at g^a from the multiplicities of g.
+
+    g has order m = len(counts) and eigenvalue w_m^j with multiplicity
+    counts[j].  g^a has order n = m / gcd(a, m), and w_m^(ja) is
+    w_n^(j a / gcd(a, m)), so the value is at conductor n, as brauer_value
+    would give it at g^a itself.
+    """
+    m = len(counts)
+    d = gcd(a, m)
+    n = m // d
+    moved = [0] * n
+    for j, c in enumerate(counts):
+        moved[j * (a // d) % n] += c
+    return root_sum(n, moved)
 
 
 def brauer_table(group: PermGroup, p: int, seed: int = 0) -> BrauerTable:
-    """Compute the sorted Brauer character table at p over ReductionContext(group, p)."""
+    """Compute the sorted Brauer character table at p over ReductionContext(group, p).
+
+    The p-regular classes are walked in falling element order.  A class
+    that no earlier class powers to takes one brauer_value, at its member
+    with the shortest word; every class it powers to, itself included, that
+    is not yet valued is read off those multiplicities by _power_value.
+    """
     classes = group.conjugacy_classes()
     context = ReductionContext(group, p)
     regular = tuple(p_regular_indices(classes, p))
     simples = simple_modules(group, context, seed=seed)
 
+    # each class is read off the first class, in falling element order, that powers to it
+    source = {}
+    for k in sorted(regular, key=lambda k: -classes.orders[k]):
+        if k not in source:
+            for a, t in enumerate(classes.power_map[k]):
+                source.setdefault(t, (k, a))
+    shortest = group.shortest_in_classes()
+
     entries = []
     for module in simples:
-        row = tuple(
-            brauer_value(module, classes.reps[k], classes.orders[k], context)
-            for k in regular
-        )
+        counts = {k: brauer_value(module, shortest[k], classes.orders[k], context)
+                  for k, (s, _) in source.items() if s == k}
+        row = tuple(_power_value(counts[s], a) for s, a in map(source.get, regular))
         entries.append((module.dim, row, module))
     # key at the full group exponent so the order lines up with the ordinary table
     entries.sort(key=lambda t: (t[0], tuple(v.sort_key(context.exponent) for v in t[1])))

@@ -29,7 +29,7 @@ coset step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -332,6 +332,7 @@ class ClassData:
 
     labels[i] is the class of element i of the table: the orbits of element
     indices under conjugation, as the words come from right multiplication.
+    The class power map is computed on its first read and kept.
     """
 
     reps: list
@@ -339,9 +340,24 @@ class ClassData:
     orders: list
     labels: np.ndarray
     table: _ElementTable
+    _power_map: list = field(default=None, init=False)
 
     def __len__(self):
         return len(self.reps)
+
+    @property
+    def power_map(self) -> list:
+        """power_map[k][j] is the class of rep_k^j, for 0 <= j < orders[k]."""
+        if self._power_map is None:
+            maps = []
+            for rep, m in zip(self.reps, self.orders):
+                rep = np.array(rep)
+                powers = [np.arange(len(rep))]
+                for _ in range(m - 1):
+                    powers.append(rep[powers[-1]])
+                maps.append(self.classes_of(powers))
+            object.__setattr__(self, "_power_map", maps)
+        return self._power_map
 
     def classes_of(self, perms) -> list:
         """Return the class index of each permutation; ValueError if one lies outside the group."""
@@ -406,19 +422,42 @@ class PermGroup:
             self._elements = list(map(tuple, self._element_table().rows.tolist()))
         return self._elements
 
-    def word(self, g) -> tuple:
-        """Express an element as a tuple of generator indices, applied left to right."""
-        t = _validate_perm(g, self.degree)
-        i = int(self._element_table().lookup(np.array([t]))[0])
+    def _word_tree(self) -> dict:
         if self._words is None:
+            self._element_table()
             # breadth-first from the identity, element 0, as a tuple search would go
             self._words = orbit(0, [m.tolist() for m in self._moves], lambda j, m: m[j])
+        return self._words
+
+    def word(self, g) -> tuple:
+        """Express an element as a tuple of generator indices, applied left to right.
+
+        The word is the element's path in a breadth-first tree from the
+        identity, so no shorter word in the generators gives the element.
+        """
+        t = _validate_perm(g, self.degree)
+        i = int(self._element_table().lookup(np.array([t]))[0])
+        tree = self._word_tree()
         out = []
-        i, gi = self._words[i]
+        i, gi = tree[i]
         while i is not None:
             out.append(gi)
-            i, gi = self._words[i]
+            i, gi = tree[i]
         return tuple(reversed(out))
+
+    def shortest_in_classes(self) -> list:
+        """Return, for each conjugacy class, the member with the shortest word.
+
+        That is the member the breadth-first word tree reaches first.
+        """
+        data = self.conjugacy_classes()
+        labels = data.labels.tolist()
+        first = {}
+        for i in self._word_tree():
+            first.setdefault(labels[i], i)
+            if len(first) == len(data):
+                break
+        return [tuple(data.table.rows[first[k]].tolist()) for k in range(len(data))]
 
     # -- structure
 

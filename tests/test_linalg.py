@@ -149,7 +149,8 @@ def test_product_matches_schoolbook():
             assert mat_mul(A, B) == _mat_mul_schoolbook(A, B)
 
 
-EDGE_FIELDS = [(2, 1), (101, 1), (2, 2), (3, 6), (7, 3), (5, 6), (3, 10), (2, 17), (3, 11)]
+EDGE_FIELDS = [(2, 1), (101, 1), (2, 2), (2, 6), (2, 12), (3, 6), (7, 3), (5, 6), (3, 10),
+               (2, 17), (3, 11)]
 
 
 @pytest.mark.parametrize("p, m", EDGE_FIELDS)

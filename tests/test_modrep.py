@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pblocks.corpus import corpus_entry, cyclic_group, special_linear_2_8
-from pblocks.cyclotomic import Cyc
+from pblocks.cyclotomic import Cyc, root_sum
 from pblocks.errors import ClosureStalled, NotSemisimpleElement, RandomBudgetExceeded
 from pblocks.ffield import field_create
 from pblocks.linalg import (
@@ -620,7 +620,8 @@ class TestSquareSplit:
     def brauer_rows(factors, ctx) -> list:
         classes = factors[0].group.conjugacy_classes()
         return sorted(
-            tuple(brauer_value(m, classes.reps[k], classes.orders[k], ctx).sort_key(ctx.exponent)
+            tuple(root_sum(classes.orders[k], brauer_value(m, classes.reps[k], classes.orders[k], ctx))
+                  .sort_key(ctx.exponent)
                   for k in p_regular_indices(classes, ctx.p))
             for m in factors
         )
@@ -818,6 +819,50 @@ class TestBrauerTable:
         for d, row in zip(tab.dims, tab.rows):
             assert row[identity_col] == d
 
+    # the power-read classes include the non-coprime powers 4 -> 2 (SL(2,3)
+    # at p = 3, S5 at p = 5, C12 at p = 3 and 5), 6 -> 3 (S5 at p = 5),
+    # 9 -> 3 (SL(2,8) at p = 2 and 7) and 12 -> 4 (C12 at p = 5)
+    @pytest.mark.parametrize("name, p", [
+        ("S5", 2), ("S5", 3), ("S5", 5),
+        ("PSL(2,7)", 2), ("PSL(2,7)", 3), ("PSL(2,7)", 7),
+        ("SL(2,8)", 2), ("SL(2,8)", 3), ("SL(2,8)", 7),
+        ("SL(2,3)", 2), ("SL(2,3)", 3),
+        ("C12", 2), ("C12", 3), ("C12", 5),
+    ])
+    def test_every_class_matches_the_eigenspace_oracle(self, name, p):
+        g = corpus_entry(name).build()
+        tab = brauer_table(g, p)
+        ctx, classes = tab.context, tab.classes
+        assert len(tab) == len(tab.regular)
+        for module, row in zip(tab.simples, tab.rows):
+            for k, value in zip(tab.regular, row):
+                want = _eigenspace_value(module, classes.reps[k], classes.orders[k], ctx)
+                assert value == want, k
+
+    def test_one_charpoly_per_class_no_earlier_class_powers_to(self, monkeypatch):
+        # SL(2,8) at p = 2: 9A powers to 9B, 9C, 3A and 1A, and 7A to 7B and
+        # 7C, so each simple module takes two charpolys and the identity none
+        g = special_linear_2_8()
+        classes = g.conjugacy_classes()
+        calls = []
+        value = modrep.brauer_value
+
+        def counting_value(module, elt, order, ctx):
+            calls.append((module, elt, order))
+            return value(module, elt, order, ctx)
+
+        monkeypatch.setattr(modrep, "brauer_value", counting_value)
+        tab = brauer_table(g, 2)
+        assert len(calls) == 2 * len(tab.simples)
+        for module in tab.simples:
+            assert sorted(order for m, _, order in calls if m is module) == [7, 9]
+        # each charpoly is taken at a member of its class with the shortest word
+        lengths = {}
+        for x in g.elements():
+            lengths.setdefault(classes.classes_of([x])[0], []).append(len(g.word(x)))
+        for _, elt, _ in calls:
+            assert len(g.word(elt)) == min(lengths[classes.classes_of([elt])[0]])
+
     def test_determinism_across_seeds(self):
         g = sym(4)
         t1 = brauer_table(g, 3, seed=0)
@@ -827,29 +872,35 @@ class TestBrauerTable:
             assert all(a == b for a, b in zip(r1, r2))
 
 
+def _eigenspace_value(module, g, order, ctx) -> Cyc:
+    """Return the Brauer character value at g, each eigenvalue w_n^j counted
+    dim - rank(action - w_n^j I) times."""
+    F = ctx.field
+    eye = Mat.identity(F, module.dim)
+    action = eye
+    for i in module.group.word(g):
+        action = mat_mul(action, module.mats[i])
+    w_n = F.pow(ctx.w, ctx.eprime // order)
+    want = Cyc.zero(order)
+    for j in range(order):
+        shifted = mat_sub(action, mat_scale(eye, F.pow(w_n, j)))
+        want = want + Cyc.root(order, j) * (module.dim - mat_rank(shifted))
+    return want
+
+
 class TestBrauerValue:
     @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "SL(2,8)"])
     def test_values_match_eigenspace_ranks(self, name):
-        # each eigenvalue w_n^j counts dim - rank(action - w_n^j I) times
         entry = corpus_entry(name)
         g = entry.build()
         classes = g.conjugacy_classes()
         for p in entry.target_primes(g):
             ctx = ReductionContext(g, p)
-            F = ctx.field
             for module in simple_modules(g, ctx):
-                eye = Mat.identity(F, module.dim)
                 for k in p_regular_indices(classes, p):
                     rep, order = classes.reps[k], classes.orders[k]
-                    action = eye
-                    for i in g.word(rep):
-                        action = mat_mul(action, module.mats[i])
-                    w_n = F.pow(ctx.w, ctx.eprime // order)
-                    want = Cyc.zero(order)
-                    for j in range(order):
-                        shifted = mat_sub(action, mat_scale(eye, F.pow(w_n, j)))
-                        want = want + Cyc.root(order, j) * (module.dim - mat_rank(shifted))
-                    assert brauer_value(module, rep, order, ctx) == want
+                    want = _eigenspace_value(module, rep, order, ctx)
+                    assert root_sum(order, brauer_value(module, rep, order, ctx)) == want
 
     def test_an_action_of_the_wrong_order_is_not_semisimple(self):
         # C5 at p = 2 is over GF(16); its generator acts by an element of

@@ -10,6 +10,7 @@ from pblocks.errors import CapExceeded, EnumerationRequired, NotAPermutation, No
 from pblocks.chartab import class_fusion
 from pblocks.corpus import (
     alternating_group,
+    cyclic_group,
     mathieu_group_11,
     quaternion_group,
     special_linear_2_3,
@@ -340,6 +341,29 @@ def test_class_matrices_match_triple_count(make, order):
         assert mats[i].tolist() == [[count[i][j][k] for k in range(n)] for j in range(n)]
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _sym(4), id="S4"),
+    pytest.param(_alt5, id="A5"),
+    pytest.param(_psl27, id="PSL(2,7)"),
+    pytest.param(special_linear_2_8, id="SL(2,8)"),
+    pytest.param(lambda: cyclic_group(12), id="C12"),
+])
+def test_power_map_matches_brute_force_powers(make):
+    G = make()
+    els = G.elements()
+    data = G.conjugacy_classes()
+    assert len(data.power_map) == len(data)
+    for k, rep in enumerate(data.reps):
+        assert len(data.power_map[k]) == data.orders[k]
+        power = G.identity
+        for j, c in enumerate(data.power_map[k]):
+            # the class of rep^j is named by its least conjugate
+            least = min(_compose(_compose(_invert(h), power), h) for h in els)
+            assert data.reps[c] == least, (k, j)
+            power = _compose(power, rep)
+        assert power == G.identity
+
+
 def test_element_table_lookup_rejects_rows_outside_the_group():
     G = PermGroup(3, [_cycles(3, (1, 2, 3))])
     table = G._element_table()
@@ -385,6 +409,23 @@ def test_elements_and_words_match_a_tuple_search(make, order):
             x, i = tree[x]
             word.append(i)
         assert G.word(g) == tuple(reversed(word))
+
+
+@pytest.mark.parametrize("make, order", LISTING_GROUPS)
+def test_shortest_in_classes_has_the_least_depth(make, order):
+    G = make()
+    tree = _bfs_tree(G)
+    depth = {G.identity: 0}
+    for x in tree:
+        if tree[x] is not None:
+            depth[x] = depth[tree[x][0]] + 1
+    data = G.conjugacy_classes()
+    least = {}
+    for x, c in zip(G.elements(), data.classes_of(G.elements())):
+        least[c] = min(depth[x], least.get(c, depth[x]))
+    shortest = G.shortest_in_classes()
+    assert data.classes_of(shortest) == list(range(len(data)))
+    assert [depth[x] for x in shortest] == [least[c] for c in range(len(data))]
 
 
 def test_table_build_rejects_a_chain_that_repeats_an_element():
