@@ -29,9 +29,10 @@ are reduced mod p every R terms or fewer, and each output entry is
 unpacked once at the end.
 
 Scalar operations take and return plain ints.  Vectorized operations
-(vadd, vsub, vneg, vmul, vsum) take and return numpy int64 arrays of
-element codes and broadcast like the corresponding numpy ufuncs; vdot
-takes two 2-D code arrays and returns their matrix product.
+(vadd, vsub, vneg, vmul) take and return numpy int64 arrays of element
+codes and broadcast like the corresponding numpy ufuncs; vdot, each
+backend's one summing kernel, takes two 2-D code arrays and returns their
+matrix product.
 
 Polynomials over a field are lists of element codes, constant term first,
 with no trailing zeros; the zero polynomial is the empty list.
@@ -52,7 +53,7 @@ TABLE_SIZE_CAP = 1 << 16
 ROOT_SCAN_CAP = 4096
 EDF_DRAW_BUDGET = 200
 
-# most products one block of Field.vdot holds, unless one inner index alone has more
+# most products one block of a table or generic vdot holds, unless one inner index alone has more
 _PRODUCT_BLOCK = 2 ** 14
 
 
@@ -121,10 +122,9 @@ def _digit_mul_code(p: int, m: int, rows, a: int, b: int) -> int:
 class Field:
     """Finite field of order q = p^m with integer element codes 0..q-1.
 
-    Each backend supplies its own add, neg, mul and inv and their vectorized
-    forms vadd, vneg, vmul and vsum; this base class derives the rest from
-    those: sub, pow, vsub, and vdot, the product of two code matrices,
-    which the prime and table backends replace with faster ones.
+    Each backend supplies its own add, neg, mul and inv, their vectorized
+    forms vadd, vneg and vmul, and vdot, the product of two code matrices;
+    this base class derives sub, pow and vsub from those.
     """
 
     kind = "abstract"
@@ -202,27 +202,6 @@ class Field:
         """Return the elementwise product of two code arrays."""
         raise NotImplementedError
 
-    def vsum(self, A, axis=None):
-        """Sum a code array along an axis (all axes when axis is None)."""
-        raise NotImplementedError
-
-    def vdot(self, A, B):
-        """Return the product of two 2-D code arrays.
-
-        The inner index is split into blocks: each block's entrywise
-        products A[i, k] B[k, j] are one vmul and their sum over k one vsum,
-        and the block sums are added in turn.  So no transient array holds
-        more than max(2^14, rows x cols) products, and an inner dimension of
-        0 gives the zero matrix (the sum over an empty block).
-        """
-        rows, inner = A.shape
-        step = max(1, _PRODUCT_BLOCK // max(1, rows * B.shape[1]))
-        out = self.vsum(self.vmul(A[:, :step, None], B[None, :step, :]), axis=1)
-        for k in range(step, inner, step):
-            part = self.vsum(self.vmul(A[:, k:k + step, None], B[None, k:k + step, :]), axis=1)
-            out = self.vadd(out, part)
-        return out
-
     def __eq__(self, other):
         return isinstance(other, Field) and (self.p, self.m) == (other.p, other.m)
 
@@ -245,6 +224,8 @@ class _PrimeField(Field):
         self.m = 1
         self.q = p
         self.modulus = None
+        # the longest inner index whose int64 sum of products cannot wrap
+        self._dot_block = (2 ** 63 - 1) // (p - 1) ** 2
 
     def add(self, a, b):
         """Return a + b."""
@@ -284,15 +265,13 @@ class _PrimeField(Field):
         """Return the elementwise product of two code arrays."""
         return (np.asarray(A, np.int64) * np.asarray(B, np.int64)) % self.p
 
-    def vsum(self, A, axis=None):
-        """Sum a code array along an axis (all axes when axis is None)."""
-        return np.asarray(A, np.int64).sum(axis=axis) % self.p
-
     def vdot(self, A, B):
-        """Return the product of two 2-D code arrays; numpy's where int64 cannot overflow."""
-        if A.shape[1] * (self.p - 1) ** 2 < 2 ** 62:
+        """Return the product of two 2-D code arrays: numpy's, over inner blocks int64 cannot wrap."""
+        step = self._dot_block
+        if A.shape[1] <= step:
             return A @ B % self.p
-        return Field.vdot(self, A, B)
+        return sum(A[:, k:k + step] @ B[k:k + step] % self.p
+                   for k in range(0, A.shape[1], step)) % self.p
 
 
 class _TableField(Field):
@@ -307,7 +286,7 @@ class _TableField(Field):
     table holds, at d + 2 (q - 1) for d = log b - log a, d if a = 0, 0 if
     b = 0 and Z(d mod (q - 1)) otherwise, so a + b is
     exp[log a + zech[d + 2 (q - 1)]] with no index below 0.  Negation is
-    one more table.  Sums of many terms, in vsum and vdot, add packed codes:
+    one more table.  Sums of many terms, in vdot, add packed codes:
     the q-entry packed table holds each code's base-p digits at bit offsets
     w i, w = 63 // m, and the packed exp table is the packed table read at
     exp, so a product's packed code is one gather at log a + log b.  The
@@ -427,17 +406,6 @@ class _TableField(Field):
         B = np.asarray(B, np.int64)
         return self._exp_np[self._log_np[A] + self._log_np[B]]
 
-    def vsum(self, A, axis=None):
-        """Sum a code array along an axis (all axes when axis is None)."""
-        A = np.asarray(A, np.int64)
-        if self.p == 2:
-            return np.bitwise_xor.reduce(A, axis=axis)
-        P = self._packed[A.reshape(-1) if axis is None else np.moveaxis(A, axis, 0)]
-        step = self._carry_free - 1
-        sums = (P[k:k + step].sum(axis=0) for k in range(0, len(P), step))
-        out = self._fold(P.shape[1:], sums, step)
-        return int(out) if axis is None else out
-
     def vdot(self, A, B):
         """Return the product of two 2-D code arrays.
 
@@ -462,20 +430,15 @@ class _TableField(Field):
                 out ^= np.bitwise_xor.reduce(exp[la[:, k:k + step] + lb[k:k + step]], axis=1)
             return out
         step = max(1, min(self._carry_free - 1, _PRODUCT_BLOCK // max(1, rows * cols)))
-        sums = (self._packed_exp[la[:, k:k + step, None] + lb[None, k:k + step, :]].sum(axis=1)
-                for k in range(0, inner, step))
-        return self._fold((rows, cols), sums, step)
-
-    def _fold(self, shape, sums, terms):
-        """Add packed sums of at most terms < R codes each, renormalising as needed, and unpack."""
-        acc = np.zeros(shape, np.int64)
+        acc = np.zeros((rows, cols), np.int64)
         held = 0
-        for S in sums:
-            if held + terms > self._carry_free:
+        for k in range(0, inner, step):
+            # a renormalised sum counts as one term
+            if held + step > self._carry_free:
                 acc = self._packed[self._unpack(acc)]
                 held = 1
-            acc = acc + S
-            held += terms
+            acc = acc + self._packed_exp[la[:, k:k + step, None] + lb[None, k:k + step, :]].sum(axis=1)
+            held += step
         return self._unpack(acc)
 
     def _unpack(self, S):
@@ -581,17 +544,25 @@ class _GenericField(Field):
             conv[..., :m] += conv[..., k:k + 1] * self._red_np[k - m]
         return self._from_digits(conv[..., :m] % self.p)
 
-    def vsum(self, A, axis=None):
-        """Sum a code array along an axis (all axes when axis is None)."""
-        A = np.asarray(A, np.int64)
-        if self.p == 2:
-            return np.bitwise_xor.reduce(A, axis=axis)
-        D = self._to_digits(A)
-        if axis is None:
-            s = D.reshape(-1, self.m).sum(axis=0) % self.p
-            return int(self._from_digits(s))
-        ax = axis % A.ndim
-        return self._from_digits(D.sum(axis=ax) % self.p)
+    def vdot(self, A, B):
+        """Return the product of two 2-D code arrays.
+
+        Each block of at most max(2^14, rows x cols) entrywise products is
+        one vmul and then, in characteristic 2, one XOR reduce; in odd
+        characteristic the products' digits are summed as integers and
+        reduced mod p once, at the end.  An inner dimension of 0 gives 0.
+        """
+        rows, inner = A.shape
+        cols = B.shape[1]
+        step = max(1, _PRODUCT_BLOCK // max(1, rows * cols))
+        out = np.zeros((rows, cols) if self.p == 2 else (rows, cols, self.m), np.int64)
+        for k in range(0, inner, step):
+            P = self.vmul(A[:, k:k + step, None], B[None, k:k + step, :])
+            if self.p == 2:
+                out ^= np.bitwise_xor.reduce(P, axis=1)
+            else:
+                out += self._to_digits(P).sum(axis=1)
+        return out if self.p == 2 else self._from_digits(out % self.p)
 
 
 # -- construction -----------------------------------------------------------------

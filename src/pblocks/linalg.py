@@ -8,10 +8,11 @@ update per pivot, with the pivot chosen as the first nonzero entry.  The
 characteristic polynomial runs the Hessenberg recurrence on coefficient
 rows, with one vector op per term.  Every product, including the sums
 inside the Hessenberg reduction, the recurrence and the spin, goes through
-the field's vdot: numpy's integer product on prime fields where it cannot
-overflow, packed digit sums on odd characteristic table fields, and
-otherwise one vmul and one vsum per block of the inner index.  No
-transient array holds more than max(2^14, rows x cols) products.
+the field's vdot: numpy's integer product on prime fields, in blocks
+that int64 sums cannot wrap, packed digit sums on odd characteristic table
+fields, and otherwise, per block of the inner index, one XOR reduce or, on
+odd generic fields, one sum of the products' digits.  No transient array
+holds more than max(2^14, rows x cols) products.
 """
 
 from __future__ import annotations
@@ -23,12 +24,24 @@ from .ffield import Field
 
 # -- matrix type -------------------------------------------------------------
 
+def _is_code(x) -> bool:
+    """Tell whether x is an integer that can be an element code: not a bool, float or string."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 class Mat:
     """Immutable dense matrix over a finite field."""
 
     __slots__ = ("field", "data")
 
     def __init__(self, field: Field, data):
+        if not isinstance(data, np.ndarray):
+            # numpy reads [True, 0] as int64, so a list is checked entry by entry
+            data = np.array(data, dtype=object)
+            if not all(_is_code(x) for x in data.flat):
+                raise ShapeMismatch("matrix entries must be integer codes")
+        elif data.size and data.dtype.kind not in "iu":
+            raise ShapeMismatch("matrix entries must be integer codes")
         arr = np.array(data, dtype=np.int64, copy=True)
         if arr.ndim != 2:
             raise ShapeMismatch("matrix data must be two dimensional")
@@ -122,6 +135,8 @@ def mat_sub(A: Mat, B: Mat) -> Mat:
 
 def mat_scale(A: Mat, c: int) -> Mat:
     """Multiply a matrix by a scalar, the code of a field element."""
+    if not _is_code(c):
+        raise ShapeMismatch("the scalar must be an integer code")
     c = int(c)
     if not 0 <= c < A.field.q:
         raise ShapeMismatch("scalar out of range for the field")

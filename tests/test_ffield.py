@@ -227,6 +227,11 @@ def test_vector_ops_match_scalar():
             assert int(vn[i]) == F.neg(a)
 
 
+def _ones(rows, cols):
+    """A matrix of the field's one: a product with it sums rows or columns."""
+    return np.ones((rows, cols), dtype=np.int64)
+
+
 def test_vector_sum_matches_scalar():
     for p, m in VEC_FIELDS:
         F = field_create(p, m)
@@ -235,9 +240,9 @@ def test_vector_sum_matches_scalar():
         total = 0
         for v in M.ravel():
             total = F.add(total, int(v))
-        assert int(F.vsum(M)) == total
-        rows = F.vsum(M, axis=1)
-        cols = F.vsum(M, axis=0)
+        assert int(F.vdot(M.reshape(1, -1), _ones(48, 1))[0, 0]) == total
+        rows = F.vdot(M, _ones(8, 1))[:, 0]
+        cols = F.vdot(_ones(1, 6), M)[0]
         for i in range(6):
             acc = 0
             for j in range(8):
@@ -292,7 +297,7 @@ def test_a_packed_sum_of_R_top_codes_neither_carries_nor_turns_negative(p, m):
 
 
 @pytest.mark.parametrize("p, m", [(5, 6), (3, 10)])
-def test_vsum_along_an_axis_longer_than_the_carry_bound(p, m):
+def test_sums_along_an_axis_longer_than_the_carry_bound(p, m):
     F = field_create(p, m)
     n = 3 * F._carry_free + 7
     rng = random.Random(p * m)
@@ -306,11 +311,11 @@ def test_vsum_along_an_axis_longer_than_the_carry_bound(p, m):
         return acc
 
     want = [fold(M[:, j]) for j in range(3)]
-    assert F.vsum(M, axis=0).tolist() == want
-    assert F.vsum(M.T, axis=1).tolist() == want
-    assert F.vsum(M.T, axis=-1).tolist() == want
-    assert F.vsum(M) == fold(M.ravel())
-    assert F.vsum(M[:, 0]) == _from_coeffs(F, [n * (p - 1)] * m)
+    assert F.vdot(_ones(1, n), M)[0].tolist() == want
+    assert F.vdot(M.T, _ones(n, 1))[:, 0].tolist() == want
+    assert F.vdot(_ones(2, n), M).tolist() == [want, want]
+    assert F.vdot(M.reshape(1, -1), _ones(3 * n, 1))[0, 0] == fold(M.ravel())
+    assert F.vdot(M[None, :, 0], _ones(n, 1))[0, 0] == _from_coeffs(F, [n * (p - 1)] * m)
 
 
 # -- additive ops against a coefficient oracle -----------------------------------
@@ -336,7 +341,7 @@ def _oracle_pairs(F, rng, exhaustive):
 
 
 def _check_additive_ops(F, exhaustive):
-    """Check add, sub, neg and their vector forms, vsum included, against the oracle."""
+    """Check add, sub, neg, their vector forms and sums through vdot against the oracle."""
     rng = random.Random(F.p * 100 + F.m)
     pairs = _oracle_pairs(F, rng, exhaustive)
     want_add = [_coeff_combo(F, [(1, a), (1, b)]) for a, b in pairs]
@@ -357,10 +362,11 @@ def _check_additive_ops(F, exhaustive):
         assert op(col, row).tolist() == want
     # rows of the form a, b, -a, 0 keep the sums on zero and near it
     M = np.stack([A[:40], B[:40], F.vneg(A[:40]), np.zeros(40, np.int64)], axis=1)
-    assert int(F.vsum(M)) == _coeff_combo(F, [(1, int(c)) for c in M.ravel()])
-    assert F.vsum(M, axis=1).tolist() == [
+    assert int(F.vdot(M.reshape(1, -1), _ones(M.size, 1))[0, 0]) == _coeff_combo(
+        F, [(1, int(c)) for c in M.ravel()])
+    assert F.vdot(M, _ones(M.shape[1], 1))[:, 0].tolist() == [
         _coeff_combo(F, [(1, int(c)) for c in r]) for r in M]
-    assert F.vsum(M, axis=0).tolist() == [
+    assert F.vdot(_ones(1, M.shape[0]), M)[0].tolist() == [
         _coeff_combo(F, [(1, int(c)) for c in M[:, j]]) for j in range(M.shape[1])]
 
 

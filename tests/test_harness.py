@@ -19,6 +19,7 @@ from pblocks.corpus import (
     PairedScenario,
     alternating_group,
     corpus_entry,
+    cyclic_group,
     projective_special_linear_2_7,
     symmetric_group,
 )
@@ -42,6 +43,7 @@ from pblocks.harness import (
     tau_rayleigh,
     verify_system,
 )
+from pblocks.modrep import ReductionContext
 
 FIXTURE = {fix.name: fix for fix in FIXTURES}
 KLEIN_A = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
@@ -460,6 +462,16 @@ class TestAnalyzeGroup:
         result = analyze_group(alternating_group(4), 5, name="A4")
         assert result["block_count"] == 4
         assert all(rec["defect"] == 0 for rec in result["blocks"])
+        assert result["passed"] is True
+
+    def test_pipeline_over_a_generic_field(self):
+        # 2 has order 18 mod 19, so C19 splits at p = 2 over GF(2^18), past the table fields
+        group = cyclic_group(19)
+        assert ReductionContext(group, 2).field.kind == "generic"
+        result = analyze_group(group, 2, name="C19")
+        assert result["block_count"] == 19
+        assert all((rec["defect"], rec["simple_count"], rec["tau"]) == (0, 1, "1/1")
+                   for rec in result["blocks"])
         assert result["passed"] is True
 
 

@@ -89,6 +89,22 @@ def test_entry_range_checked():
         Mat(field_create(3), [[0, -1]])
 
 
+def test_inexact_entries_and_scalars_rejected():
+    # numpy would truncate 1.5 to 1 and read True and '3' as codes
+    F = field_create(5)
+    for data in ([[1.5, 2]], [[True, 0]], [["3", 1]], [[None, 1]],
+                 np.array([[1.0, 2.0]]), np.array([[True, False]])):
+        with pytest.raises(ShapeMismatch):
+            Mat(F, data)
+    for c in (1.5, 2.0, True, "2"):
+        with pytest.raises(ShapeMismatch):
+            mat_scale(Mat.identity(F, 2), c)
+    # integer codes of any integer type, and an empty matrix, still pass
+    assert Mat(F, [[np.int64(3), 1]]) == Mat(F, np.array([[3, 1]], dtype=np.int32))
+    assert Mat(F, [[]]).shape == (1, 0)
+    assert mat_scale(Mat.identity(F, 2), np.int64(2)) == Mat(F, [[2, 0], [0, 2]])
+
+
 def test_scalar_range_checked():
     for F in (field_create(3), field_create(2, 4), field_create(3, 11)):
         for c in (-1, F.q):
@@ -183,27 +199,20 @@ def test_product_of_top_digit_terms_past_the_carry_bound(p, m):
     assert mat_mul(A, B) == Mat(F, np.full((2, 3), want, dtype=np.int64))
 
 
-def test_prime_product_past_the_int64_bound_takes_the_blocked_sum(monkeypatch):
-    # the largest prime below the field size cap: inner (p - 1)^2 >= 2^62,
-    # so numpy's product is not trusted and the base class's blocked sum runs
+def test_prime_product_past_the_int64_bound_takes_the_blocked_sum():
+    # the largest prime below the field size cap: (p - 1)^2 is about 2^48, so
+    # an inner dimension of 32,800 sums past 2^63 and one int64 product wraps
     p = 16777213
+    inner = 32800
     F = field_create(p)
-    assert F.kind == "prime" and 16400 * (p - 1) ** 2 >= 2 ** 62
-    calls = []
-    blocked = ffield.Field.vdot
-
-    def counted(self, A, B):
-        calls.append(A.shape)
-        return blocked(self, A, B)
-
-    monkeypatch.setattr(ffield.Field, "vdot", counted)
-    rng = random.Random(16400)
-    A = [[rng.randrange(p - 2 ** 12, p) for _ in range(16400)] for _ in range(2)]
-    B = [[rng.randrange(p - 2 ** 12, p) for _ in range(3)] for _ in range(16400)]
-    got = mat_mul(Mat(F, A), Mat(F, B))
-    assert calls == [(2, 16400)]
+    assert F.kind == "prime" and inner > F._dot_block
+    assert inner * (p - 2 ** 12) ** 2 >= 2 ** 63
+    rng = random.Random(inner)
+    A = [[rng.randrange(p - 2 ** 12, p) for _ in range(inner)] for _ in range(2)]
+    B = [[rng.randrange(p - 2 ** 12, p) for _ in range(3)] for _ in range(inner)]
     want = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)] for row in A]
-    assert got.data.tolist() == want
+    assert (np.array(A) @ np.array(B) % p).tolist() != want
+    assert mat_mul(Mat(F, A), Mat(F, B)).data.tolist() == want
 
 
 @pytest.mark.parametrize("p, m", EDGE_FIELDS)
