@@ -53,7 +53,7 @@ def _check_central_characters(group, lambdas, field) -> None:
     """
     rows = Mat(field, sorted(set(lambdas)))
     n = rows.ncols
-    consts = Mat(field, np.hstack([M.T % field.p for M in group.class_matrices()]))
+    consts = Mat(field, np.hstack([group.class_matrix(i).T % field.p for i in range(n)]))
     rhs = mat_mul(rows, consts).data
     lhs = field.vmul(rows.data[:, :, None], rows.data[:, None, :]).reshape(rhs.shape)
     bad = np.flatnonzero((lhs != rhs).any(axis=0))

@@ -7,8 +7,10 @@ r > 2 sqrt(|G|) + 1.  Over GF(r) the class-sum matrices then generate a
 split semisimple commutative algebra, so refining the whole space by the
 eigenspaces of one class matrix at a time, smallest classes first, always
 ends in lines: the common eigenvectors, which are the central characters.
-Every step is deterministic.  A degree d is read from its residue d^2 mod r
-as the only d <= sqrt(|G|) with that square.
+The split reads only the class matrices it needs before every space is a
+line, and the group builds each one on its first read (S7 reads 1 of its
+15, M11 6 of its 10).  Every step is deterministic.  A degree d is read
+from its residue d^2 mod r as the only d <= sqrt(|G|) with that square.
 
 The values are lifted back to exact cyclotomic numbers from the character
 mod r, one int64 row per character.  For each element order m the m x m
@@ -16,7 +18,9 @@ matrix of z_m^(-js) mod r is built once, and one product of the rows' values
 on the powers g^j of a class representative with it gives, for every row at
 once, the multiplicity of each z_m^s as an eigenvalue of g (a discrete
 Fourier sum).  The value is sum_s mult_s z_m^s at conductor m, one integer
-product with the basis coordinates of the powers of z_m.
+product with the basis coordinates of the powers of z_m.  The rows are
+sorted by degree, then by sort_keys at the exponent, which lifts each
+distinct irrational value once and keys a rational one without a lift.
 
 The degree sum and orthogonality are verified exactly before a table is
 returned.  Orthogonality is one Gram matrix from class_gram, the kernel
@@ -33,7 +37,7 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .cyclotomic import euler_phi, power_rows, root_sum
+from .cyclotomic import euler_phi, power_rows, root_sum, sort_keys
 from .errors import FusionInconsistent, LiftingPrimeNotFound
 from .ffield import field_create, poly_roots
 from .intmath import is_prime
@@ -130,18 +134,19 @@ def class_gram(rows, others, classes: ClassData) -> tuple:
     )
 
 
-def _split_eigenspaces(F, class_mats: list, order: list) -> list:
-    """Split GF(r)^n into the common eigenlines of the class matrices.
+def _split_eigenspaces(F, group: PermGroup, order: list) -> list:
+    """Split GF(r)^n into the common eigenlines of the group's class matrices.
 
     The matrices are taken one at a time in the given order, and the
-    refinement stops once every space is a line.
+    refinement stops once every space is a line, so the matrices after
+    that point are never built.
     """
-    n = len(class_mats)
+    n = len(group.conjugacy_classes())
     spaces = [Mat.identity(F, n)]
     for i in order:
         if all(space.nrows == 1 for space in spaces):
             break
-        N = Mat(F, class_mats[i].T % F.q)
+        N = Mat(F, group.class_matrix(i).T % F.q)
         refined = []
         for space in spaces:
             if space.nrows == 1:
@@ -204,7 +209,7 @@ def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
 
     sizes = classes.sizes
     by_size = sorted((k for k in range(n) if classes.orders[k] != 1), key=sizes.__getitem__)
-    spaces = _split_eigenspaces(F, group.class_matrices(), by_size)
+    spaces = _split_eigenspaces(F, group, by_size)
 
     # the argsort of a permutation row is its inverse
     kstar = classes.classes_of(np.argsort(classes.reps, axis=1))
@@ -245,11 +250,11 @@ def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
         if (mults.sum(axis=1) != deg).any():
             raise RuntimeError("eigenvalue multiplicities do not sum to the degree")
         columns.append([root_sum(m, row) for row in mults])
-    table = [(d, tuple(column[i] for column in columns)) for i, d in enumerate(degrees)]
-
-    table.sort(key=lambda row: (row[0], tuple(v.sort_key(e) for v in row[1])))
-    degrees = tuple(row[0] for row in table)
-    rows = tuple(row[1] for row in table)
+    rows = [tuple(column[i] for column in columns) for i in range(n)]
+    keys = sort_keys(rows, e)
+    ranked = sorted(range(n), key=lambda i: (degrees[i], keys[i]))
+    degrees = tuple(degrees[i] for i in ranked)
+    rows = tuple(rows[i] for i in ranked)
 
     if sum(d * d for d in degrees) != order:
         raise RuntimeError("degree squares do not sum to the group order")

@@ -10,7 +10,9 @@ reduce through precomputed integer tables of the basis relation given by
 the n-th cyclotomic polynomial; values with different conductors lift to
 the least common multiple before combining.  The same tables, as integer
 matrices (power_rows) and as root sums (root_sum), serve callers that
-work on whole coordinate arrays instead of one value at a time.
+work on whole coordinate arrays instead of one value at a time.  Table rows
+sort by sort_keys, which reads only the powers its values need, not a
+whole table at the common conductor.
 """
 
 from __future__ import annotations
@@ -106,6 +108,44 @@ def power_rows(n: int, exponents) -> np.ndarray:
     one integer product.
     """
     return _power_array(n)[np.asarray(exponents, dtype=np.int64) % n]
+
+
+def _reduced_powers(n: int, exponents) -> np.ndarray:
+    """Return the rows of power_rows(n, exponents), for n > 1 and 0 <= e < n, without the table.
+
+    For e >= phi(n), x^e = Q Phi_n + R with R the wanted row.  Phi_n is
+    palindromic, so Q read from the top is the power series 1/Phi_n, and
+    the low phi(n) coefficients of Q Phi_n are -R.  The series is the
+    product of (x^d - 1)^(-mu(n/d)) over the divisors d of n (Moebius
+    inversion of x^n - 1 = prod Phi_d): one shift per factor it multiplies
+    by, then one strided cumulative sum per factor it divides by.  So each
+    partial result is the series times the factors still to divide by, and
+    its coefficients stay small.
+    """
+    poly = np.array(cyclotomic_poly(n), dtype=np.int64)
+    phi = len(poly) - 1
+    size = max(exponents, default=0) - phi + 1
+    series = np.zeros(max(size, 1), dtype=np.int64)
+    series[0] = 1
+    divisors = [(n, 1)]
+    for q in factorint(n):
+        divisors += [(d // q, -mu) for d, mu in divisors]
+    for d, mu in sorted(divisors, key=lambda t: t[1]):
+        if mu < 0:
+            # times x^d - 1
+            series = np.concatenate([np.zeros(d, dtype=np.int64), series])[: len(series)] - series
+        else:
+            # over x^d - 1, as -(1 + x^d + x^2d + ...)
+            padded = np.zeros(-(-len(series) // d) * d, dtype=np.int64)
+            padded[: len(series)] = series
+            series = -padded.reshape(-1, d).cumsum(axis=0).ravel()[: len(series)]
+    rows = np.zeros((len(exponents), phi), dtype=np.int64)
+    for i, e in enumerate(exponents):
+        if e < phi:
+            rows[i, e] = 1
+        else:
+            rows[i] = -np.convolve(series[e - phi :: -1][:phi], poly[:phi])[:phi]
+    return rows
 
 
 # -- values -----------------------------------------------------------------------
@@ -231,10 +271,6 @@ class Cyc:
             return self
         return self.galois(self.conductor - 1)
 
-    def sort_key(self, conductor: int) -> tuple:
-        """Return a deterministic comparison key at a common conductor, a multiple of this one."""
-        return self.lift(conductor).coords
-
     # -- arithmetic
 
     def _pair(self, other):
@@ -336,6 +372,34 @@ def root_sum(n: int, mults) -> Cyc:
     adding ``Cyc.root(n, s) * mults[s]`` one term at a time gives.
     """
     return Cyc(n, (np.asarray(mults) @ _power_array(n)[:n]).tolist())
+
+
+def sort_keys(rows, conductor: int) -> list:
+    """Return one comparison key per row of values: their coordinates at one conductor.
+
+    conductor is a multiple of every value's conductor, and a row's key is
+    the tuple of its values' coordinates after a lift to it, so a sort by
+    these keys is deterministic.  A rational value q keys as (q, 0, ..., 0)
+    with no lift.  Each distinct irrational value is lifted once, by one
+    product with the rows of z^j for just the exponents j that its own
+    conductor m reaches, j = (conductor / m) i for i < phi(m).
+    """
+    zeros = (0,) * (euler_phi(conductor) - 1)
+    distinct = {(v.conductor, v._num, v._den) for row in rows for v in row if any(v._num[1:])}
+    lifted = {}
+    for m in {key[0] for key in distinct}:
+        keys = [key for key in distinct if key[0] == m]
+        lift = _reduced_powers(conductor, (conductor // m) * np.arange(euler_phi(m)))
+        nums = np.array([key[1] for key in keys], dtype=object) @ lift
+        for key, num in zip(keys, nums.tolist()):
+            lifted[key] = _make(conductor, num, key[2]).coords
+    return [
+        tuple(
+            lifted[(v.conductor, v._num, v._den)] if any(v._num[1:]) else (v.coords[0],) + zeros
+            for v in row
+        )
+        for row in rows
+    ]
 
 
 # -- finite field images ---------------------------------------------------------------

@@ -44,7 +44,7 @@ from math import gcd
 
 import numpy as np
 
-from .cyclotomic import Cyc, cyc_to_field, root_sum
+from .cyclotomic import Cyc, cyc_to_field, root_sum, sort_keys
 from .errors import ClosureStalled, NotSemisimpleElement, RandomBudgetExceeded
 from .ffield import field_create, poly_divmod, poly_roots
 from .intmath import multiplicative_order, p_valuation
@@ -572,7 +572,9 @@ def brauer_table(group: PermGroup, p: int, seed: int = 0) -> BrauerTable:
         row = tuple(_power_value(counts[s], a) for s, a in map(source.get, regular))
         entries.append((module.dim, row, module))
     # key at the full group exponent so the order lines up with the ordinary table
-    entries.sort(key=lambda t: (t[0], tuple(v.sort_key(context.exponent) for v in t[1])))
+    keys = sort_keys([t[1] for t in entries], context.exponent)
+    ranked = sorted(range(len(entries)), key=lambda i: (entries[i][0], keys[i]))
+    entries = [entries[i] for i in ranked]
 
     dims = tuple(t[0] for t in entries)
     rows = tuple(t[1] for t in entries)

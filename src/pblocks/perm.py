@@ -14,9 +14,11 @@ coset actions, words in the generators).
 The elements are kept, in lexicographic order, as one (|G|, degree)
 integer array.  Classes, class matrices, centralizers and cosets compose
 whole columns of it by fancy indexing, map the products back to element
-indices by binary search on byte-row keys, and keep classes and cosets as
-label arrays in table order.  The p-subgroup sweep yields each Frattini
-subgroup as the intersection of the subgroups it reached it from.
+indices by sifting their images of the base points through the chain, and
+keep classes and cosets as label arrays in table order.  Each class matrix
+is built from the members of its own class, on its first read.  The
+p-subgroup sweep yields each Frattini subgroup as the intersection of the
+subgroups it reached it from.
 
 orbit is the one breadth-first search: the chain's transversals,
 generated closures, the block orbits in pblocks.blocks, and, over element
@@ -267,16 +269,6 @@ def verify_normal(group: PermGroup, sub: PermGroup) -> None:
 
 # -- element table -----------------------------------------------------------------
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Return one key per row that sorts bytewise like the row's tuple.
-
-    Each row becomes a contiguous big-endian uint32 block viewed as one
-    np.void, so the keys are exact at every degree.
-    """
-    rows = np.ascontiguousarray(rows, dtype=">u4")
-    return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
-
-
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class _ElementTable:
     """The group elements as one (|G|, degree) array in lexicographic order.
@@ -284,26 +276,54 @@ class _ElementTable:
     The rows are the stabilizer chain's transversal products, checked
     without trusting the chain: distinct rows closed under the generators
     are exactly the group, so the table length is its order.
+
+    An element is found from its images of the base points alone.  Level i
+    holds position, where position[x] is the place of x in the orbit of
+    base point i (0 off the orbit), and inverse, the inverses of that
+    level's transversal elements as rows.  Sifting reads the orbit position
+    of the first remaining image and strips its transversal element from
+    the images after it; the positions are the digits of the element's
+    place in the chain's listing, and rank maps that place to the row.
     """
 
     rows: np.ndarray
-    keys: np.ndarray
+    base: list
+    levels: tuple
+    rank: np.ndarray
 
     def index(self, rows: np.ndarray) -> np.ndarray:
         """Map an array of permutation rows to their element indices."""
-        idx = np.searchsorted(self.keys, _row_keys(rows))
-        # A key past the last element is not in the table; any index fails the check.
-        idx[idx == len(self.keys)] = 0
+        images = rows[:, self.base]
+        place = np.zeros(len(rows), dtype=np.intp)
+        for position, inverse in self.levels:
+            digit = position[images[:, 0]]
+            place = place * len(inverse) + digit
+            images = inverse[digit[:, None], images[:, 1:]]
+        idx = self.rank[place]
+        # a non-member sifts to some element's index, which the full rows then refute
         if not (self.rows[idx] == rows).all():
             raise RuntimeError("a composed permutation is not in the element table")
         return idx
 
-    def lookup(self, rows: np.ndarray) -> np.ndarray:
-        """Map rows given from outside to element indices; ValueError for a non-member."""
+    def lookup(self, rows) -> np.ndarray:
+        """Map rows given from outside to element indices.
+
+        ShapeMismatch for rows of another degree; ValueError for a non-member.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        degree = self.rows.shape[1]
+        if rows.size == 0:
+            return np.zeros(0, dtype=np.intp)
+        if rows.ndim != 2 or rows.shape[1] != degree:
+            raise ShapeMismatch(
+                f"rows of shape {rows.shape} do not match the group degree {degree}"
+            )
         try:
-            return self.index(rows)
+            if ((rows >= 0) & (rows < degree)).all():
+                return self.index(rows)
         except RuntimeError:
-            raise ValueError("element does not belong to the group") from None
+            pass
+        raise ValueError("element does not belong to the group")
 
 
 def _list_group(chain: dict, generators) -> tuple:
@@ -311,14 +331,22 @@ def _list_group(chain: dict, generators) -> tuple:
 
     Also returns the closure check's moves: row j times generator i is row moves[i][j].
     """
+    degree = len(chain["identity"])
     rows = np.array([chain["identity"]], dtype=np.intp)
+    levels = []
     for t in reversed(chain["trans"]):
+        transversal = np.array(list(t.values()), dtype=np.intp)
         # row [a, b] is rows[b] times transversal element a
-        rows = np.array(list(t.values()), dtype=np.intp)[:, rows].reshape(-1, rows.shape[1])
-    keys = _row_keys(rows)
-    order = np.argsort(keys)
-    table = _ElementTable(rows[order], keys[order])
-    if (table.keys[1:] == table.keys[:-1]).any():
+        rows = transversal[:, rows].reshape(-1, degree)
+        position = np.zeros(degree, dtype=np.intp)
+        position[list(t)] = np.arange(len(t))
+        # the argsort of a permutation row is its inverse
+        levels.append((position, np.argsort(transversal, axis=1)))
+    order = np.lexsort(rows.T[::-1])
+    rank = np.empty(len(rows), dtype=np.intp)
+    rank[order] = np.arange(len(rows))
+    table = _ElementTable(rows[order], chain["base"], tuple(reversed(levels)), rank)
+    if (table.rows[1:] == table.rows[:-1]).all(axis=1).any():
         raise RuntimeError("the stabilizer chain lists an element twice")
     moves = [table.index(np.array(g)[table.rows]) for g in generators]
     return table, moves
@@ -361,7 +389,7 @@ class ClassData:
 
     def classes_of(self, perms) -> list:
         """Return the class index of each permutation; ValueError if one lies outside the group."""
-        return self.labels[self.table.lookup(np.asarray(perms, dtype=np.intp))].tolist()
+        return self.labels[self.table.lookup(perms)].tolist()
 
 
 class PermGroup:
@@ -496,26 +524,35 @@ class PermGroup:
             self._classes = ClassData(reps, sizes, orders, labels, table)
         return self._classes
 
-    def class_matrices(self) -> list:
-        """Return the class algebra structure constants as read-only integer arrays.
+    def class_matrix(self, i: int) -> np.ndarray:
+        """Return the structure constants of class i as a read-only integer array.
 
-        Matrix i has entry [j, k] equal to the number of x in class i with
-        x^-1 * rep_k in class j, so it is the action of class sum i on the
-        class sums.  Computed once per group.
+        Entry [j, k] is the number of x in class i with x^-1 * rep_k in
+        class j, so the matrix is the action of class sum i on the class
+        sums.  It is built from the members of class i alone, on its first
+        read, and kept.
         """
+        data = self.conjugacy_classes()
         if self._class_matrices is None:
-            data = self.conjugacy_classes()
-            table = data.table
+            self._class_matrices = [None] * len(data)
+        if self._class_matrices[i] is None:
             n = len(data)
+            table = data.table
             label = data.labels
-            Xinv = np.argsort(table.rows, axis=1)
-            consts = np.zeros((n, n, n), dtype=np.int64)
-            for k, rep in enumerate(data.reps):
-                prod = label[table.index(np.array(rep)[Xinv])]
-                consts[:, :, k] = np.bincount(label * n + prod, minlength=n * n).reshape(n, n)
-            consts.flags.writeable = False
-            self._class_matrices = list(consts)
-        return self._class_matrices
+            # the argsort of a permutation row is its inverse
+            inverses = np.argsort(table.rows[label == i], axis=1)
+            reps = np.array(data.reps)
+            # a block of representatives composes at most |G| rows at once
+            step = len(label) // len(inverses)
+            M = np.empty((n, n), dtype=np.int64)
+            for k in range(0, n, step):
+                block = reps[k : k + step]
+                prods = label[table.index(block[:, inverses].reshape(-1, self.degree))]
+                for j, classes in enumerate(prods.reshape(len(block), -1), start=k):
+                    M[:, j] = np.bincount(classes, minlength=n)
+            M.flags.writeable = False
+            self._class_matrices[i] = M
+        return self._class_matrices[i]
 
     def exponent(self) -> int:
         """Return the least common multiple of all element orders."""

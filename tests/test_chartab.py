@@ -21,6 +21,7 @@ from pblocks.corpus import (
     DEFAULT_CORPUS,
     alternating_group,
     mathieu_group_11,
+    projective_special_linear_2,
     projective_special_linear_2_7,
     special_linear_2_8,
 )
@@ -189,6 +190,29 @@ class TestClassicalTables:
         assert tab.group.order() == 504
         assert tab.prime == 127
         assert tab.degrees == (1, 7, 7, 7, 7, 8, 9, 9, 9)
+
+
+class TestReach:
+    @pytest.mark.parametrize("q, degrees", [
+        (11, [1, 5, 5, 10, 10, 11, 12, 12]),
+        (13, [1, 7, 7, 12, 12, 12, 13, 14, 14]),
+        (16, [1] + [15] * 8 + [16] + [17] * 7),
+    ])
+    def test_psl2_degrees_are_the_closed_form(self, q, degrees):
+        assert character_table(projective_special_linear_2(q)).degrees == tuple(degrees)
+
+
+class TestClassMatricesRead:
+    @pytest.mark.parametrize("make, built, total", [
+        pytest.param(lambda: sym(7), 1, 15, id="S7"),
+        pytest.param(mathieu_group_11, 6, 10, id="M11"),
+    ])
+    def test_table_builds_only_the_class_matrices_its_split_reads(self, make, built, total):
+        G = make()
+        character_table(G)
+        kept = G._class_matrices
+        assert len(kept) == total
+        assert sum(M is not None for M in kept) == built
 
 
 class TestMathieu11:

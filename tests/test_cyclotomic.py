@@ -10,12 +10,14 @@ import pytest
 
 from pblocks.cyclotomic import (
     Cyc,
+    _reduced_powers,
     cyc_to_field,
     cyclotomic_poly,
     euler_phi,
     power_rows,
     rational_to_field,
     root_sum,
+    sort_keys,
 )
 from pblocks.chartab import character_table, lifting_prime
 from pblocks.corpus import (
@@ -248,9 +250,24 @@ class TestInterface:
 
     def test_sort_key_total_order(self):
         vals = [Cyc.root(12, k) for k in range(12)]
-        keys = [v.sort_key(12) for v in vals]
+        keys = sort_keys([[v] for v in vals], 12)
         assert len(set(keys)) == 12
         assert sorted(keys) == sorted(keys, key=tuple)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 12, 105, 420, 1320])
+    def test_reduced_powers_match_the_power_table(self, n):
+        exponents = list(range(0, n, 1 if n < 200 else 7)) + [n - 1]
+        assert (_reduced_powers(n, exponents) == power_rows(n, exponents)).all()
+
+    @pytest.mark.parametrize("conductor", [24, 264, 1320])
+    def test_sort_keys_are_the_lifted_coordinates(self, conductor):
+        rng = random.Random(conductor)
+        divisors = [m for m in (1, 2, 3, 4, 8, 11, 12) if conductor % m == 0]
+        rows = [[random_value(rng, rng.choice(divisors)) for _ in range(5)] for _ in range(6)]
+        rows.append([Cyc.rational(Fraction(-5, 3), 3), Cyc.rational(7), Cyc(3, [-1, 0])] * 2)
+        rows.append(rows[0])
+        lifted = [tuple(v.lift(conductor).coords for v in row) for row in rows]
+        assert sort_keys(rows, conductor) == lifted
 
     def test_immutability(self):
         z = Cyc.root(5)

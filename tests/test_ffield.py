@@ -318,6 +318,16 @@ def test_sums_along_an_axis_longer_than_the_carry_bound(p, m):
     assert F.vdot(M[None, :, 0], _ones(n, 1))[0, 0] == _from_coeffs(F, [n * (p - 1)] * m)
 
 
+def test_renormalised_sum_counts_as_one_term_in_short_blocks():
+    # a 128 x 128 output makes blocks of 2^14 / 128^2 = 1 inner index, so each
+    # renormalised sum is followed by R more top digits, which must not carry
+    F = field_create(3, 10)
+    assert F._carry_free == 31
+    top = F.q - 1
+    out = F.vdot(_ones(128, 64), np.full((64, 128), top, dtype=np.int64))
+    assert (out == top).all()
+
+
 # -- additive ops against a coefficient oracle -----------------------------------
 
 def _coeff_combo(F, terms):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pblocks.corpus import corpus_entry, cyclic_group, special_linear_2_8
-from pblocks.cyclotomic import Cyc, root_sum
+from pblocks.cyclotomic import Cyc, root_sum, sort_keys
 from pblocks.errors import ClosureStalled, NotSemisimpleElement, RandomBudgetExceeded
 from pblocks.ffield import field_create
 from pblocks.linalg import (
@@ -619,12 +619,11 @@ class TestSquareSplit:
     @staticmethod
     def brauer_rows(factors, ctx) -> list:
         classes = factors[0].group.conjugacy_classes()
-        return sorted(
-            tuple(root_sum(classes.orders[k], brauer_value(m, classes.reps[k], classes.orders[k], ctx))
-                  .sort_key(ctx.exponent)
-                  for k in p_regular_indices(classes, ctx.p))
+        return sorted(sort_keys([
+            [root_sum(classes.orders[k], brauer_value(m, classes.reps[k], classes.orders[k], ctx))
+             for k in p_regular_indices(classes, ctx.p)]
             for m in factors
-        )
+        ], ctx.exponent))
 
     @pytest.mark.parametrize("p, count", [(2, 9), (3, 6)])
     def test_the_square_has_the_factors_of_its_two_pieces(self, p, count):

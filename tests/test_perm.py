@@ -6,7 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from pblocks.errors import CapExceeded, EnumerationRequired, NotAPermutation, NotNormal
+from pblocks.errors import (
+    CapExceeded,
+    EnumerationRequired,
+    NotAPermutation,
+    NotNormal,
+    ShapeMismatch,
+)
 from pblocks.chartab import class_fusion
 from pblocks.corpus import (
     alternating_group,
@@ -256,10 +262,10 @@ def test_class_lookup_is_conjugation_invariant():
 
 def test_class_matrices_computed_once():
     G = _sym(4)
-    mats = G.class_matrices()
-    assert G.class_matrices() is mats
     data = G.conjugacy_classes()
     n = len(data)
+    mats = [G.class_matrix(i) for i in range(n)]
+    assert all(G.class_matrix(i) is M for i, M in enumerate(mats))
     assert [M.shape for M in mats] == [(n, n)] * n
     assert (mats[0] == [[int(j == k) for k in range(n)] for j in range(n)]).all()
     for i, M in enumerate(mats):
@@ -336,7 +342,7 @@ def test_class_matrices_match_triple_count(make, order):
             k = rep_index.get(perm_mul(x, y))
             if k is not None:
                 count[label[x]][label[y]][k] += 1
-    mats = G.class_matrices()
+    mats = [G.class_matrix(i) for i in range(n)]
     for i in range(n):
         assert mats[i].tolist() == [[count[i][j][k] for k in range(n)] for j in range(n)]
 
@@ -371,6 +377,60 @@ def test_element_table_lookup_rejects_rows_outside_the_group():
     for row in ((0, 2, 1), (2, 1, 0)):
         with pytest.raises(RuntimeError):
             table.index(np.array([row]))
+
+
+def _c2_power_6_on_12():
+    """C2^6 as six disjoint transpositions on 12 points: a base of length 6."""
+    return PermGroup(12, [_cycles(12, (2 * i + 1, 2 * i + 2)) for i in range(6)])
+
+
+@pytest.mark.parametrize("make, order, base_length, sample", [
+    pytest.param(_c2_power_6_on_12, 64, 6, None, id="C2^6-on-12"),
+    pytest.param(_s3_x_c5_on_20, 30, 3, None, id="S3xC5-on-20"),
+    pytest.param(mathieu_group_11, 7920, 4, 400, id="M11-sampled"),
+])
+def test_element_index_matches_the_sorted_closure(make, order, base_length, sample):
+    G = make()
+    els = sorted(_closure(G.degree, G.generators))
+    assert len(els) == order
+    position = {g: i for i, g in enumerate(els)}
+    assert G.elements() == els
+    table = G._element_table()
+    assert len(table.base) == base_length
+    rng = random.Random(order)
+    chosen = els if sample is None else rng.sample(els, sample)
+    assert table.index(np.array(chosen)).tolist() == [position[g] for g in chosen]
+    pairs = [(rng.choice(els), rng.choice(els)) for _ in range(200)]
+    products = [_compose(a, b) for a, b in pairs]
+    assert table.index(np.array(products)).tolist() == [position[g] for g in products]
+    # a transposition of two moved points lies in none of these groups
+    moved = [x for x in range(G.degree) if any(g[x] != x for g in G.generators)]
+    outsider = list(range(G.degree))
+    outsider[moved[0]], outsider[moved[-1]] = outsider[moved[-1]], outsider[moved[0]]
+    assert tuple(outsider) not in position
+    with pytest.raises(RuntimeError):
+        table.index(np.array([els[1], outsider]))
+    with pytest.raises(ValueError, match="does not belong"):
+        table.lookup([outsider])
+
+
+def test_class_lookup_of_no_element_is_empty():
+    assert _sym(4).conjugacy_classes().classes_of([]) == []
+
+
+def test_class_lookup_names_both_degrees_for_a_row_of_another_degree():
+    data = _sym(4).conjugacy_classes()
+    with pytest.raises(ShapeMismatch, match=r"\(1, 5\).*degree 4"):
+        data.classes_of([(0, 1, 2, 3, 4)])
+    with pytest.raises(ShapeMismatch, match=r"\(4,\).*degree 4"):
+        data.classes_of((0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("row", [(0, 1, 2, 4), (0, 1, 2, -1), (7, 1, 2, 3)])
+def test_class_lookup_of_a_point_outside_the_degree_is_not_a_member(row):
+    data = _sym(4).conjugacy_classes()
+    with pytest.raises(ValueError, match="does not belong"):
+        data.classes_of([row])
 
 
 def _bfs_tree(G):
