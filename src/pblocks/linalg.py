@@ -6,8 +6,11 @@ of M is the space of rows v with v M = 0, and eigenvectors of M are rows
 v with v M = c v.  Elimination routines use one vectorized full-matrix
 update per pivot, with the pivot chosen as the first nonzero entry.  The
 characteristic polynomial runs the Hessenberg recurrence on coefficient
-rows, with one vector op per term.  Every product, including the sums
-inside the Hessenberg reduction, the recurrence and the spin, goes through
+rows, with one vector op per term.  The minimal polynomial of one vector
+under a matrix comes from its Krylov sequence v, vA, ..., vA^n by one
+elimination (Keller-Gehrig), which also gives the Krylov rows that carry
+its eigenvectors.  Every product, including the sums inside the Hessenberg
+reduction, the recurrence, the Krylov sequence and the spin, goes through
 the field's vdot: numpy's integer product on prime fields, in blocks
 that int64 sums cannot wrap, packed digit sums on odd characteristic table
 fields, and otherwise, per block of the inner index, one XOR reduce or, on
@@ -144,8 +147,8 @@ def mat_scale(A: Mat, c: int) -> Mat:
 
 
 def mat_transpose(A: Mat) -> Mat:
-    """Return the transpose."""
-    return Mat(A.field, A.data.T)
+    """Return the transpose, a read-only view of the same entries."""
+    return Mat._fresh(A.field, A.data.T)
 
 
 def mat_kron(A: Mat, B: Mat) -> Mat:
@@ -156,7 +159,7 @@ def mat_kron(A: Mat, B: Mat) -> Mat:
         A.data[:, None, :, None],
         B.data[None, :, None, :],
     )
-    return Mat(F, prod.reshape(A.nrows * B.nrows, A.ncols * B.ncols))
+    return Mat._fresh(F, prod.reshape(A.nrows * B.nrows, A.ncols * B.ncols))
 
 
 # -- elimination --------------------------------------------------------------------
@@ -190,7 +193,7 @@ def _rref_generic(arr, F: Field, limit: int):
 def mat_rref(A: Mat):
     """Return the reduced row echelon form and the pivot column tuple."""
     arr, pivots = _rref_generic(A.writable(), A.field, A.ncols)
-    return Mat(A.field, arr), pivots
+    return Mat._fresh(A.field, arr), pivots
 
 
 def mat_rank(A: Mat) -> int:
@@ -203,8 +206,8 @@ def _rref_with_transform(A: Mat):
     F = A.field
     aug = np.hstack([A.data, Mat.identity(F, A.nrows).data])
     arr, pivots = _rref_generic(aug, F, A.ncols)
-    R = Mat(F, arr[:, :A.ncols])
-    T = Mat(F, arr[:, A.ncols:])
+    R = Mat._fresh(F, arr[:, :A.ncols])
+    T = Mat._fresh(F, arr[:, A.ncols:])
     return R, T, pivots
 
 
@@ -229,7 +232,7 @@ def mat_right_kernel(A: Mat) -> Mat:
     for idx, j in enumerate(free):
         out[idx, j] = 1
         out[idx, cols] = F.vneg(R.data[:len(cols), j])
-    return Mat(F, out)
+    return Mat._fresh(F, out)
 
 
 def mat_left_kernel(A: Mat) -> Mat:
@@ -245,7 +248,7 @@ def mat_eigenspace(A: Mat, lam: int) -> Mat:
     shifted = A.writable()
     idx = np.arange(A.nrows)
     shifted[idx, idx] = F.vsub(shifted[idx, idx], np.int64(int(lam)))
-    return mat_left_kernel(Mat(F, shifted))
+    return mat_left_kernel(Mat._fresh(F, shifted))
 
 
 def mat_solve_left(A: Mat, B: Mat) -> Mat:
@@ -262,7 +265,7 @@ def mat_solve_left(A: Mat, B: Mat) -> Mat:
     return mat_mul(C, Mat(A.field, T.data[:len(pivots), :]))
 
 
-# -- characteristic polynomial ---------------------------------------------------
+# -- characteristic and minimal polynomials -------------------------------------------
 
 def _hessenberg(A: Mat):
     """Return a Hessenberg form similar to A, as a writable array."""
@@ -308,3 +311,31 @@ def mat_charpoly(A: Mat) -> list:
         P[k, 1:k + 1] = P[k - 1, :k]
         P[k, :k] = F.vsub(P[k, :k], F.vdot(c[None, :], P[:k, :k])[0])
     return P[n].tolist()
+
+
+def mat_vector_minpoly(A: Mat, v: Mat) -> tuple:
+    """Return the Krylov rows of a row v under A and its minimal polynomial.
+
+    The polynomial is the monic f of least degree k with v f(A) = 0,
+    constant term first, and the rows are v, vA, ..., vA^(k-1), which are
+    independent.  The rows vA^i, i <= n, take n vdots, and one rref of
+    their transpose finds k and f (Keller-Gehrig): its pivots are columns
+    0..k-1, and column k holds the coordinates of vA^k on the first k rows.
+    f divides the minimal polynomial of A, and for each root c of f,
+    (f / (x - c)) applied to v, a combination of the rows, is a nonzero
+    row u with u A = c u.
+    """
+    _same_field(A, v)
+    if A.nrows != A.ncols or v.shape != (1, A.nrows):
+        raise ShapeMismatch(f"cannot run a Krylov sequence of {v.shape} under {A.shape}")
+    F = A.field
+    n = A.nrows
+    rows = np.empty((n + 1, n), dtype=np.int64)
+    rows[0] = v.data[0]
+    for i in range(n):
+        rows[i + 1] = F.vdot(rows[i:i + 1], A.data)[0]
+    R, pivots = mat_rref(Mat._fresh(F, rows.T))
+    k = len(pivots)
+    if pivots != tuple(range(k)):
+        raise RuntimeError("Krylov rows past the minimal polynomial's degree are not dependent")
+    return Mat._fresh(F, rows[:k]), F.vneg(R.data[:k, k]).tolist() + [1]

@@ -10,7 +10,11 @@ field; a module that is simple but not absolutely simple, or any module
 left undecided after RANDOM_ELEMENT_BUDGET elements, ends in
 RandomBudgetExceeded.  As Holt and Rees state the test, it spins one
 vector of each eigenspace (the nucleus) and, when that eigenspace is a
-line, one vector of the matching eigenspace of the transpose.  A random
+line, one vector of the matching eigenspace of the transpose.  Each draw
+is an element and a start row: the minimal polynomial of the row, from
+one elimination of its Krylov sequence, gives eigenvalues, and its
+quotient by (x - root), applied to the row, gives a nucleus vector, so
+the chop takes no characteristic polynomial and no eigenspace.  A random
 element is a combination of generator words with no scalar term, since
 theta + cI has the eigenspaces of theta with every root shifted by c.
 Each certified factor keeps its witness: the element, the root and the
@@ -58,7 +62,8 @@ from .linalg import (
     mat_right_kernel,
     mat_rref,
     mat_scale,
-    mat_transpose,
+    mat_sub,
+    mat_vector_minpoly,
 )
 from .perm import ClassData, PermGroup
 
@@ -160,7 +165,7 @@ def tensor_module(a: GModule, b: GModule) -> GModule:
 def sub_module(module: GModule, B: Mat, pivots: tuple) -> GModule:
     """Return the action on an invariant row space, given in reduced echelon form."""
     cols = list(pivots)
-    mats = [Mat(module.field, mat_mul(B, M).data[:, cols]) for M in module.mats]
+    mats = [Mat._fresh(module.field, mat_mul(B, M).data[:, cols]) for M in module.mats]
     return GModule(module.group, module.field, mats)
 
 
@@ -187,7 +192,7 @@ def quotient_module(module: GModule, B: Mat, pivots: tuple) -> GModule:
     for M in module.mats:
         rows = M.data[others, :]
         reduced = F.vsub(rows, mat_mul(Mat(F, rows[:, list(pivots)]), B).data)
-        mats.append(Mat(F, reduced[:, others]))
+        mats.append(Mat._fresh(F, reduced[:, others]))
     return GModule(module.group, module.field, mats)
 
 
@@ -238,7 +243,7 @@ class _Span:
     def echelon(self) -> tuple:
         """Return the rows sorted by pivot and the sorted pivots, as mat_rref would."""
         order = np.argsort(self.pivots)
-        return Mat(self.field, self.rows[order]), tuple(sorted(self.pivots))
+        return Mat._fresh(self.field, self.rows[order]), tuple(sorted(self.pivots))
 
 
 def _spin(field, mats_data: list, seed_row) -> _Span:
@@ -308,7 +313,18 @@ def _chop_step(module: GModule, rng: random.Random):
 
     The space is returned as mat_rref returns it: (basis, pivots) in reduced
     echelon form.  A 1-dimensional module is simple, and any element is a
-    witness for it, with its one entry as the root.
+    witness for it, with its one entry as the root.  Otherwise each draw is
+    an element theta and a start row v; a zero v spends the draw.  The
+    minimal polynomial f of v under theta, from one Krylov elimination,
+    divides that of theta, so each root lam of f is an eigenvalue, and
+    u = (f / (x - lam)) applied to v is a nonzero row of the kernel of
+    theta - lam, scaled so that its last nonzero entry is 1, as
+    mat_right_kernel writes a line.  A proper spin of u splits the module.
+    A full one costs one elimination, the right kernel of theta - lam: if
+    it is a line, its row (an eigenvector of the transpose) is spun under
+    the transposed generators, and a full co-spin makes (theta, lam, u)
+    the witness, while a proper one splits the module by its annihilator.
+    A wider kernel moves on to the next root.
     """
     n = module.dim
     F = module.field
@@ -319,17 +335,23 @@ def _chop_step(module: GModule, rng: random.Random):
     mats_data = [M.data for M in module.mats]
     for _ in range(RANDOM_ELEMENT_BUDGET):
         words, coeffs = _draw_element(rng, module)
+        v = Mat(F, [[rng.randrange(F.q) for _ in range(n)]])
+        if not v.data.any():
+            continue
         theta = _element(module, words, coeffs)
-        for lam in poly_roots(F, mat_charpoly(theta)):
-            nucleus = mat_eigenspace(theta, lam)
-            span = _spin(F, mats_data, nucleus.data[0])
+        krylov, f = mat_vector_minpoly(theta, v)
+        for lam in poly_roots(F, f):
+            quot, _ = poly_divmod(F, f, [F.neg(lam), 1])
+            u = F.vdot(np.array([quot], dtype=np.int64), krylov.data)[0]
+            u = F.vmul(u, np.int64(F.inv(int(u[np.flatnonzero(u)[-1]]))))
+            span = _spin(F, mats_data, u)
             if span.dim < n:
                 return span.echelon()
-            if nucleus.nrows == 1:
-                co_nucleus = mat_eigenspace(mat_transpose(theta), lam)
+            co_nucleus = mat_right_kernel(mat_sub(theta, mat_scale(Mat.identity(F, n), lam)))
+            if co_nucleus.nrows == 1:
                 span = _spin(F, [d.T.copy() for d in mats_data], co_nucleus.data[0])
                 if span.dim == n:
-                    return Witness(words, coeffs, lam, nucleus.data[0])
+                    return Witness(words, coeffs, lam, u)
                 return mat_rref(mat_right_kernel(span.basis()))
     raise RandomBudgetExceeded(
         f"chop of a {n}-dimensional module over GF({F.q}) undecided after "

@@ -9,8 +9,10 @@ from pblocks import ffield
 from pblocks.errors import ShapeMismatch
 from pblocks.ffield import (
     field_create,
+    poly_divmod,
     poly_factor,
     poly_mul,
+    poly_roots,
     poly_sub,
     poly_trim,
 )
@@ -31,6 +33,7 @@ from pblocks.linalg import (
     mat_solve_left,
     mat_sub,
     mat_transpose,
+    mat_vector_minpoly,
 )
 
 
@@ -511,3 +514,72 @@ def test_eigenspace_matches_rank_oracle(p, m):
 def test_eigenspace_needs_square_matrix():
     with pytest.raises(ShapeMismatch):
         mat_eigenspace(Mat.zeros(field_create(7), 2, 3), 1)
+
+
+# -- Krylov sequences -----------------------------------------------------------------
+
+# a prime field, table fields of characteristic 2 and 3, and the generic GF(2^18)
+KRYLOV_FIELDS = [(101, 1), (2, 6), (3, 4), (2, 18)]
+
+
+def _poly_at(F, f, A):
+    """Return f(A) by Horner's rule on matrices."""
+    n = A.nrows
+    acc = Mat.zeros(F, n, n)
+    for c in reversed(f):
+        acc = mat_add(mat_mul(acc, A), mat_scale(Mat.identity(F, n), c))
+    return acc
+
+
+@pytest.mark.parametrize("p, m", KRYLOV_FIELDS)
+def test_vector_minpoly_is_the_least_annihilator_and_divides_the_charpoly(p, m):
+    F = field_create(p, m)
+    rng = random.Random(p * 100 + m)
+    for n in (1, 4, 9):
+        B = _random_mat(F, n, n, rng)
+        repeated = np.zeros((2 * n, 2 * n), dtype=np.int64)
+        repeated[:n, :n] = repeated[n:, n:] = B.data
+        # on B + B no row has a minimal polynomial of degree above n
+        for A in (B, Mat(F, repeated)):
+            v = _random_mat(F, 1, A.nrows, rng)
+            while not v.data.any():
+                v = _random_mat(F, 1, A.nrows, rng)
+            rows, f = mat_vector_minpoly(A, v)
+            k = rows.nrows
+            assert len(f) == k + 1 and f[-1] == 1
+            assert mat_mul(v, _poly_at(F, f, A)) == Mat.zeros(F, 1, A.nrows)
+            assert mat_rank(rows) == k and k <= n
+            assert rows.data[0].tolist() == v.data[0].tolist()
+            assert all(mat_mul(Mat(F, rows.data[i:i + 1]), A) == Mat(F, rows.data[i + 1:i + 2])
+                       for i in range(k - 1))
+            assert poly_divmod(F, mat_charpoly(A), f)[1] == []
+            for c in poly_roots(F, f):
+                u = mat_mul(Mat(F, [poly_divmod(F, f, [F.neg(c), 1])[0]]), rows)
+                assert u.data.any() and mat_mul(u, A) == mat_scale(u, c)
+
+
+@pytest.mark.parametrize("p, m", KRYLOV_FIELDS)
+def test_vector_minpoly_of_the_first_unit_row_under_a_companion_matrix_is_its_charpoly(p, m):
+    # e_i C = e_(i+1) for i < n - 1 and e_(n-1) C = -(c_0 e_0 + ... + c_(n-1) e_(n-1))
+    F = field_create(p, m)
+    rng = random.Random(71 + p + m)
+    for n in (1, 3, 8):
+        coeffs = [rng.randrange(F.q) for _ in range(n)] + [1]
+        comp = np.zeros((n, n), dtype=np.int64)
+        for i in range(n - 1):
+            comp[i, i + 1] = 1
+        comp[n - 1] = [F.neg(c) for c in coeffs[:n]]
+        C = Mat(F, comp)
+        rows, f = mat_vector_minpoly(C, Mat(F, Mat.identity(F, n).data[:1]))
+        assert f == coeffs == mat_charpoly(C)
+        assert rows == Mat.identity(F, n)
+
+
+def test_vector_minpoly_shape_guards():
+    F = field_create(7)
+    with pytest.raises(ShapeMismatch):
+        mat_vector_minpoly(Mat.zeros(F, 2, 3), Mat.zeros(F, 1, 2))
+    with pytest.raises(ShapeMismatch):
+        mat_vector_minpoly(Mat.identity(F, 3), Mat.zeros(F, 1, 2))
+    with pytest.raises(ShapeMismatch):
+        mat_vector_minpoly(Mat.identity(F, 2), Mat.zeros(field_create(5), 1, 2))

@@ -363,18 +363,21 @@ class TestOneSpin:
     @pytest.mark.parametrize("build, seed, swap", [(alt4, 1, True), (alt5, 1, False)])
     def test_a_witness_line_on_b_is_rejected_by_the_pair_spin(self, build, seed, swap, monkeypatch):
         # two non-isomorphic simples: the A4 linears, or A5's two 2-dimensional
-        # simples at p = 2, seeded so that the witness element of a has a
-        # one-dimensional root eigenspace on b as well
+        # simples at p = 2, at the first seed from the given one on at which the
+        # witness element of a has a one-dimensional root eigenspace on b as well
         g = build()
         ctx = ReductionContext(g, 2)
-        if build is alt4:
-            triv = trivial_module(g, ctx.field)
-            factors = composition_factors(perm_module(g, ctx.field), seed=seed)
-            a, b = [m for m in factors if module_iso(m, triv) is None]
-        else:
-            a, b = [m for m in simple_modules(g, ctx, seed=seed) if m.dim == 2]
-        if swap:
-            a, b = b, a
+        for seed in range(seed, seed + 32):
+            if build is alt4:
+                triv = trivial_module(g, ctx.field)
+                factors = composition_factors(perm_module(g, ctx.field), seed=seed)
+                a, b = [m for m in factors if module_iso(m, triv) is None]
+            else:
+                a, b = [m for m in simple_modules(g, ctx, seed=seed) if m.dim == 2]
+            if swap:
+                a, b = b, a
+            if self.witness_nullity(a, b) == 1:
+                break
         assert self.witness_nullity(a, b) == 1
         spins = self.counting_spins(monkeypatch)
         assert module_iso(a, b) is None
@@ -409,6 +412,38 @@ class TestWitness:
             assert kernel.nrows == 1
             assert w.vector.any() and mat_rank(Mat(F, np.vstack([kernel.data, w.vector]))) == 1
             assert _spin(F, [M.data for M in factor.mats], w.vector).dim == factor.dim
+
+    @pytest.mark.parametrize("module", [
+        pytest.param(lambda: perm_module(alt5(), ReductionContext(alt5(), 3).field), id="A5-perm-p3"),
+        *PRODUCTS,
+    ])
+    def test_the_chop_takes_no_charpoly_or_eigenspace_and_certifies_lines(self, module, monkeypatch):
+        module = module()
+
+        def refused(*args):
+            raise AssertionError("the chop took a charpoly or an eigenspace")
+
+        monkeypatch.setattr(modrep, "mat_charpoly", refused)
+        monkeypatch.setattr(modrep, "mat_eigenspace", refused)
+        witnesses = []
+        chop_step = modrep._chop_step
+
+        def recording_step(piece, rng):
+            step = chop_step(piece, rng)
+            if isinstance(step, modrep.Witness):
+                witnesses.append((piece, step))
+            return step
+
+        monkeypatch.setattr(modrep, "_chop_step", recording_step)
+        for seed in range(2):
+            composition_factors(module, seed=seed)
+        assert witnesses
+        for piece, w in witnesses:
+            F = piece.field
+            theta = _element(piece, w.words, w.coeffs)
+            vector = Mat(F, w.vector[None, :])
+            assert w.vector.any() and mat_mul(vector, theta) == mat_scale(vector, w.root)
+            assert mat_eigenspace(theta, w.root).nrows == 1
 
     @pytest.mark.parametrize("product", PRODUCTS)
     def test_known_gives_the_same_factors_in_fewer_steps(self, product, monkeypatch):
