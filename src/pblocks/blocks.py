@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -13,7 +14,7 @@ from .chartab import (
     lifting_prime,
     restrict_row,
 )
-from .cyclotomic import Cyc, cyc_to_field
+from .cyclotomic import coordinates, cyc_to_field
 from .errors import (
     AmbiguousInduction,
     CompositeCharacteristic,
@@ -68,12 +69,14 @@ def _integral_expansion(basis, targets, order: int, exponent: int) -> tuple:
     """Express target rows in a square basis of cyclotomic rows over the integers.
 
     The system is solved modulo the lifting prime r and the integer
-    candidate is then verified exactly, so a wrong or fractional solution
-    cannot slip through rounding.  One prime suffices when the basis is the
-    Brauer table Phi of G or of a subgroup H: with C the Cartan matrix,
-    |det Phi|^2 det C is the product of the centralizer orders |C_H(h)|
-    over the p-regular classes, so Phi is invertible modulo every prime
-    that does not divide |G|, and lifting_prime returns only such primes.
+    candidate is then verified exactly, as one integer product with the
+    basis values' coordinates against the targets' ones, so a wrong or
+    fractional solution cannot slip through rounding.  One prime suffices
+    when the basis is the Brauer table Phi of G or of a subgroup H: with C
+    the Cartan matrix, |det Phi|^2 det C is the product of the centralizer
+    orders |C_H(h)| over the p-regular classes, so Phi is invertible modulo
+    every prime that does not divide |G|, and lifting_prime returns only
+    such primes.
     """
     size = len(basis)
     r = lifting_prime(order, exponent)
@@ -83,18 +86,17 @@ def _integral_expansion(basis, targets, order: int, exponent: int) -> tuple:
     if mat_rank(bmat) < size:
         raise RuntimeError(f"the basis is singular modulo the lifting prime {r}")
     rmat = Mat(field, [[cyc_to_field(v, field, z, exponent) for v in row] for row in targets])
-    solved = mat_solve_left(bmat, rmat)
-    coeffs = tuple(tuple(int(x) for x in row) for row in solved.data)
-    for i, target in enumerate(targets):
-        for t in range(size):
-            acc = Cyc.zero(1)
-            for j in range(size):
-                if coeffs[i][j]:
-                    acc = acc + coeffs[i][j] * basis[j][t]
-            if acc != target[t]:
-                raise NonIntegralSolution(
-                    f"expansion row {i} does not reproduce the target values"
-                )
+    coeffs = tuple(tuple(int(x) for x in row) for row in mat_solve_left(bmat, rmat).data)
+    values = [v for row in list(basis) + list(targets) for v in row]
+    conductor = lcm(*(v.conductor for v in values if any(v.coords[1:])))
+    nums, _ = coordinates(values, conductor)
+    nums = nums.reshape(size + len(targets), -1)
+    product = np.array(coeffs, dtype=object).reshape(len(targets), size) @ nums[:size]
+    bad = np.flatnonzero((product != nums[size:]).any(axis=1))
+    if bad.size:
+        raise NonIntegralSolution(
+            f"expansion row {int(bad[0])} does not reproduce the target values"
+        )
     return coeffs
 
 

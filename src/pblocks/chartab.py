@@ -19,14 +19,15 @@ on the powers g^j of a class representative with it gives, for every row at
 once, the multiplicity of each z_m^s as an eigenvalue of g (a discrete
 Fourier sum).  The value is sum_s mult_s z_m^s at conductor m, one integer
 product with the basis coordinates of the powers of z_m.  The rows are
-sorted by degree, then by sort_keys at the exponent, which lifts each
-distinct irrational value once and keys a rational one without a lift.
+sorted by degree, then by sort_keys: the values' coordinates at the
+exponent.
 
 The degree sum and orthogonality are verified exactly before a table is
 returned.  Orthogonality is one Gram matrix from class_gram, the kernel
 that also checks tables in the harness and restriction multiplicities in
 the block pipeline: integer coordinate arrays, one tensordot over the
-classes per coefficient index.
+classes per coefficient index.  Both read their coordinates from
+cyclotomic.coordinates, the one lift of values to a common conductor.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .cyclotomic import euler_phi, power_rows, root_sum, sort_keys
+from .cyclotomic import coordinates, euler_phi, power_rows, root_sum, sort_keys
 from .errors import FusionInconsistent, LiftingPrimeNotFound
 from .ffield import field_create, poly_roots
 from .intmath import is_prime
@@ -67,12 +68,6 @@ def lifting_prime(order: int, exponent: int) -> int:
     )
 
 
-def _rational(value):
-    """Return a value as an int or Fraction when it is rational, else None."""
-    q = value.as_int()
-    return value.as_rational() if q is None else q
-
-
 def class_gram(rows, others, classes: ClassData) -> tuple:
     """Return the matrix of inner products <rows[i], others[j]> of class functions.
 
@@ -80,37 +75,23 @@ def class_gram(rows, others, classes: ClassData) -> tuple:
     C_k with representatives g_k.  Each entry is a Fraction, or None where
     it is irrational, which cannot happen when both are characters.
 
-    Rational values are read at conductor 1 and the irrational ones are
-    lifted to L, the lcm of their conductors only, so every value is a row
-    of phi(L) integer coordinates over one common denominator.  The
-    conjugate is one integer matrix (z^s to z^-s), the coordinate product
-    is a loop over the phi(L) coefficient index with one tensordot over
-    the classes per step, so no intermediate is larger than
-    rows x others x (2 phi(L) - 1), and the powers z^0 .. z^(2 phi(L) - 2)
-    reduce by one product with their basis coordinates.  The arrays are
-    int64 when max |coordinate|^2 |G| phi(L) times the column norms of the
-    two integer matrices is below 2^62, which bounds every partial sum, and
-    dtype=object with the same expressions otherwise.
+    Every value is a row of phi(L) integer coordinates over one common
+    denominator, from cyclotomic.coordinates at L, the lcm of the
+    irrational values' conductors only.  The conjugate is one integer
+    matrix (z^s to z^-s), the coordinate product is a loop over the phi(L)
+    coefficient index with one tensordot over the classes per step, so no
+    intermediate is larger than rows x others x (2 phi(L) - 1), and the
+    powers z^0 .. z^(2 phi(L) - 2) reduce by one product with their basis
+    coordinates.  The arrays are int64 when max |coordinate|^2 |G| phi(L)
+    times the column norms of the two integer matrices is below 2^62, which
+    bounds every partial sum, and dtype=object with the same expressions
+    otherwise.
     """
     rows, others = list(rows), list(others)
     values = [v for row in rows + others for v in row]
-    rational = [_rational(v) for v in values]
-    irrational = [i for i, q in enumerate(rational) if q is None]
-    conductor = lcm(*(values[i].conductor for i in irrational))
+    conductor = lcm(*(v.conductor for v in values if any(v.coords[1:])))
     phi = euler_phi(conductor)
-    den = lcm(*(q.denominator for q in rational if q is not None),
-              *(c.denominator for i in irrational for c in values[i].coords))
-
-    coords = np.zeros((len(values), phi), dtype=object)
-    coords[:, 0] = [0 if q is None else q.numerator * (den // q.denominator) for q in rational]
-    by_conductor = {}
-    for i in irrational:
-        by_conductor.setdefault(values[i].conductor, []).append(i)
-    for m, idx in by_conductor.items():
-        nums = [[c.numerator * (den // c.denominator) for c in values[i].coords] for i in idx]
-        lift = power_rows(conductor, (conductor // m) * np.arange(euler_phi(m)))
-        coords[idx] = np.array(nums, dtype=object) @ lift
-
+    coords, den = coordinates(values, conductor)
     conj = power_rows(conductor, -np.arange(phi))
     reduction = power_rows(conductor, np.arange(2 * phi - 1))
     order = sum(classes.sizes)

@@ -5,7 +5,7 @@ from typing import Callable, Optional
 
 from .errors import CompositeCharacteristic, ShapeMismatch
 from .ffield import field_create
-from .intmath import factorint, is_prime
+from .intmath import factorint, is_int, is_prime
 from .perm import PermGroup, perm_from_cycles, verify_normal
 
 
@@ -250,18 +250,22 @@ class CartanFixture:
     trace_expected: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "prime", int(self.prime))
+        for name in ("prime", "defect_order", "sectional", "trace_expected"):
+            value = getattr(self, name)
+            if name == "trace_expected" and value is None:
+                continue
+            if not is_int(value):
+                raise ValueError(f"fixture {self.name!r}: {name} {value!r} is not an integer")
+            object.__setattr__(self, name, int(value))
         if not is_prime(self.prime):
             raise CompositeCharacteristic(f"fixture {self.name!r}: {self.prime} is not prime")
+        if not all(is_int(v) for row in self.rows for v in row):
+            raise ShapeMismatch(f"fixture {self.name!r}: matrix entries must be integers")
         rows = tuple(tuple(int(v) for v in row) for row in self.rows)
         size = len(rows)
         if size == 0 or any(len(row) != size for row in rows):
             raise ShapeMismatch("fixture matrix must be square and nonempty")
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "defect_order", int(self.defect_order))
-        object.__setattr__(self, "sectional", int(self.sectional))
-        if self.trace_expected is not None:
-            object.__setattr__(self, "trace_expected", int(self.trace_expected))
         if self.defect_order < 1:
             raise ValueError(f"fixture {self.name!r}: defect group order must be positive")
         if self.sectional < 0:

@@ -5,20 +5,24 @@ cyclotomic field, where z is a fixed primitive n-th root of unity and n is
 the value's conductor, as integer numerators over one positive common
 denominator in lowest terms.  The power basis is an integral basis, so an
 algebraic integer (every ordinary or Brauer character value) has
-denominator 1 and its arithmetic runs on plain Python ints.  Products
-reduce through precomputed integer tables of the basis relation given by
-the n-th cyclotomic polynomial; values with different conductors lift to
-the least common multiple before combining.  The same tables, as integer
-matrices (power_rows) and as root sums (root_sum), serve callers that
-work on whole coordinate arrays instead of one value at a time.  Table rows
-sort by sort_keys, which reads only the powers its values need, not a
-whole table at the common conductor.
+denominator 1 and its arithmetic runs on plain Python ints.
+
+Every basis coordinate of a power z_n^e comes from one algorithm: the
+power series 1/Phi_n, a Moebius product of binomials x^d - 1, read as the
+quotient of x^e by Phi_n (the same product gives Phi_n itself).  Two caches
+hold its rows: z_n^0 .. z_n^(n-1) per conductor, which root_sum,
+power_rows and the products of values read, and the lift rows
+z_n^((n/m) i), i < phi(m), per pair of conductors.  coordinates is the one
+lift of many values to a common conductor, as integer numerators over one
+denominator, and sort_keys, the Gram matrices of chartab and the exact
+check of integral expansions in blocks all read it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd, lcm
 from numbers import Rational
 
@@ -29,42 +33,42 @@ from .intmath import factorint
 
 # -- cyclotomic polynomials -------------------------------------------------------
 
-def _z_div_exact(num: list, den: tuple) -> list:
-    """Divide integer polynomials exactly (den monic), constant term first."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - 1, len(den) - 2, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        k = i - (len(den) - 1)
-        out[k] = c
-        for j, d in enumerate(den):
-            num[k + j] -= c * d
-    if any(num):
-        raise ArithmeticError("division was not exact")
-    return out
+def _moebius_product(n: int, length: int, sign: int) -> np.ndarray:
+    """Return the first length coefficients of the power series Phi_n^sign, sign = 1 or -1.
+
+    Phi_n is the product of (x^d - 1)^mu(n/d) over the divisors d of n
+    (Moebius inversion of x^n - 1 = prod Phi_d).  Every factor the series
+    multiplies by comes first, as one shift each, then every factor it
+    divides by, as one strided cumulative sum each.  So each partial result
+    is the series times the factors still to divide by, and its
+    coefficients stay small.
+    """
+    series = np.zeros(length, dtype=np.int64)
+    series[0] = 1
+    divisors = [(n, 1)]
+    for q in factorint(n):
+        divisors += [(d // q, -mu) for d, mu in divisors]
+    for d, mu in sorted(divisors, key=lambda t: -sign * t[1]):
+        if sign * mu > 0:
+            # times x^d - 1
+            series = np.concatenate([np.zeros(d, dtype=np.int64), series])[:length] - series
+        else:
+            # over x^d - 1, as -(1 + x^d + x^2d + ...)
+            padded = np.zeros(-(-length // d) * d, dtype=np.int64)
+            padded[:length] = series
+            series = -padded.reshape(-1, d).cumsum(axis=0).ravel()[:length]
+    return series
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple:
-    """Return the integer coefficients of the n-th cyclotomic polynomial.
-
-    With q the largest prime factor of n and m = n / q, Phi_n(x) is
-    Phi_m(x^q) when q divides m and Phi_m(x^q) / Phi_m(x) otherwise.
-    """
+    """Return the integer coefficients of the n-th cyclotomic polynomial, constant term first."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    if n == 1:
-        return (-1, 1)
-    q = max(factorint(n))
-    m = n // q
-    base = cyclotomic_poly(m)
-    spread = [0] * ((len(base) - 1) * q + 1)
-    spread[::q] = base
-    if m % q == 0:
-        return tuple(spread)
-    return tuple(_z_div_exact(spread, base))
+    phi = n
+    for q in factorint(n):
+        phi -= phi // q
+    return tuple(_moebius_product(n, phi + 1, 1).tolist())
 
 
 def euler_phi(n: int) -> int:
@@ -72,31 +76,48 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
 
 
-@lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple:
-    """Return integer basis coordinates of z^j for j up to max(n, 2*phi(n)-1)."""
-    phi = euler_phi(n)
-    reduction = tuple(-c for c in cyclotomic_poly(n)[:phi])
-    length = max(n, 2 * phi - 1)
-    rows = []
-    cur = [0] * phi
-    cur[0] = 1
-    for _ in range(length):
-        rows.append(tuple(cur))
-        spill = cur[phi - 1]
-        cur = [0] + cur[:-1]
-        if spill:
-            for i in range(phi):
-                cur[i] += spill * reduction[i]
-    return tuple(rows)
+def _powers(n: int, exponents) -> np.ndarray:
+    """Return the int64 rows of basis coordinates of z_n^e, one per exponent 0 <= e < n.
+
+    A row with e < phi(n) is the basis vector e.  Otherwise x^e = Q Phi_n + R
+    with R the wanted row.  For n > 1, Phi_n is palindromic, so Q read from
+    the top is the power series 1/Phi_n, and the low phi(n) coefficients of
+    Q Phi_n are -R.
+    """
+    exponents = np.asarray(exponents, dtype=np.int64)
+    if n == 1:
+        return np.ones((len(exponents), 1), dtype=np.int64)
+    poly = np.array(cyclotomic_poly(n), dtype=np.int64)
+    phi = len(poly) - 1
+    series = _moebius_product(n, max(int(exponents.max(initial=0)) - phi + 1, 1), -1)
+    rows = np.zeros((len(exponents), phi), dtype=np.int64)
+    for i, e in enumerate(exponents.tolist()):
+        if e < phi:
+            rows[i, e] = 1
+        else:
+            rows[i] = -np.convolve(series[e - phi :: -1][:phi], poly[:phi])[:phi]
+    return rows
 
 
 @lru_cache(maxsize=None)
 def _power_array(n: int) -> np.ndarray:
-    """Return ``_power_table(n)`` as one read-only int64 array."""
-    table = np.array(_power_table(n), dtype=np.int64)
+    """Return the read-only rows of z_n^0 .. z_n^(n-1)."""
+    table = _powers(n, np.arange(n))
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=None)
+def _lift_rows(m: int, n: int) -> np.ndarray:
+    """Return the read-only rows of z_n^((n/m) i), i < phi(m): the lift from conductor m to n.
+
+    Only these phi(m) rows are computed, never the whole table at n.
+    """
+    if n % m:
+        raise ValueError("can only lift to a multiple of the conductor")
+    rows = _powers(n, (n // m) * np.arange(euler_phi(m)))
+    rows.flags.writeable = False
+    return rows
 
 
 def power_rows(n: int, exponents) -> np.ndarray:
@@ -108,44 +129,6 @@ def power_rows(n: int, exponents) -> np.ndarray:
     one integer product.
     """
     return _power_array(n)[np.asarray(exponents, dtype=np.int64) % n]
-
-
-def _reduced_powers(n: int, exponents) -> np.ndarray:
-    """Return the rows of power_rows(n, exponents), for n > 1 and 0 <= e < n, without the table.
-
-    For e >= phi(n), x^e = Q Phi_n + R with R the wanted row.  Phi_n is
-    palindromic, so Q read from the top is the power series 1/Phi_n, and
-    the low phi(n) coefficients of Q Phi_n are -R.  The series is the
-    product of (x^d - 1)^(-mu(n/d)) over the divisors d of n (Moebius
-    inversion of x^n - 1 = prod Phi_d): one shift per factor it multiplies
-    by, then one strided cumulative sum per factor it divides by.  So each
-    partial result is the series times the factors still to divide by, and
-    its coefficients stay small.
-    """
-    poly = np.array(cyclotomic_poly(n), dtype=np.int64)
-    phi = len(poly) - 1
-    size = max(exponents, default=0) - phi + 1
-    series = np.zeros(max(size, 1), dtype=np.int64)
-    series[0] = 1
-    divisors = [(n, 1)]
-    for q in factorint(n):
-        divisors += [(d // q, -mu) for d, mu in divisors]
-    for d, mu in sorted(divisors, key=lambda t: t[1]):
-        if mu < 0:
-            # times x^d - 1
-            series = np.concatenate([np.zeros(d, dtype=np.int64), series])[: len(series)] - series
-        else:
-            # over x^d - 1, as -(1 + x^d + x^2d + ...)
-            padded = np.zeros(-(-len(series) // d) * d, dtype=np.int64)
-            padded[: len(series)] = series
-            series = -padded.reshape(-1, d).cumsum(axis=0).ravel()[: len(series)]
-    rows = np.zeros((len(exponents), phi), dtype=np.int64)
-    for i, e in enumerate(exponents):
-        if e < phi:
-            rows[i, e] = 1
-        else:
-            rows[i] = -np.convolve(series[e - phi :: -1][:phi], poly[:phi])[:phi]
-    return rows
 
 
 # -- values -----------------------------------------------------------------------
@@ -224,7 +207,7 @@ class Cyc:
     @staticmethod
     def root(conductor: int, k: int = 1) -> "Cyc":
         """Return the k-th power of the fixed primitive conductor-th root."""
-        return _make(conductor, _power_table(conductor)[k % conductor], 1)
+        return _make(conductor, _power_array(conductor)[k % conductor].tolist(), 1)
 
     # -- structure
 
@@ -232,20 +215,8 @@ class Cyc:
         """Rewrite the value at a larger conductor (a multiple of the current one)."""
         if conductor == self.conductor:
             return self
-        if conductor % self.conductor:
-            raise ValueError("can only lift to a multiple of the conductor")
-        return self._substitute(conductor, conductor // self.conductor)
-
-    def _substitute(self, conductor: int, s: int) -> "Cyc":
-        """Send basis power z^i to the (i s)-th power of the conductor-th root."""
-        table = _power_table(conductor)
-        out = [0] * euler_phi(conductor)
-        for i, a in enumerate(self._num):
-            if a:
-                for j, c in enumerate(table[(i * s) % conductor]):
-                    if c:
-                        out[j] += a * c
-        return _make(conductor, out, self._den)
+        num = np.array(self._num, dtype=object) @ _lift_rows(self.conductor, conductor)
+        return _make(conductor, num.tolist(), self._den)
 
     def as_rational(self):
         """Return the value as a Fraction when it is rational, else None."""
@@ -253,17 +224,13 @@ class Cyc:
             return None
         return Fraction(self._num[0], self._den)
 
-    def as_int(self):
-        """Return the value as an int when it is a rational integer, else None."""
-        if self._den != 1 or any(self._num[1:]):
-            return None
-        return self._num[0]
-
     def galois(self, k: int) -> "Cyc":
         """Apply the Galois automorphism sending the conductor root to its k-th power."""
-        if gcd(k, self.conductor) != 1:
+        n = self.conductor
+        if gcd(k, n) != 1:
             raise ValueError("Galois exponent must be invertible mod the conductor")
-        return self._substitute(self.conductor, k)
+        num = np.array(self._num, dtype=object) @ power_rows(n, k * np.arange(len(self._num)))
+        return _make(n, num.tolist(), self._den)
 
     def conj(self) -> "Cyc":
         """Return the complex conjugate."""
@@ -314,25 +281,9 @@ class Cyc:
             k, d = int(other.numerator), int(other.denominator)
             return _make(self.conductor, [x * k for x in self._num], self._den * d)
         a, b = self._pair(other)
-        n = a.conductor
-        phi = euler_phi(n)
-        conv = [0] * (2 * phi - 1)
-        bnum = b._num
-        for i, x in enumerate(a._num):
-            if x:
-                for j, y in enumerate(bnum):
-                    if y:
-                        conv[i + j] += x * y
-        # basis powers below phi are their own coordinates; only the rest reduce
-        out = conv[:phi]
-        table = _power_table(n)
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c:
-                for j, t in enumerate(table[k]):
-                    if t:
-                        out[j] += c * t
-        return _make(n, out, a._den * b._den)
+        conv = np.convolve(np.array(a._num, dtype=object), np.array(b._num, dtype=object))
+        out = conv @ power_rows(a.conductor, np.arange(len(conv)))
+        return _make(a.conductor, out.tolist(), a._den * b._den)
 
     __rmul__ = __mul__
 
@@ -367,39 +318,52 @@ def root_sum(n: int, mults) -> Cyc:
     """Return sum_s mults[s] z_n^s, s = 0 .. n-1, as a value at conductor n.
 
     ``mults`` holds n integers (an int64 or object array, or any
-    sequence); the coordinates are one integer product with the first n
-    rows of the power table and come back as Python ints, the value that
-    adding ``Cyc.root(n, s) * mults[s]`` one term at a time gives.
+    sequence); the coordinates are one integer product with the rows of
+    z_n^0 .. z_n^(n-1) and come back as Python ints, the value that adding
+    ``Cyc.root(n, s) * mults[s]`` one term at a time gives.
     """
-    return Cyc(n, (np.asarray(mults) @ _power_array(n)[:n]).tolist())
+    return Cyc(n, (np.asarray(mults) @ _power_array(n)).tolist())
+
+
+def coordinates(values, conductor: int) -> tuple:
+    """Return values at one conductor as (nums, den): integer numerators over one denominator.
+
+    nums is an object array of Python ints with one row of phi(conductor)
+    numerators per value, and den > 0 is the lcm of the values'
+    denominators.  A rational value goes into column 0 with no lift, so
+    only the irrational values' conductors must divide conductor; one that
+    does not raises ValueError, as Cyc.lift does.  Each distinct irrational
+    value is lifted once, by one integer product with the rows of z^j for
+    just the exponents j that its own conductor m reaches,
+    j = (conductor / m) i for i < phi(m).
+    """
+    values = list(values)
+    den = lcm(*(v._den for v in values))
+    nums = np.zeros((len(values), euler_phi(conductor)), dtype=object)
+    irrational = {}
+    for i, v in enumerate(values):
+        if any(v._num[1:]):
+            irrational.setdefault((v.conductor, v._num, v._den), []).append(i)
+        else:
+            nums[i, 0] = v._num[0] * (den // v._den)
+    for (m, num, d), rows in irrational.items():
+        nums[rows] = np.array(num, dtype=object) * (den // d) @ _lift_rows(m, conductor)
+    return nums, den
 
 
 def sort_keys(rows, conductor: int) -> list:
     """Return one comparison key per row of values: their coordinates at one conductor.
 
-    conductor is a multiple of every value's conductor, and a row's key is
-    the tuple of its values' coordinates after a lift to it, so a sort by
-    these keys is deterministic.  A rational value q keys as (q, 0, ..., 0)
-    with no lift.  Each distinct irrational value is lifted once, by one
-    product with the rows of z^j for just the exponents j that its own
-    conductor m reaches, j = (conductor / m) i for i < phi(m).
+    A row's key is the tuple of its values' coordinates from
+    ``coordinates(values, conductor)``, ints when every value has
+    denominator 1 and Fractions otherwise, so a sort by these keys is
+    deterministic.
     """
-    zeros = (0,) * (euler_phi(conductor) - 1)
-    distinct = {(v.conductor, v._num, v._den) for row in rows for v in row if any(v._num[1:])}
-    lifted = {}
-    for m in {key[0] for key in distinct}:
-        keys = [key for key in distinct if key[0] == m]
-        lift = _reduced_powers(conductor, (conductor // m) * np.arange(euler_phi(m)))
-        nums = np.array([key[1] for key in keys], dtype=object) @ lift
-        for key, num in zip(keys, nums.tolist()):
-            lifted[key] = _make(conductor, num, key[2]).coords
-    return [
-        tuple(
-            lifted[(v.conductor, v._num, v._den)] if any(v._num[1:]) else (v.coords[0],) + zeros
-            for v in row
-        )
-        for row in rows
-    ]
+    nums, den = coordinates([v for row in rows for v in row], conductor)
+    if den != 1:
+        nums = nums * Fraction(1, den)
+    keys = map(tuple, nums.tolist())
+    return [tuple(islice(keys, len(row))) for row in rows]
 
 
 # -- finite field images ---------------------------------------------------------------

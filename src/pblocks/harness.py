@@ -46,7 +46,7 @@ from .corpus import (
 )
 from .chartab import class_gram
 from .errors import BindingUnsatisfiable, ShapeMismatch
-from .intmath import int_det, is_p_power, p_valuation
+from .intmath import int_det, is_int, is_p_power, p_valuation
 from .perm import PermGroup, abelian_p_invariants, perm_mul
 
 
@@ -86,9 +86,9 @@ def tau_rayleigh(rows, degrees) -> Fraction:
         raise ShapeMismatch(
             f"degree vector length {len(degrees)} does not match matrix size {size}"
         )
-    degrees = [int(d) for d in degrees]
-    if any(d < 1 for d in degrees):
+    if not all(is_int(d) and d >= 1 for d in degrees):
         raise ValueError("degrees must be positive integers")
+    degrees = [int(d) for d in degrees]
     num = sum(
         rows[i][j] * degrees[i] * degrees[j] for i in range(size) for j in range(size)
     )

@@ -1,14 +1,22 @@
 """Exact integer arithmetic shared by every layer of the pipeline.
 
-Primality, factorization, p-adic valuations and exact logarithms, the
-multiplicative order of a residue, and the determinant of an integer
-matrix.  All inputs are small (group orders, field sizes, Cartan
-matrices), so plain trial division and fraction-free elimination suffice.
+The integer test for inputs, primality, factorization, p-adic valuations
+and exact logarithms, the multiplicative order of a residue, and the
+determinant of an integer matrix.  All inputs are small (group orders,
+field sizes, Cartan matrices), so plain trial division and fraction-free
+elimination suffice.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+
+def is_int(x) -> bool:
+    """Tell whether x is an exact integer: an int or numpy integer, not a bool, float or string."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def is_prime(n: int) -> bool:

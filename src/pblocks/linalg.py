@@ -24,13 +24,9 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .ffield import Field
+from .intmath import is_int
 
 # -- matrix type -------------------------------------------------------------
-
-def _is_code(x) -> bool:
-    """Tell whether x is an integer that can be an element code: not a bool, float or string."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
 
 class Mat:
     """Immutable dense matrix over a finite field."""
@@ -41,7 +37,7 @@ class Mat:
         if not isinstance(data, np.ndarray):
             # numpy reads [True, 0] as int64, so a list is checked entry by entry
             data = np.array(data, dtype=object)
-            if not all(_is_code(x) for x in data.flat):
+            if not all(is_int(x) for x in data.flat):
                 raise ShapeMismatch("matrix entries must be integer codes")
         elif data.size and data.dtype.kind not in "iu":
             raise ShapeMismatch("matrix entries must be integer codes")
@@ -138,7 +134,7 @@ def mat_sub(A: Mat, B: Mat) -> Mat:
 
 def mat_scale(A: Mat, c: int) -> Mat:
     """Multiply a matrix by a scalar, the code of a field element."""
-    if not _is_code(c):
+    if not is_int(c):
         raise ShapeMismatch("the scalar must be an integer code")
     c = int(c)
     if not 0 <= c < A.field.q:

@@ -42,7 +42,7 @@ from .errors import (
     NotNormal,
     ShapeMismatch,
 )
-from .intmath import int_log, is_p_power, p_valuation
+from .intmath import int_log, is_int, is_p_power, p_valuation
 
 ENUMERATION_CAP = 20000
 SECTIONAL_RANK_CAP = 512
@@ -108,15 +108,15 @@ def perm_from_cycles(degree: int, cycles) -> tuple:
     images = list(range(degree))
     touched = set()
     for cyc in cycles:
-        pts = [int(c) for c in cyc]
+        pts = list(cyc)
         for c in pts:
-            if not 1 <= c <= degree:
-                raise NotAPermutation(f"point {c} outside 1..{degree}")
+            if not is_int(c) or not 1 <= c <= degree:
+                raise NotAPermutation(f"point {c!r} is not an integer in 1..{degree}")
             if c in touched:
                 raise NotAPermutation(f"point {c} repeated across cycles")
             touched.add(c)
         for i, c in enumerate(pts):
-            images[c - 1] = pts[(i + 1) % len(pts)] - 1
+            images[c - 1] = int(pts[(i + 1) % len(pts)]) - 1
     return tuple(images)
 
 
@@ -140,7 +140,11 @@ def orbit(start, gens, act) -> dict:
 
 def _validate_perm(g, degree: int) -> tuple:
     """Check that g is a permutation tuple of the given degree."""
-    t = tuple(int(v) for v in g)
+    t = tuple(g)
+    if not set(map(type, t)) <= {int}:
+        if not all(map(is_int, t)):
+            raise NotAPermutation(f"{g!r} holds an image that is not an integer")
+        t = tuple(map(int, t))
     if len(t) != degree or sorted(t) != list(range(degree)):
         raise NotAPermutation(f"{g!r} is not a permutation of degree {degree}")
     return t

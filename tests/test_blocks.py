@@ -25,7 +25,7 @@ from pblocks.blocks import (
 from pblocks.chartab import character_table, class_fusion, lifting_prime
 from pblocks.corpus import corpus_entry
 from pblocks.cyclotomic import Cyc, cyc_to_field
-from pblocks.errors import CompositeCharacteristic, ReductionInconsistent
+from pblocks.errors import CompositeCharacteristic, NonIntegralSolution, ReductionInconsistent
 from pblocks.ffield import field_create
 from pblocks.intmath import factorint
 from pblocks.intmath import int_det as _int_det
@@ -340,6 +340,25 @@ class TestSolvingPrime:
         assert calls == [(60, 30)]
         assert [sum(c * d for c, d in zip(row, btab.dims)) for row in coeffs] == list(tab.degrees)
 
+    def test_expansion_checks_the_candidate_exactly(self):
+        # r + 1 is 1 modulo r, so the solve returns coefficient 1 and only the exact check fails
+        r = lifting_prime(12, 12)
+        targets = [[Cyc.rational(1)], [Cyc.rational(r + 1)]]
+        with pytest.raises(NonIntegralSolution, match="row 1 "):
+            _integral_expansion([[Cyc.rational(1)]], targets, 12, 12)
+
+    def test_expansion_over_mixed_conductors(self):
+        w, i = Cyc.root(3), Cyc.root(4)
+        one = Cyc.rational(1)
+        basis = [[one, one, one], [one, w, w * w], [Cyc.rational(1, 4), i, Cyc.rational(-1)]]
+        want = ((2, 1, 0), (0, 1, 3), (1, 2, 5))
+        targets = [
+            [sum((c * row[t] for c, row in zip(coeffs, basis)), Cyc.zero(12)) for t in range(3)]
+            for coeffs in want
+        ]
+        assert {v.conductor for row in basis + targets for v in row} == {1, 3, 4, 12}
+        assert _integral_expansion(basis, targets, 12, 12) == want
+
 
 class TestConjectureChecks:
     def test_defect_zero_report(self):
@@ -556,7 +575,7 @@ class TestBrauerInduction:
         assert brauer_orbit(asys, ssys, trivial) == (trivial,)
         values = induced_brauer_values(asys, ssys, trivial)
         assert not any(tuple(row) == values for row in asys.brauer.rows)
-        assert values[0].as_int() == 2
+        assert values[0].as_rational() == 2
 
 
 class TestCliffordIdentity:

@@ -98,7 +98,7 @@ class TestSmallTables:
     def test_order_two(self):
         tab = character_table(PermGroup(2, [(1, 0)]))
         assert tab.degrees == (1, 1)
-        vals = sorted(v.as_int() for row in tab.rows for v in row if v.as_int() is not None)
+        vals = sorted(v.as_rational() for row in tab.rows for v in row if v.as_rational() is not None)
         assert vals == [-1, 1, 1, 1]
 
     def test_sym3_exact_table(self):
@@ -147,7 +147,7 @@ class TestClassicalTables:
             assert all(v.as_rational() is not None for v in row)
         by_first = {}
         for d, row in zip(tab.degrees, tab.rows):
-            key = tuple(row[k].as_int() for k in range(len(sig)))
+            key = tuple(row[k].as_rational() for k in range(len(sig)))
             by_first.setdefault(d, []).append(dict(zip(sig, key)))
         two = by_first[2][0]
         assert two[(1, 1)] == 2 and two[(2, 6)] == 0 and two[(3, 8)] == -1
@@ -371,7 +371,7 @@ class TestFusion:
         fusion = class_fusion(g.conjugacy_classes(), h.conjugacy_classes())
         row = next(r for d, r in zip(tab.degrees, tab.rows) if d == 2)
         restricted = restrict_row(row, fusion)
-        ints = sorted(v.as_int() for v in restricted)
+        ints = sorted(v.as_rational() for v in restricted)
         assert ints == [-1, -1, 2, 2]
 
     def test_inconsistent_fusion_detected(self):

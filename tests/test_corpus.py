@@ -2,6 +2,7 @@
 
 from math import gcd
 
+import numpy as np
 import pytest
 
 from pblocks.corpus import (
@@ -257,11 +258,26 @@ class TestFixtures:
 
     def test_trace_expected_is_converted_to_int(self):
         rows = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
-        fix = CartanFixture("k", "", 2, rows, defect_order=4, sectional=2, trace_expected="6")
-        assert fix.trace_expected == 6
+        fix = CartanFixture("k", "", 2, rows, defect_order=4, sectional=2,
+                            trace_expected=np.int64(6))
+        assert fix.trace_expected == 6 and type(fix.trace_expected) is int
         assert fixture_checks(fix)["trace_ok"]
-        with pytest.raises(ValueError):
-            CartanFixture("k", "", 2, rows, defect_order=4, sectional=2, trace_expected="six")
+        for bad in ("six", "6", 6.0, True):
+            with pytest.raises(ValueError):
+                CartanFixture("k", "", 2, rows, defect_order=4, sectional=2, trace_expected=bad)
+
+    def test_rejects_non_integer_entries(self):
+        # int() would keep [[1.5, 0], [0, 2.9]] as ((1, 0), (0, 2))
+        for bad in ([[1.5, 0], [0, 2.9]], [[True, 0], [0, 1]], [["1", 0], [0, 1]]):
+            with pytest.raises(ShapeMismatch):
+                CartanFixture("bad", "", 2, bad, defect_order=2, sectional=1)
+        for field, bad in (("prime", 2.0), ("defect_order", True), ("sectional", "1")):
+            args = {"prime": 2, "defect_order": 2, "sectional": 1, field: bad}
+            with pytest.raises(ValueError, match=field):
+                CartanFixture("bad", "", args["prime"], [[2]],
+                              defect_order=args["defect_order"], sectional=args["sectional"])
+        fix = CartanFixture("ok", "", np.int64(2), [[np.int64(2)]], defect_order=2, sectional=1)
+        assert fix.rows == ((2,),) and type(fix.rows[0][0]) is int and type(fix.prime) is int
 
     def test_rejects_non_prime(self):
         # a prime-4 fixture would otherwise pass every check, bound 16 included

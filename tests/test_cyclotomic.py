@@ -3,6 +3,7 @@
 import cmath
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from pblocks.cyclotomic import (
     Cyc,
-    _reduced_powers,
+    coordinates,
     cyc_to_field,
     cyclotomic_poly,
     euler_phi,
@@ -137,7 +138,9 @@ class TestRootSums:
             rows = power_rows(n, exponents)
             assert rows.shape == (5, euler_phi(n)) and rows.dtype == np.int64
             for e, row in zip(exponents, rows.tolist()):
-                assert Cyc(n, row) == Cyc.root(n, e % n)
+                expected = _oracle_reduce([0] * (e % n) + [1], n)
+                assert row == expected
+                assert list(Cyc.root(n, e).coords) == expected
 
     def test_power_rows_conjugate_and_lift(self):
         rng = random.Random(8)
@@ -240,8 +243,9 @@ class TestInterface:
         assert Cyc.rational(Fraction(3, 2), 8).as_rational() == Fraction(3, 2)
         assert Cyc.root(8).as_rational() is None
         assert (Cyc.root(5) * 0).as_rational() == 0
-        assert Cyc.rational(7, 12).as_int() == 7
-        assert Cyc.rational(Fraction(1, 2)).as_int() is None
+        assert Cyc.rational(7, 12).as_rational() == 7
+        assert type(Cyc.rational(7, 12).coords[0]) is int
+        assert Cyc.rational(Fraction(1, 2)).as_rational() == Fraction(1, 2)
 
     def test_equality_across_conductors(self):
         assert Cyc.rational(2, 3) == Cyc.rational(2, 8)
@@ -254,10 +258,16 @@ class TestInterface:
         assert len(set(keys)) == 12
         assert sorted(keys) == sorted(keys, key=tuple)
 
-    @pytest.mark.parametrize("n", [2, 3, 8, 12, 105, 420, 1320])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 105, 420, 1320])
     def test_reduced_powers_match_the_power_table(self, n):
-        exponents = list(range(0, n, 1 if n < 200 else 7)) + [n - 1]
-        assert (_reduced_powers(n, exponents) == power_rows(n, exponents)).all()
+        # power_rows against x^e mod Phi_n by the test's own long division and against
+        # the complex value z_n^e, for every e below 2n + 4 and three negative ones
+        expected = _oracle_power_rows(n, 2 * n + 4)
+        exponents = list(range(2 * n + 4)) + [-1, -euler_phi(n), -n - 2]
+        rows = power_rows(n, exponents)
+        assert rows.tolist() == [expected[e if e >= 0 else e % n] for e in exponents]
+        values = rows @ np.exp(2j * np.pi * np.arange(euler_phi(n)) / n)
+        assert np.abs(values - np.exp(2j * np.pi * np.array(exponents) / n)).max() < 1e-6
 
     @pytest.mark.parametrize("conductor", [24, 264, 1320])
     def test_sort_keys_are_the_lifted_coordinates(self, conductor):
@@ -269,6 +279,21 @@ class TestInterface:
         lifted = [tuple(v.lift(conductor).coords for v in row) for row in rows]
         assert sort_keys(rows, conductor) == lifted
 
+    def test_lift_to_a_non_multiple_raises(self):
+        with pytest.raises(ValueError):
+            sort_keys([[Cyc.root(5)]], 12)
+        with pytest.raises(ValueError):
+            coordinates([Cyc.root(4)], 6)
+
+    def test_coordinates_share_one_denominator(self):
+        # a rational value needs no lift, so its conductor need not divide the target
+        values = [Cyc.rational(Fraction(3, 2), 5), Cyc.root(3) * Fraction(1, 3), Cyc.root(12, 3)]
+        nums, den = coordinates(values, 12)
+        assert den == 6
+        assert nums.tolist() == [[9, 0, 0, 0], [-2, 0, 2, 0], [0, 0, 0, 6]]
+        for value, line in zip(values, nums.tolist()):
+            assert Cyc(12, [Fraction(x, den) for x in line]) == value
+
     def test_immutability(self):
         z = Cyc.root(5)
         with pytest.raises(AttributeError):
@@ -279,9 +304,30 @@ class TestInterface:
         assert "z8" in str(Cyc.root(8) + 1)
 
 
+@lru_cache(maxsize=None)
+def _oracle_cyclotomic(n: int) -> tuple:
+    """Phi_n, constant term first: x^n - 1 divided exactly by Phi_d for each proper divisor d.
+
+    The oracles below reduce by this polynomial, so they share no code with
+    the power series that gives cyclotomic_poly and power_rows.
+    """
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _oracle_cyclotomic(d)
+            quot = [0] * (len(num) - len(den) + 1)
+            for k in range(len(quot) - 1, -1, -1):
+                c = quot[k] = num[k + len(den) - 1]
+                for j, m in enumerate(den):
+                    num[k + j] -= c * m
+            assert not any(num)
+            num = quot
+    return tuple(num)
+
+
 def _oracle_reduce(coeffs: list, n: int) -> list:
     """Reduce a Fraction polynomial modulo Phi_n by long division; return phi(n) coordinates."""
-    modulus = cyclotomic_poly(n)
+    modulus = _oracle_cyclotomic(n)
     deg = len(modulus) - 1
     rem = list(coeffs) + [Fraction(0)] * max(0, deg - len(coeffs))
     for top in range(len(rem) - 1, deg - 1, -1):
@@ -295,6 +341,18 @@ def _oracle_reduce(coeffs: list, n: int) -> list:
 def _oracle_power(n: int, k: int) -> list:
     """Coordinates of z_n^k, as x^k modulo Phi_n."""
     return _oracle_reduce([Fraction(0)] * k + [Fraction(1)], n)
+
+
+def _oracle_power_rows(n: int, count: int) -> list:
+    """Coordinates of x^e modulo Phi_n for e < count, each one long-division step from the last."""
+    modulus = _oracle_cyclotomic(n)
+    rem = [1] + [0] * (len(modulus) - 2)
+    rows = []
+    for _ in range(count):
+        rows.append(rem)
+        # x * rem: the top coefficient reaches x^phi, which Phi_n (monic) removes
+        rem = [r - rem[-1] * m for r, m in zip([0] + rem[:-1], modulus)]
+    return rows
 
 
 def _oracle_mul(a: list, b: list, n: int) -> list:

@@ -7,6 +7,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pblocks import harness
@@ -132,6 +133,13 @@ class TestTauRayleigh:
     def test_rejects_nonpositive_degrees(self):
         with pytest.raises(ValueError):
             tau_rayleigh(KLEIN_A, (1, 0, 1))
+
+    def test_rejects_non_integer_inputs(self):
+        # int() would read 1.5 as 1, True as 1 and "3" as 3
+        for bad in (1.5, True, "3"):
+            with pytest.raises(ValueError):
+                tau_rayleigh([[2]], [bad])
+        assert tau_rayleigh([[np.int64(2)]], [np.int64(3)]) == 2
 
 
 class TestFormatFraction:

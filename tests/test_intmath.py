@@ -1,16 +1,28 @@
 """Tests for the shared integer helpers."""
 
+import numpy as np
 import pytest
 
 from pblocks.intmath import (
     factorint,
     int_det,
     int_log,
+    is_int,
     is_p_power,
     is_prime,
     multiplicative_order,
     p_valuation,
 )
+
+
+@pytest.mark.parametrize(
+    "x, expected",
+    [(3, True), (-2, True), (2 ** 80, True), (np.int64(5), True), (np.uint8(5), True),
+     (True, False), (np.bool_(True), False), (2.0, False), (np.float64(2.0), False),
+     ("3", False), (None, False)],
+)
+def test_is_int(x, expected):
+    assert is_int(x) is expected
 
 
 @pytest.mark.parametrize(

@@ -119,6 +119,21 @@ def test_cycle_round_trip():
         assert perm_from_cycles(8, perm_to_cycles(g)) == g
 
 
+def test_non_integer_points_rejected():
+    # int() would read 2.9 as 2, True as 1 and "1" as 1
+    for bad in ([1.0, 0.0, 2.9], [True, False, 2], ["1", "0", "2"], np.array([1.0, 0.0, 2.0])):
+        with pytest.raises(NotAPermutation):
+            PermGroup(3, [bad])
+    for bad in ([(1.0, 2.9)], [(True, 2)], [("1", "2")]):
+        with pytest.raises(NotAPermutation):
+            perm_from_cycles(3, bad)
+    group = PermGroup(3, [np.array([1, 0, 2]), (np.int64(0), np.int32(2), np.uint8(1))])
+    assert group.generators == ((1, 0, 2), (0, 2, 1))
+    assert all(type(x) is int for g in group.generators for x in g)
+    g = perm_from_cycles(3, [(np.int64(1), np.int64(2))])
+    assert g == (1, 0, 2) and all(type(x) is int for x in g)
+
+
 def test_bad_cycles_rejected():
     with pytest.raises(NotAPermutation):
         perm_from_cycles(4, [(1, 5)])
