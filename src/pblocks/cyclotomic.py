@@ -195,11 +195,6 @@ class Cyc:
     # -- construction helpers
 
     @staticmethod
-    def zero(conductor: int = 1) -> "Cyc":
-        """Return zero at the given conductor."""
-        return _make(conductor, (0,) * euler_phi(conductor), 1)
-
-    @staticmethod
     def rational(q, conductor: int = 1) -> "Cyc":
         """Return a rational number as a cyclotomic value."""
         return Cyc(conductor, (q,) + (0,) * (euler_phi(conductor) - 1))
@@ -335,7 +330,8 @@ def coordinates(values, conductor: int) -> tuple:
     does not raises ValueError, as Cyc.lift does.  Each distinct irrational
     value is lifted once, by one integer product with the rows of z^j for
     just the exponents j that its own conductor m reaches,
-    j = (conductor / m) i for i < phi(m).
+    j = (conductor / m) i for i < phi(m); a value already at conductor
+    keeps its numerators, only scaled to den.
     """
     values = list(values)
     den = lcm(*(v._den for v in values))
@@ -347,7 +343,8 @@ def coordinates(values, conductor: int) -> tuple:
         else:
             nums[i, 0] = v._num[0] * (den // v._den)
     for (m, num, d), rows in irrational.items():
-        nums[rows] = np.array(num, dtype=object) * (den // d) @ _lift_rows(m, conductor)
+        scaled = np.array(num, dtype=object) * (den // d)
+        nums[rows] = scaled if m == conductor else scaled @ _lift_rows(m, conductor)
     return nums, den
 
 

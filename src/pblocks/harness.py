@@ -155,7 +155,12 @@ def fixture_checks(fix: CartanFixture, seed: int = 0) -> dict:
     nums = ((D @ np.array(rows, dtype=kind)) * D).sum(axis=1).tolist()
     dens = (D * D).sum(axis=1).tolist()
     rayleigh_ok = all(n <= trace * d and n < bound * d for n, d in zip(nums, dens))
-    worst = max(Fraction(0), *map(Fraction, nums, dens))
+    # the largest quotient by cross-multiplication (every d > 0), floored at 0/1
+    worst_num, worst_den = 0, 1
+    for n, d in zip(nums, dens):
+        if n * worst_den > worst_num * d:
+            worst_num, worst_den = n, d
+    worst = Fraction(worst_num, worst_den)
     verdicts = {
         "symmetric": all(rows[i][j] == rows[j][i] for i in range(size) for j in range(size)),
         "diagonal_ok": fix.max_diagonal() <= fix.defect_order,

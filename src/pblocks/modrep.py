@@ -33,11 +33,15 @@ word is shortest, and reads every other class along the class power map.
 
 One spin closes a vector under the generators and returns its span, kept
 in reduced echelon form as one array, so that each new row is reduced and
-each old row cleared by a fixed number of whole-array field calls.
-module_iso evaluates the witness element of one module on the other and
-spins the pair (v_a, v_b) of their eigenvectors in the direct sum a + b;
-by Schur's lemma that span is the graph of an isomorphism a -> b or all
-of a + b.
+each old row cleared by a fixed number of whole-array field calls, and
+its script: which generator took which visited row to each new one.  As
+in Parker's MeatAxe, the script of the spin that certified a simple a
+replays from any vector of any module.  module_iso evaluates the witness
+element of a on b and replays the script from the eigenvector v_b it
+finds there; the only isomorphism taking the witness vector v_a to v_b
+takes a's standard basis to that replay, so it is one matrix product,
+checked by whether it intertwines.  A module whose matrices are a's takes
+the identity, as every product with the trivial module does.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .linalg import (
     mat_add,
     mat_charpoly,
     mat_eigenspace,
+    mat_inv,
     mat_kron,
     mat_mul,
     mat_right_kernel,
@@ -111,10 +116,11 @@ class GModule:
     """Action of the group generators on row vectors over a finite field.
 
     witness is the Witness that certified the module simple, when the chop
-    returned it, and None otherwise.
+    returned it, and None otherwise.  module_iso keeps the inverse of the
+    witness's standard basis in _basis_inverse once it has computed it.
     """
 
-    __slots__ = ("group", "field", "mats", "dim", "witness")
+    __slots__ = ("group", "field", "mats", "dim", "witness", "_basis_inverse")
 
     def __init__(self, group: PermGroup, field, mats, witness=None):
         mats = tuple(mats)
@@ -128,6 +134,7 @@ class GModule:
         self.mats = mats
         self.dim = dims.pop() if dims else 1
         self.witness = witness
+        self._basis_inverse = None
 
     def image(self, g) -> Mat:
         """Return the matrix by which a group element acts."""
@@ -246,28 +253,50 @@ class _Span:
         return Mat._fresh(self.field, self.rows[order]), tuple(sorted(self.pivots))
 
 
-def _spin(field, mats_data: list, seed_row) -> _Span:
-    """Return the span of a seed row closed under the given matrices.
+def _spin(field, mats_data: list, seed_row) -> tuple:
+    """Return the span of a seed row closed under the given matrices, and its script.
 
-    The row at each index is multiplied by each matrix once, in index order.
-    A later insertion changes an earlier row only by multiples of rows with
-    higher indices, so the rows as visited still span the space, and the
-    span is invariant once the last index has been visited.  The matrices
-    act on each len(M) block of a row, so a row of n x n entries can stand
-    for a matrix.
+    The spin visits the standard basis s_0 = seed_row, s_k = s_i M_j, in
+    order of k.  A visited row is multiplied by every matrix in one
+    product, against the matrices side by side, and its images go into the
+    span in matrix order; an image that is new becomes the next s_k, and
+    the script records its (i, j).  The span is invariant once every kept
+    row has been visited, and its reduced echelon form is unique.  Replayed
+    from a row v on an isomorphic module (_standard_basis), the script
+    gives the images of the s_k under the isomorphism taking seed_row to v.
     """
     width = len(seed_row)
     span = _Span(field, width)
     span.add(seed_row)
+    visited = [np.asarray(seed_row, dtype=np.int64)]
+    script = []
+    stacked = np.hstack(mats_data)
     i = 0
-    while i < span.dim:
-        v = span.rows[i]
-        for M in mats_data:
-            if span.dim == width:
-                return span
-            span.add(field.vdot(v.reshape(-1, len(M)), M).reshape(-1))
+    while i < len(visited) and span.dim < width:
+        images = field.vdot(visited[i][None, :], stacked)[0]
+        for j in range(len(mats_data)):
+            image = images[j * width:(j + 1) * width]
+            if span.add(image):
+                visited.append(image)
+                script.append((i, j))
+                if span.dim == width:
+                    break
         i += 1
-    return span
+    return span, tuple(script)
+
+
+def _standard_basis(module: GModule, script: tuple, vector) -> Mat:
+    """Return the rows s_0 = vector, s_k = s_i M_j for the k-th (i, j) of a spin's script."""
+    F = module.field
+    n = module.dim
+    rows = [np.asarray(vector, dtype=np.int64)]
+    stacked = np.hstack([M.data for M in module.mats])
+    source = None
+    for i, j in script:
+        if i != source:
+            source, images = i, F.vdot(rows[i][None, :], stacked)[0]
+        rows.append(images[j * n:(j + 1) * n])
+    return Mat._fresh(F, np.array(rows))
 
 
 # -- random algebra elements ----------------------------------------------------
@@ -278,13 +307,18 @@ class Witness:
 
     theta is the sum of coeffs[i] times the product of the generators in
     words[i].  On the module, the kernel of theta - root is the line
-    through vector, and vector spins the whole module.
+    through vector, written as mat_right_kernel writes a line (its last
+    nonzero entry is 1), and vector spins the whole module.  script is
+    that spin's, so replaying it from vector gives a basis of the module.
+    A witness carried to an isomorphic module keeps its script, which
+    replays there from the image of vector.
     """
 
     words: tuple
     coeffs: tuple
     root: int
     vector: np.ndarray
+    script: tuple
 
 
 def _draw_element(rng: random.Random, module: GModule) -> tuple:
@@ -324,14 +358,15 @@ def _chop_step(module: GModule, rng: random.Random):
     it is a line, its row (an eigenvector of the transpose) is spun under
     the transposed generators, and a full co-spin makes (theta, lam, u)
     the witness, while a proper one splits the module by its annihilator.
-    A wider kernel moves on to the next root.
+    A wider kernel moves on to the next root.  The witness keeps the
+    script of the spin of u.
     """
     n = module.dim
     F = module.field
     if n == 1:
         words, coeffs = _draw_element(rng, module)
         root = int(_element(module, words, coeffs).data[0, 0])
-        return Witness(words, coeffs, root, np.ones(1, dtype=np.int64))
+        return Witness(words, coeffs, root, np.ones(1, dtype=np.int64), ())
     mats_data = [M.data for M in module.mats]
     for _ in range(RANDOM_ELEMENT_BUDGET):
         words, coeffs = _draw_element(rng, module)
@@ -344,14 +379,14 @@ def _chop_step(module: GModule, rng: random.Random):
             quot, _ = poly_divmod(F, f, [F.neg(lam), 1])
             u = F.vdot(np.array([quot], dtype=np.int64), krylov.data)[0]
             u = F.vmul(u, np.int64(F.inv(int(u[np.flatnonzero(u)[-1]]))))
-            span = _spin(F, mats_data, u)
+            span, script = _spin(F, mats_data, u)
             if span.dim < n:
                 return span.echelon()
             co_nucleus = mat_right_kernel(mat_sub(theta, mat_scale(Mat.identity(F, n), lam)))
             if co_nucleus.nrows == 1:
-                span = _spin(F, [d.T.copy() for d in mats_data], co_nucleus.data[0])
+                span, _ = _spin(F, [d.T for d in mats_data], co_nucleus.data[0])
                 if span.dim == n:
-                    return Witness(words, coeffs, lam, u)
+                    return Witness(words, coeffs, lam, u, script)
                 return mat_rref(mat_right_kernel(span.basis()))
     raise RandomBudgetExceeded(
         f"chop of a {n}-dimensional module over GF({F.q}) undecided after "
@@ -409,35 +444,32 @@ def module_iso(a: GModule, b: GModule):
 
     a must carry its Witness, as every factor composition_factors returns
     does; any other first module raises ValueError, so chop a module
-    first to compare it (a simple one is its own single factor).  The
-    witness gives an element theta, a root lam and the vector v_a
-    spanning the kernel of theta(a) - lam.  If a and b are isomorphic,
-    the kernel of theta(b) - lam is a line too, through some v_b, so
-    otherwise they are not.  The spin of (v_a, v_b) in a + b projects onto
-    both simple modules, so by Schur's lemma it is either all of a + b or
-    the graph of the isomorphism taking v_a to v_b; its reduced basis is
-    then [I | bridge].  This takes one evaluation of theta, one eigenspace
-    and one spin, and no charpoly or draw.
+    first to compare it (a simple one is its own single factor).  If b's
+    matrices are a's, the bridge is the identity.  Otherwise the witness
+    gives an element theta, a root lam and the vector v_a spanning the
+    kernel of theta(a) - lam.  If a and b are isomorphic, the kernel of
+    theta(b) - lam is a line too, through some v_b, so otherwise they are
+    not.  An isomorphism taking v_a to v_b takes the standard basis S_a
+    that the witness's script replays from v_a to the one S_b it replays
+    from v_b on b, so it can only be S_a^-1 S_b, and it is one if that
+    matrix intertwines.  S_a^-1 is computed on a's first comparison and
+    kept.  This takes one evaluation of theta, one eigenspace and one
+    replay, and no charpoly, draw or spin.
     """
     witness = a.witness
     if witness is None:
         raise ValueError("module_iso needs a first module with a witness; chop it first")
     if a.dim != b.dim or a.field != b.field or len(a.mats) != len(b.mats):
         return None
-    F = a.field
-    n = a.dim
+    if all(np.array_equal(Ma.data, Mb.data) for Ma, Mb in zip(a.mats, b.mats)):
+        # theta(b) = theta(a), so v_b = v_a: both are written as mat_right_kernel writes a line
+        return Mat.identity(a.field, a.dim)
     ker_b = mat_eigenspace(_element(b, witness.words, witness.coeffs), witness.root)
     if ker_b.nrows != 1:
         return None
-    zero = np.zeros((n, n), dtype=np.int64)
-    pair = [np.block([[Ma.data, zero], [zero, Mb.data]]) for Ma, Mb in zip(a.mats, b.mats)]
-    span = _spin(F, pair, np.concatenate([witness.vector, ker_b.data[0]]))
-    if span.dim != n:
-        return None
-    graph, pivots = span.echelon()
-    if pivots != tuple(range(n)):
-        raise RuntimeError("pair spin is not a graph: the modules are not simple")
-    bridge = Mat(F, graph.data[:, n:])
+    if a._basis_inverse is None:
+        a._basis_inverse = mat_inv(_standard_basis(a, witness.script, witness.vector))
+    bridge = mat_mul(a._basis_inverse, _standard_basis(b, witness.script, ker_b.data[0]))
     for Ma, Mb in zip(a.mats, b.mats):
         if mat_mul(Ma, bridge) != mat_mul(bridge, Mb):
             return None

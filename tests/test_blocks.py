@@ -40,6 +40,11 @@ from pblocks.perm import (
 )
 
 
+def cyc_zero(conductor: int = 1) -> Cyc:
+    """Return zero at a conductor, as a start for sums of values there."""
+    return Cyc.rational(0, conductor)
+
+
 def grp(degree, *cycles):
     return PermGroup(degree, [perm_from_cycles(degree, c) for c in cycles])
 
@@ -353,7 +358,7 @@ class TestSolvingPrime:
         basis = [[one, one, one], [one, w, w * w], [Cyc.rational(1, 4), i, Cyc.rational(-1)]]
         want = ((2, 1, 0), (0, 1, 3), (1, 2, 5))
         targets = [
-            [sum((c * row[t] for c, row in zip(coeffs, basis)), Cyc.zero(12)) for t in range(3)]
+            [sum((c * row[t] for c, row in zip(coeffs, basis)), cyc_zero(12)) for t in range(3)]
             for coeffs in want
         ]
         assert {v.conductor for row in basis + targets for v in row} == {1, 3, 4, 12}
@@ -540,7 +545,7 @@ def induced_brauer_values(system, sub, j: int) -> tuple:
     values = []
     for k in system.regular:
         cent = aorder // aclasses.sizes[k]
-        acc = Cyc.zero(1)
+        acc = cyc_zero(1)
         for pos, c in enumerate(sub.regular):
             if fusion[c] == k:
                 acc = acc + row[pos] * Fraction(cent * sclasses.sizes[c], sorder)

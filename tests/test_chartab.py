@@ -30,6 +30,11 @@ from pblocks.errors import FusionInconsistent, LiftingPrimeNotFound
 from pblocks.perm import ClassData, PermGroup, perm_from_cycles
 
 
+def cyc_zero(conductor: int = 1) -> Cyc:
+    """Return zero at a conductor, as a start for sums of values there."""
+    return Cyc.rational(0, conductor)
+
+
 def cyclic(n: int) -> PermGroup:
     """Return a cyclic group of order n as a single n-cycle."""
     return PermGroup(n, [tuple(range(1, n)) + (0,)])
@@ -58,7 +63,7 @@ def oracle_gram(rows, others, classes):
     for chi in rows:
         line = []
         for psi in others:
-            acc = Cyc.zero(1)
+            acc = cyc_zero(1)
             for k, size in enumerate(classes.sizes):
                 acc = acc + chi[k] * psi[k].conj() * size
             total = acc.as_rational()
@@ -117,7 +122,7 @@ class TestSmallTables:
         col = [row[gen_col] for row in tab.rows]
         seen = {str(v) for v in col}
         assert len(seen) == 4
-        total = Cyc.zero(4)
+        total = cyc_zero(4)
         for v in col:
             total = total + v
         assert total == 0
@@ -127,7 +132,7 @@ class TestSmallTables:
         tab = character_table(cyclic(12))
         assert tab.degrees == tuple([1] * 12)
         for k in range(1, 12):
-            total = Cyc.zero(1)
+            total = cyc_zero(1)
             for row in tab.rows:
                 total = total + row[k]
             assert total == 0
@@ -239,7 +244,7 @@ class TestMathieu11:
         tab = m11_table
         elevens = [k for k, o in enumerate(tab.classes.orders) if o == 11]
         assert len(elevens) == 2
-        b11 = Cyc.zero(11)
+        b11 = cyc_zero(11)
         for s in sorted({x * x % 11 for x in range(1, 11)}):
             b11 = b11 + Cyc.root(11, s)
         # b11 = (-1 + sqrt(-11)) / 2
@@ -301,7 +306,7 @@ class TestConsistency:
         order = tab.group.order()
         for k in range(n):
             for l in range(n):
-                total = Cyc.zero(1)
+                total = cyc_zero(1)
                 for row in tab.rows:
                     total = total + row[k] * row[l].conj()
                 if k == l:

@@ -9,6 +9,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from pblocks import cyclotomic
 from pblocks.cyclotomic import (
     Cyc,
     coordinates,
@@ -29,6 +30,11 @@ from pblocks.corpus import (
 )
 from pblocks.ffield import field_create
 from pblocks.modrep import ReductionContext, brauer_table
+
+
+def cyc_zero(conductor: int = 1) -> Cyc:
+    """Return zero at a conductor, as a start for sums of values there."""
+    return Cyc.rational(0, conductor)
 
 
 def numeric(v: Cyc) -> complex:
@@ -95,7 +101,7 @@ class TestRootIdentities:
 
     def test_geometric_sum_vanishes(self):
         for n in (2, 3, 4, 5, 6, 8, 9, 12):
-            total = Cyc.zero(n)
+            total = cyc_zero(n)
             for k in range(n):
                 total = total + Cyc.root(n, k)
             assert total == 0
@@ -110,7 +116,7 @@ class TestRootIdentities:
     def test_root_satisfies_its_polynomial(self):
         for n in (5, 8, 9, 12, 15):
             z = Cyc.root(n)
-            acc = Cyc.zero(n)
+            acc = cyc_zero(n)
             for i, c in enumerate(cyclotomic_poly(n)):
                 if c:
                     acc = acc + Cyc.root(n, i) * c
@@ -123,7 +129,7 @@ class TestRootSums:
         rng = random.Random(5)
         for n in (1, 2, 3, 4, 8, 11, 12, 15):
             mults = [rng.randint(0, 9) for _ in range(n)]
-            expected = Cyc.zero(n)
+            expected = cyc_zero(n)
             for s, mult in enumerate(mults):
                 expected = expected + Cyc.root(n, s) * mult
             for given in (mults, np.array(mults, dtype=np.int64)):
@@ -293,6 +299,23 @@ class TestInterface:
         assert nums.tolist() == [[9, 0, 0, 0], [-2, 0, 2, 0], [0, 0, 0, 6]]
         for value, line in zip(values, nums.tolist()):
             assert Cyc(12, [Fraction(x, den) for x in line]) == value
+
+    def test_a_value_at_the_target_conductor_keeps_its_numerators(self, monkeypatch):
+        lifts = []
+        lift_rows = cyclotomic._lift_rows
+
+        def recording_lift(m, n):
+            lifts.append((m, n))
+            return lift_rows(m, n)
+
+        monkeypatch.setattr(cyclotomic, "_lift_rows", recording_lift)
+        values = [Cyc.root(12, 5) * Fraction(2, 3), Cyc.root(12) + Cyc.root(12, 2), Cyc.root(4)]
+        nums, den = coordinates(values, 12)
+        assert lifts == [(4, 12)]
+        assert den == 3
+        for value, line in zip(values[:2], nums.tolist()):
+            assert line == [int(c * den) for c in value.coords]
+        assert Cyc(12, [Fraction(x, den) for x in nums[2]]) == values[2]
 
     def test_immutability(self):
         z = Cyc.root(5)
@@ -512,10 +535,10 @@ def _sample_values(exponent: int) -> list:
     """A few cyclotomic values of mixed conductors dividing the exponent."""
     rng = random.Random(exponent)
     divisors = [d for d in range(1, exponent + 1) if exponent % d == 0]
-    out = [Cyc.zero(), Cyc.rational(1), Cyc.rational(Fraction(-2, 7))]
+    out = [cyc_zero(), Cyc.rational(1), Cyc.rational(Fraction(-2, 7))]
     for _ in range(6):
         n = rng.choice(divisors)
-        val = Cyc.zero(n)
+        val = cyc_zero(n)
         for k in range(n):
             if rng.random() < 0.5:
                 val = val + Cyc.root(n, k) * Fraction(rng.randint(-3, 3), rng.choice([1, 7]))

@@ -29,6 +29,7 @@ from pblocks.modrep import (
     _alternating_square,
     _element,
     _spin,
+    _standard_basis,
     brauer_table,
     brauer_value,
     composition_factors,
@@ -41,6 +42,11 @@ from pblocks.modrep import (
     tensor_module,
 )
 from pblocks.perm import PermGroup, perm_from_cycles, perm_mul
+
+
+def cyc_zero(conductor: int = 1) -> Cyc:
+    """Return zero at a conductor, as a start for sums of values there."""
+    return Cyc.rational(0, conductor)
 
 
 def trivial_module(group, field):
@@ -307,9 +313,9 @@ class TestOneSpin:
         mats = [M.data for M in perm_module(g, F).mats]
         point = np.array([1, 0, 0, 0, 0], dtype=np.int64)
         ones = np.ones(5, dtype=np.int64)
-        assert _spin(F, mats, point).dim == 5
-        span = _spin(F, mats, ones)
-        assert span.dim == 1
+        assert _spin(F, mats, point)[0].dim == 5
+        span, script = _spin(F, mats, ones)
+        assert span.dim == 1 and script == ()
         assert span.basis() == Mat(F, [[1, 1, 1, 1, 1]])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -337,9 +343,9 @@ class TestOneSpin:
         spins = []
 
         def counting_spin(field, mats_data, seed_row):
-            span = _spin(field, mats_data, seed_row)
+            span, script = _spin(field, mats_data, seed_row)
             spins.append((len(seed_row), span.dim))
-            return span
+            return span, script
 
         monkeypatch.setattr(modrep, "_spin", counting_spin)
         return spins
@@ -381,7 +387,7 @@ class TestOneSpin:
         assert self.witness_nullity(a, b) == 1
         spins = self.counting_spins(monkeypatch)
         assert module_iso(a, b) is None
-        assert spins == [(2 * a.dim, 2 * a.dim)]
+        assert spins == []
 
 
 def _psl27_three_times_eight():
@@ -410,8 +416,13 @@ class TestWitness:
             w = factor.witness
             kernel = mat_eigenspace(_element(factor, w.words, w.coeffs), w.root)
             assert kernel.nrows == 1
+            # written as mat_right_kernel writes a line, which module_iso's identity relies on
+            assert w.vector[np.flatnonzero(w.vector)[-1]] == 1
             assert w.vector.any() and mat_rank(Mat(F, np.vstack([kernel.data, w.vector]))) == 1
-            assert _spin(F, [M.data for M in factor.mats], w.vector).dim == factor.dim
+            assert _spin(F, [M.data for M in factor.mats], w.vector)[0].dim == factor.dim
+            # the script of the certifying spin replays a basis from the vector
+            basis = _standard_basis(factor, w.script, w.vector)
+            assert basis.nrows == factor.dim == mat_rank(basis)
 
     @pytest.mark.parametrize("module", [
         pytest.param(lambda: perm_module(alt5(), ReductionContext(alt5(), 3).field), id="A5-perm-p3"),
@@ -533,6 +544,78 @@ class TestWitness:
         assert known == before
 
 
+def _pair_spin_iso(a: GModule, b: GModule):
+    """Return the bridge a -> b that spinning (v_a, v_b) in a + b finds, or None.
+
+    This is the known test as a reference.  v_b spans the kernel of
+    theta(b) - root for the witness of a, when that kernel is a line.  By
+    Schur's lemma the closure of (v_a, v_b) is all of a + b or the graph of
+    the isomorphism taking v_a to v_b, whose reduced basis is [I | bridge].
+    """
+    w = a.witness
+    F, n = a.field, a.dim
+    ker_b = mat_eigenspace(_element(b, w.words, w.coeffs), w.root)
+    if ker_b.nrows != 1:
+        return None
+    zero = np.zeros((n, n), dtype=np.int64)
+    pair = [Mat(F, np.block([[Ma.data, zero], [zero, Mb.data]])) for Ma, Mb in zip(a.mats, b.mats)]
+    graph = _closure_oracle(F, pair, np.concatenate([w.vector, ker_b.data[0]]))
+    if graph.nrows != n:
+        return None
+    bridge = Mat(F, graph.data[:, n:])
+    if any(mat_mul(Ma, bridge) != mat_mul(bridge, Mb) for Ma, Mb in zip(a.mats, b.mats)):
+        return None
+    return bridge
+
+
+def _conjugated(module: GModule, rng) -> GModule:
+    """Return a copy of a module conjugated by a random invertible matrix."""
+    F, n = module.field, module.dim
+    X = Mat(F, [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)])
+    while mat_rank(X) < n:
+        X = Mat(F, [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)])
+    return GModule(module.group, F, [mat_mul(mat_mul(mat_inv(X), M), X) for M in module.mats])
+
+
+class TestKnownTest:
+    @pytest.mark.parametrize("product", PRODUCTS)
+    @pytest.mark.parametrize("with_known", [False, True])
+    def test_module_iso_returns_the_pair_spins_bridge(self, product, with_known):
+        # with known, repeated factors carry a witness moved by an earlier bridge
+        factors = composition_factors(product(), seed=1, known=[] if with_known else None)
+        rng = random.Random(71)
+        others = factors + [_conjugated(m, rng) for m in factors]
+        outcomes = set()
+        for a in factors:
+            for b in others:
+                if a.dim == b.dim:
+                    bridge = module_iso(a, b)
+                    assert bridge == _pair_spin_iso(a, b)
+                    outcomes.add(bridge is None)
+        assert outcomes == {False, True}
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(alt5, id="A5"),
+        pytest.param(lambda: corpus_entry("PSL(2,7)").build(), id="PSL27"),
+    ])
+    def test_a_copy_of_a_simples_matrices_takes_the_identity(self, build, monkeypatch):
+        g = build()
+        simples = simple_modules(g, ReductionContext(g, 2))
+        trivial = next(m for m in simples if all(M.data.tolist() == [[1]] for M in m.mats))
+        for simple in simples:
+            piece = tensor_module(trivial, simple)
+            with monkeypatch.context() as patch:
+                # no witness element is evaluated, so no eigenspace is taken
+                patch.setattr(modrep, "_element", None)
+                assert module_iso(simple, piece) == Mat.identity(simple.field, simple.dim)
+            # the piece is a known factor, and carries the simple's witness vector unchanged
+            known = list(simples)
+            [factor] = composition_factors(piece, known=known)
+            assert factor.mats == piece.mats and known == simples
+            assert np.array_equal(factor.witness.vector, simple.witness.vector)
+            assert factor.witness.script == simple.witness.script
+
+
 def _row_space(F, rows, width: int) -> Mat:
     """Return the nonzero rows of the reduced echelon form of some rows."""
     R, pivots = mat_rref(Mat(F, np.asarray(rows, dtype=np.int64).reshape(-1, width)))
@@ -611,14 +694,14 @@ class TestSpan:
             start = rng.randrange(block[-1] + 1)
             frame = np.array([rng.randrange(F.q) if b >= start else 0 for b in block])
             seed = mat_mul(Mat(F, [frame]), X).data[0]
-            span = _spin(F, [M.data for M in mats], seed)
+            span, script = _spin(F, [M.data for M in mats], seed)
             assert _row_space(F, span.rows, n) == _closure_oracle(F, mats, seed)
-            # two blocks of a row are acted on side by side, as by diag(M, M)
-            pair = np.concatenate([seed, np.roll(seed, 1)])
-            zero = np.zeros((n, n), dtype=np.int64)
-            doubled = [Mat(F, np.block([[M.data, zero], [zero, M.data]])) for M in mats]
-            span = _spin(F, [M.data for M in mats], pair)
-            assert _row_space(F, span.rows, 2 * n) == _closure_oracle(F, doubled, pair)
+            # replayed from the seed, the script gives a basis of the span
+            rows = [seed]
+            for i, j in script:
+                rows.append(mat_mul(Mat(F, [rows[i]]), mats[j]).data[0])
+            assert _row_space(F, rows, n) == _row_space(F, span.rows, n)
+            assert len(rows) == max(span.dim, 1)
 
 
 def _square_pieces(square: GModule, n: int) -> list:
@@ -915,7 +998,7 @@ def _eigenspace_value(module, g, order, ctx) -> Cyc:
     for i in module.group.word(g):
         action = mat_mul(action, module.mats[i])
     w_n = F.pow(ctx.w, ctx.eprime // order)
-    want = Cyc.zero(order)
+    want = cyc_zero(order)
     for j in range(order):
         shifted = mat_sub(action, mat_scale(eye, F.pow(w_n, j)))
         want = want + Cyc.root(order, j) * (module.dim - mat_rank(shifted))
